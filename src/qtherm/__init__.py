@@ -17,7 +17,6 @@ from .qcore import (
     StateVector,
     diag_entropy,
     evolve,
-    expectation,
     partial_trace,
     relative_entropy,
     tensor_product,

@@ -1,6 +1,6 @@
 """Closed-form cavity-qubit solution and measurement-averaged rates.
 
-Everything here is plain scalar arithmetic (math/cmath, no linear algebra), so
+Everything here is plain scalar arithmetic (no linear algebra), so
 these functions can serve as an independent ground truth for the numerical
 engine.  Conventions: hbar = 1, qubit detuning Delta_c = omega_b - omega_a,
 Rabi frequency Omega_n = 2 gamma sqrt(n).
@@ -8,7 +8,6 @@ Rabi frequency Omega_n = 2 gamma sqrt(n).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,11 +75,6 @@ def amplitudes(n: int, t: float, params: JcmParams) -> JcmAmplitudes:
     return JcmAmplitudes(n, omega_n, omega_p, delta_c, a_n, b_n)
 
 
-def block_phase(n: int, t: float, params: JcmParams) -> complex:
-    """Global phase of the n-excitation block, exp(-i omega_a n t)."""
-    return cmath.exp(-1j * params.omega_a * n * t)
-
-
 def transfer_probabilities(n_levels: int, t: float, params: JcmParams) -> list[float]:
     """|b_n(t)|^2 for n = 0 .. n_levels (index n; b_0 = 0)."""
     out = [0.0]
@@ -110,11 +104,6 @@ def apply_absorption(state: AtomFieldState, x: float) -> AtomFieldState:
         sigma_g=state.sigma_g - x,
         x=state.x + x,
     )
-
-
-def energy_changes(x: float, params: JcmParams) -> tuple[float, float]:
-    """(dH_A, dH_B) corresponding to x photons moving from cavity to atom."""
-    return -params.omega_a * x, params.omega_b * x
 
 
 def mean_b2_poisson(n: int, lam: float, params: JcmParams) -> float:

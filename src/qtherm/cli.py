@@ -18,14 +18,14 @@ import numpy as np
 
 from . import verify as verify_mod
 from ._svg import line_chart
-from .engine import ProcessConfig, run_process, _series_from_checkpoints
+from .engine import ProcessConfig, run_process
 from .errors import ConfigError, NumericError, QthermError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
     assemble_reduced_generator, min_temp_predict, steady_state
 from .analytic import amplitudes, mean_b2_poisson
 from .errors import DegenerateSteadyStateError
 from .models import JcmParams, build_jcm, thermal_state
-from .qcore import StateVector, von_neumann_entropy
+from .qcore import StateVector
 
 TWO_PI = 2 * math.pi
 
@@ -211,21 +211,16 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
                              checkpoint_times=grid)
         rec = run_process(pcfg, sys)
         emit("exact", rec.series, rec.truncation_suspect)
-    if run_mode in ("weak", "both"):
-        spec = decompose(sys, cfg["lambda"])
+    if run_mode in ("weak", "fast", "both"):
+        # the averaged runs take one reservoir temperature: the first of a schedule
         beta0 = beta if np.isscalar(beta) else beta[0]
-        run = weak_interval_run(spec, thermal_state(sys.h_b, beta0),
-                                psi0.projector(), horizon=cfg["horizon"],
-                                seed=cfg["seed"], checkpoint_times=grid, beta=beta0)
-        series = _run_to_series(sys, run)
-        emit("weak", series, False)
-    if run_mode == "fast":
-        beta0 = beta if np.isscalar(beta) else beta[0]
-        run = fast_interval_run(sys, cfg["lambda"], thermal_state(sys.h_b, beta0),
-                                psi0.projector(), horizon=cfg["horizon"],
-                                seed=cfg["seed"], checkpoint_times=grid, beta=beta0)
-        series = _run_to_series(sys, run)
-        emit("fast", series, False)
+        inputs = (thermal_state(sys.h_b, beta0), psi0.projector())
+        opts = dict(horizon=cfg["horizon"], seed=cfg["seed"], checkpoint_times=grid, beta=beta0)
+        if run_mode == "fast":
+            run = fast_interval_run(sys, cfg["lambda"], *inputs, **opts)
+        else:
+            run = weak_interval_run(decompose(sys, cfg["lambda"]), *inputs, **opts)
+        emit("fast" if run_mode == "fast" else "weak", run.series, run.truncation_suspect)
 
     svg_path = os.path.join(out_dir, "simulate.svg")
     curves = []
@@ -238,14 +233,6 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
         _say(quiet, f"wrote {path}")
     _say(quiet, f"wrote {svg_path}")
     return 0
-
-
-def _run_to_series(sys, run):
-    ha = np.array([float(np.trace(sys.h_a.mat @ r).real) for r in run.checkpoint_rho_a])
-    s_a = np.array([von_neumann_entropy(r, floor=-1e-4) for r in run.checkpoint_rho_a])
-    return _series_from_checkpoints(run.checkpoint_times, ha, run.checkpoint_hb,
-                                    run.checkpoint_hab, s_a, np.zeros(len(ha)), 1,
-                                    run.times, run.ledgers)
 
 
 def cmd_steady_scan(cfg: dict, out_dir: str, quiet: bool) -> int:

@@ -5,7 +5,9 @@ evolves the pair under the full Hamiltonian for an exponentially distributed
 time, then projectively measures B in its energy basis.  Trajectory mode
 samples outcomes per realization; density-matrix mode applies the
 outcome-averaged map (dephase B, then replace it: rho_AB -> Tr_B rho_AB (x)
-rho_B(0)).
+rho_B(0)).  ``run_intervals`` is the one interval driver: the exact
+density-matrix run and the weak and fast averaged runs hand it different
+propagators and nothing else.
 
 Also provided: the exact measurement-averaged interval map and the continuous
 jump-averaged generator, which give deterministic ensemble-level curves and
@@ -15,32 +17,33 @@ steady states of the same process.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, PreconditionError
 from .models import JointSystem, TRUNCATION_LIMIT, thermal_state
-from .qcore import DensityMatrix, StateVector, shannon_entropy, von_neumann_entropy
+from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
+                    hermitian_part, marginal, populations, shannon_entropy,
+                    von_neumann_entropy)
 from .thermo import IntervalLedger, ledger_for_interval
 
 BORN_TOL = 1e-10
 
 
-def worker_count() -> int:
-    """Trajectory worker threads; capped by the QTHERM_THREADS env var."""
-    cap = os.environ.get("QTHERM_THREADS")
-    n = min(4, os.cpu_count() or 1)
-    if cap is not None:
-        try:
-            n = max(1, min(n, int(cap)))
-        except ValueError:
-            raise ConfigError(f"QTHERM_THREADS must be an integer, got {cap!r}")
-    return n
+def check_rate(lam: float) -> None:
+    """Reject a measurement rate that is not positive and finite."""
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ConfigError(f"measurement rate must be positive and finite, got {lam!r}")
+
+
+def check_rate_and_horizon(lam: float, horizon: float) -> None:
+    """Reject a measurement rate or horizon that no interval schedule can honour."""
+    check_rate(lam)
+    if not (horizon >= 0 and math.isfinite(horizon)):
+        raise ConfigError(f"horizon must be non-negative and finite, got {horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +62,7 @@ class ProcessConfig:
     intervals: np.ndarray | None = None   # explicit interval schedule (density-matrix mode)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError("measurement rate must be positive")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be non-negative")
+        check_rate_and_horizon(self.lam, self.horizon)
         if self.mode not in ("trajectory", "density-matrix"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n_traj < 1:
@@ -145,6 +145,30 @@ class EnsembleSummary:
     meta: dict = field(default_factory=dict)
 
 
+@dataclass
+class IntervalRun:
+    """What the interval driver records, whichever propagator it ran with.
+
+    States are in the propagator's frame: the lab frame for the exact run, the
+    rotating frame of the uncoupled Hamiltonian for the averaged runs, where
+    only marginal coherence phases differ; populations, energies and
+    entropies are frame-invariant.
+    """
+
+    times: np.ndarray                          # measurement times t_1..t_K
+    ledgers: list[IntervalLedger]
+    rho_a_snapshots: np.ndarray                # (K+1, dim_a, dim_a), after each interval
+    checkpoint_times: np.ndarray
+    checkpoint_rho_a: np.ndarray               # (n_checkpoints, dim_a, dim_a)
+    checkpoint_hab: np.ndarray                 # gamma <H_AB>
+    checkpoint_hb: np.ndarray
+    min_eig: float                             # lowest joint eigenvalue the propagator checked
+    meta: dict
+    series: CheckpointSeries
+    truncation_suspect: bool
+    born_max_deviation: float
+
+
 def sample_interval(rng: np.random.Generator, lam: float) -> float:
     """Exponential waiting time with mean 1/lam."""
     if lam <= 0:
@@ -153,29 +177,70 @@ def sample_interval(rng: np.random.Generator, lam: float) -> float:
 
 
 def _traj_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based: stream depends only on (seed, index), not on scheduling
+    # counter-based: stream depends only on (seed, index)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _as_mat(x) -> np.ndarray:
-    return np.asarray(getattr(x, "mat", x), dtype=complex)
+def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probabilities proportional to p (one uniform draw)."""
+    return min(int(np.searchsorted(np.cumsum(p), rng.random() * p.sum())), len(p) - 1)
 
 
-def _check_b_diagonal(mat: np.ndarray, sys: JointSystem, what: str) -> np.ndarray:
-    """Populations of a reservoir state that must be diagonal in the H_B basis."""
-    v = sys.basis_b.eigenvectors
-    m = v.conj().T @ mat @ v
-    if np.abs(m - np.diag(np.diag(m))).max() > 1e-9:
-        raise PreconditionError(f"{what} must be diagonal in the reservoir energy basis")
-    return np.clip(np.diag(m).real, 0.0, None)
+def _draw_outcome(psi_t: np.ndarray, v_b: np.ndarray, rng: np.random.Generator):
+    """Measure B of a joint pure state: (outcome m, Born probabilities, post-measurement psi_A)."""
+    amp_b = v_b.conj().T @ psi_t.reshape(-1, v_b.shape[0]).T  # rows: outcome level
+    p_m = (np.abs(amp_b) ** 2).sum(axis=1)
+    m = _draw_index(p_m, rng)
+    return m, p_m, amp_b[m] / np.linalg.norm(amp_b[m])
 
 
-def _partial_trace_a(joint: np.ndarray, da: int, db: int) -> np.ndarray:
-    return np.einsum("abcb->ac", joint.reshape(da, db, da, db))
+class _JointFrame:
+    """Exact propagator: the eigenframe of the coupled Hamiltonian.
+
+    States stay in the lab frame, so <H_AB> is a plain trace.  Unitary
+    evolution keeps the joint state positive and normalized, so there is
+    nothing to check or re-normalize between intervals.
+    """
+
+    positivity_floor = -1e-8         # eigenvalue floor of the ledger's entropies
+    checkpoint_floor = -1e-8         # ... and of S_A at the checkpoints
+
+    def __init__(self, sys: JointSystem):
+        prop = sys.propagator
+        self.e, self.w = prop.eigenvalues, prop.eigenvectors
+        self.hab = sys.h_ab.mat
+
+    def evolve(self, joint0: np.ndarray, tau: float) -> np.ndarray:
+        jt = self.w.conj().T @ joint0 @ self.w
+        ph = np.exp(-1j * self.e * tau)
+        return self.w @ (jt * np.outer(ph, ph.conj())) @ self.w.conj().T
+
+    def hab_expect(self, joint: np.ndarray, tau: float) -> float:
+        return float(np.trace(self.hab @ joint).real)
+
+    def check_positivity(self, joint: np.ndarray) -> float:
+        return 0.0
+
+    def next_state(self, rho_a: np.ndarray) -> np.ndarray:
+        return rho_a
+
+    def to_frame_sv(self, psi: np.ndarray) -> np.ndarray:
+        return self.w.conj().T @ psi
+
+    def evolve_sv(self, c: np.ndarray, t: float) -> np.ndarray:
+        return self.w @ (np.exp(-1j * self.e * t) * c)
 
 
-def _partial_trace_b(joint: np.ndarray, da: int, db: int) -> np.ndarray:
-    return np.einsum("abad->bd", joint.reshape(da, db, da, db))
+def _end_interval(prop, sys: JointSystem, joint_t: np.ndarray, tau: float):
+    """Outcome-averaged measurement of B at the end of an interval.
+
+    Returns the Hermitian state of A, the (unclipped) B populations in the
+    energy basis and <H_AB> just before the measurement, gamma excluded.
+    """
+    dims = (sys.dim_a, sys.dim_b)
+    rho_a = hermitian_part(marginal(joint_t, dims, "A"))
+    pops_b = populations(marginal(joint_t, dims, "B"), sys.basis_b.eigenvectors)
+    return rho_a, pops_b, prop.hab_expect(joint_t, tau)
 
 
 def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
@@ -189,10 +254,8 @@ def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
     """
     if t < 0:
         raise ValueError("interval length must be non-negative")
-    da, db = sys.dim_a, sys.dim_b
-    prop = sys.propagator
-    e, w = prop.eigenvalues, prop.eigenvectors
-    hab = sys.h_ab.mat
+    frame = _JointFrame(sys)
+    v_b = sys.basis_b.eigenvectors
 
     if isinstance(state_a, StateVector):
         if rng is None:
@@ -200,104 +263,159 @@ def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
         if isinstance(reservoir_in, (int, np.integer)):
             level = int(reservoir_in)
         elif isinstance(reservoir_in, StateVector):
-            amps = sys.basis_b.eigenvectors.conj().T @ reservoir_in.vec
-            pops = np.abs(amps) ** 2
+            pops = np.abs(v_b.conj().T @ reservoir_in.vec) ** 2
             if pops.max() < 1.0 - 1e-10:
                 raise PreconditionError("trajectory reservoir input must be an energy eigenstate")
             level = int(pops.argmax())
         else:
             raise PreconditionError("trajectory reservoir input must be an eigenstate or level index")
-        psi0 = np.kron(state_a.vec, sys.basis_b.eigenvectors[:, level])
-        psi_t = w @ (np.exp(-1j * e * t) * (w.conj().T @ psi0))
-        h_ab_expect = float(np.vdot(psi_t, hab @ psi_t).real)
-        # Born probabilities for the B outcome, A traced out
-        blocks = psi_t.reshape(da, db)
-        amp_b = sys.basis_b.eigenvectors.conj().T @ blocks.T  # rows: outcome level
-        p_m = (np.abs(amp_b) ** 2).sum(axis=1)
+        psi_t = frame.evolve_sv(frame.to_frame_sv(np.kron(state_a.vec, v_b[:, level])), t)
+        h_ab_expect = float(np.vdot(psi_t, frame.hab @ psi_t).real)
+        m, p_m, psi_a = _draw_outcome(psi_t, v_b, rng)
         born_dev = abs(p_m.sum() - 1.0)
         if born_dev > BORN_TOL:
             raise PreconditionError(f"outcome probabilities sum to 1 + {p_m.sum()-1:.2e}")
-        m = int(np.searchsorted(np.cumsum(p_m), rng.random() * p_m.sum()))
-        m = min(m, db - 1)
-        psi_a = amp_b[m] / math.sqrt(p_m[m])
-        nrm = np.linalg.norm(psi_a)
         return IntervalStep(
-            state_a=StateVector(psi_a / nrm),
+            state_a=StateVector(psi_a),
             reservoir_populations=p_m,
             outcome=MeasurementOutcome(m=m, p_m=float(p_m[m]), t=t),
             h_ab_expect=h_ab_expect,
             born_deviation=born_dev,
         )
 
-    rho_a = _as_mat(state_a)
-    rho_b = _as_mat(reservoir_in)
-    _check_b_diagonal(rho_b, sys, "reservoir input")
-    joint = np.kron(rho_a, rho_b)
-    jt = w.conj().T @ joint @ w
-    phase = np.exp(-1j * e * t)
-    jt = jt * np.outer(phase, phase.conj())
-    joint_t = w @ jt @ w.conj().T
-    h_ab_expect = float(np.trace(hab @ joint_t).real)
-    rho_a_end = _partial_trace_a(joint_t, da, db)
-    rho_a_end = 0.5 * (rho_a_end + rho_a_end.conj().T)
-    pops_b = np.einsum(
-        "ij,jk,ki->i",
-        sys.basis_b.eigenvectors.conj().T,
-        _partial_trace_b(joint_t, da, db),
-        sys.basis_b.eigenvectors,
-    ).real
-    born_dev = abs(pops_b.sum() - 1.0)
+    rho_b = as_matrix(reservoir_in)
+    diagonal_populations(rho_b, sys.basis_b, "reservoir input")
+    joint_t = frame.evolve(np.kron(as_matrix(state_a), rho_b), t)
+    rho_a_end, pops_b, h_ab_expect = _end_interval(frame, sys, joint_t, t)
     return IntervalStep(
         state_a=DensityMatrix(rho_a_end),
         reservoir_populations=np.clip(pops_b, 0.0, None),
         outcome=None,
         h_ab_expect=h_ab_expect,
-        born_deviation=born_dev,
+        born_deviation=abs(pops_b.sum() - 1.0),
     )
 
 
-class _JointFrame:
-    """Cached eigenframe machinery for within-interval evolution."""
+def _cumulative_on_grid(meas_times, grid: np.ndarray, terms) -> np.ndarray:
+    """Running sums of per-interval (Q, W, W_meas, beta Q) rows at each grid time.
 
-    def __init__(self, sys: JointSystem):
-        self.sys = sys
-        self.da, self.db = sys.dim_a, sys.dim_b
-        prop = sys.propagator
-        self.e, self.w = prop.eigenvalues, prop.eigenvectors
-        self.h_a = sys.h_a.mat
-        self.h_b = sys.h_b.mat
-        self.hab = sys.h_ab.mat
-        self.v_a = sys.basis_a.eigenvectors
-        self.v_b = sys.basis_b.eigenvectors
-        self.top_a = int(np.argmax(sys.basis_a.eigenvalues))
-
-    def to_frame_dm(self, joint: np.ndarray) -> np.ndarray:
-        return self.w.conj().T @ joint @ self.w
-
-    def evolve_dm(self, jt: np.ndarray, t: float) -> np.ndarray:
-        ph = np.exp(-1j * self.e * t)
-        out = self.w @ (jt * np.outer(ph, ph.conj())) @ self.w.conj().T
-        return out
-
-    def to_frame_sv(self, psi: np.ndarray) -> np.ndarray:
-        return self.w.conj().T @ psi
-
-    def evolve_sv(self, c: np.ndarray, t: float) -> np.ndarray:
-        return self.w @ (np.exp(-1j * self.e * t) * c)
+    An interval counts once its measurement time is at or before the grid
+    time; returns a (4, len(grid)) array.
+    """
+    sums = np.cumsum(np.reshape(np.asarray(terms, dtype=float), (-1, 4)), axis=0)
+    sums = np.vstack((np.zeros(4), sums))
+    return sums[np.searchsorted(meas_times, grid, side="right")].T
 
 
-def _checkpoint_obs_dm(frame: _JointFrame, joint_t: np.ndarray, gamma: float):
-    rho_a = _partial_trace_a(joint_t, frame.da, frame.db)
-    rho_a = 0.5 * (rho_a + rho_a.conj().T)
-    rho_b = _partial_trace_b(joint_t, frame.da, frame.db)
-    ha = float(np.trace(frame.h_a @ rho_a).real)
-    hb = float(np.trace(frame.h_b @ rho_b).real)
-    hab = gamma * float(np.trace(frame.hab @ joint_t).real)
-    return rho_a, ha, hb, hab
+def _checkpoint_series(grid, ha, hb, hab, s_a, se_ha, n_traj: int, sums) -> CheckpointSeries:
+    q_cum, w_cum, wm_cum, bq_cum = sums
+    s0 = s_a[0] if len(s_a) else 0.0
+    return CheckpointSeries(
+        t=np.asarray(grid, dtype=float), mean_ha=ha, mean_hb=hb, mean_hab=hab,
+        q_cum=q_cum, w_cum=w_cum, wmeas_cum=wm_cum, s_a=s_a,
+        s_tot=s_a - s0 - bq_cum, se_ha=se_ha, n_traj=n_traj,
+    )
 
 
-def _a_populations(frame: _JointFrame, rho_a: np.ndarray) -> np.ndarray:
-    return np.clip(np.einsum("ij,jk,ki->i", frame.v_a.conj().T, rho_a, frame.v_a).real, 0.0, None)
+def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
+                  reservoir: Callable[[int], tuple[float, np.ndarray]],
+                  horizon: float, grid: np.ndarray, lam: float, seed: int,
+                  intervals: np.ndarray | None = None) -> IntervalRun:
+    """The measured-interval cycle, shared by the exact, weak and fast runs.
+
+    Interval k couples rho_A to the reservoir input ``reservoir(k)`` =
+    (beta_k, rho_B), evolves the product with ``prop`` for the next scheduled
+    time (``intervals`` if given, else exponential draws at rate ``lam`` from
+    ``seed``), records every checkpoint of ``grid`` it spans, then measures and
+    replaces B and books the interval's ledger.  The interval that crosses
+    ``horizon`` contributes checkpoints but no ledger.
+
+    ``prop`` supplies evolve(joint0, tau), hab_expect(joint, tau) (gamma
+    excluded), check_positivity(joint) -> lowest eigenvalue checked,
+    next_state(rho_A), and the entropy floors ``positivity_floor`` and
+    ``checkpoint_floor``.
+    """
+    check_rate_and_horizon(lam, horizon)
+    dims = (sys.dim_a, sys.dim_b)
+    v_b = sys.basis_b.eigenvectors
+    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    n_cp = len(grid)
+    cp_rho = np.empty((n_cp, sys.dim_a, sys.dim_a), dtype=complex)
+    cp_obs = np.empty((4, n_cp))               # <H_A>, <H_B>, gamma <H_AB>, S_A
+    times = [0.0]
+    ledgers: list[IntervalLedger] = []
+    snapshots = [rho_a]
+    born_max = min_eig = 0.0
+    truncation = False
+    cp_done = 0
+    t_cum = 0.0
+    k = 0
+    while t_cum < horizon:
+        if intervals is None:
+            t_k = sample_interval(rng, lam)
+        elif k < len(intervals):
+            t_k = float(intervals[k])
+        else:
+            break
+        beta_k, rho_b0 = reservoir(k)
+        joint0 = np.kron(rho_a, rho_b0)
+        t_end = t_cum + t_k
+        completes = t_end <= horizon
+        limit = t_end if completes else horizon
+
+        while cp_done < n_cp and grid[cp_done] <= limit + 1e-12:
+            tau = min(max(grid[cp_done] - t_cum, 0.0), t_k)
+            joint = prop.evolve(joint0, tau)
+            rho_cp = hermitian_part(marginal(joint, dims, "A"))
+            cp_rho[cp_done] = rho_cp
+            cp_obs[:, cp_done] = (
+                float(np.trace(sys.h_a.mat @ rho_cp).real),
+                float(np.trace(sys.h_b.mat @ marginal(joint, dims, "B")).real),
+                sys.gamma * prop.hab_expect(joint, tau),
+                von_neumann_entropy(rho_cp, prop.checkpoint_floor),
+            )
+            if np.vdot(v_top, rho_cp @ v_top).real > TRUNCATION_LIMIT:
+                truncation = True
+            cp_done += 1
+
+        if not completes:
+            break
+
+        joint_t = prop.evolve(joint0, t_k)
+        min_eig = min(min_eig, prop.check_positivity(joint_t))
+        rho_a_end, pops_b, h_ab_expect = _end_interval(prop, sys, joint_t, t_k)
+        born_max = max(born_max, abs(pops_b.sum() - 1.0))
+        rho_b_end = (v_b * np.clip(pops_b, 0.0, None)) @ v_b.conj().T
+        ledgers.append(ledger_for_interval(
+            rho_a, rho_a_end, rho_b0, rho_b_end, h_ab_expect, sys, beta_k,
+            positivity_floor=prop.positivity_floor))
+        rho_a = prop.next_state(rho_a_end)
+        t_cum = t_end
+        times.append(t_cum)
+        snapshots.append(rho_a)
+        if np.vdot(v_top, rho_a @ v_top).real > TRUNCATION_LIMIT:
+            truncation = True
+        k += 1
+
+    meas_times = np.array(times[1:])
+    sums = _cumulative_on_grid(meas_times, grid[:cp_done],
+                               [(led.q, led.w, led.w_meas, led.beta * led.q) for led in ledgers])
+    series = _checkpoint_series(grid[:cp_done], *cp_obs[:, :cp_done], np.zeros(cp_done), 1, sums)
+    return IntervalRun(
+        times=meas_times,
+        ledgers=ledgers,
+        rho_a_snapshots=np.array(snapshots),
+        checkpoint_times=series.t,
+        checkpoint_rho_a=cp_rho[:cp_done],
+        checkpoint_hab=series.mean_hab,
+        checkpoint_hb=series.mean_hb,
+        min_eig=min_eig,
+        meta={"lam": lam, "horizon": horizon},
+        series=series,
+        truncation_suspect=truncation,
+        born_max_deviation=born_max,
+    )
 
 
 def run_process(cfg: ProcessConfig, sys: JointSystem):
@@ -306,7 +424,7 @@ def run_process(cfg: ProcessConfig, sys: JointSystem):
     Density-matrix mode returns a TrajectoryRecord with per-interval ledgers;
     trajectory mode returns an EnsembleSummary reduced over cfg.n_traj
     realizations (per-trajectory streams are split from the master seed by
-    trajectory index, so results do not depend on thread scheduling).
+    trajectory index).
     """
     if cfg.initial_state_a is None:
         raise ConfigError("initial_state_a is required")
@@ -315,166 +433,54 @@ def run_process(cfg: ProcessConfig, sys: JointSystem):
     return _run_trajectory_ensemble(cfg, sys)
 
 
-def _thermal_inputs(cfg: ProcessConfig, sys: JointSystem, k: int):
-    beta_k = cfg.beta_for(k)
-    rho_b = thermal_state(sys.h_b, beta_k).mat
-    return beta_k, rho_b
-
-
 def _run_density_matrix(cfg: ProcessConfig, sys: JointSystem) -> TrajectoryRecord:
-    frame = _JointFrame(sys)
-    da, db = frame.da, frame.db
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    grid = cfg.grid()
-
     state = cfg.initial_state_a
-    rho_a = state.projector().mat if isinstance(state, StateVector) else _as_mat(state)
+    rho_a = state.projector().mat if isinstance(state, StateVector) else as_matrix(state)
 
-    times = [0.0]
-    ledgers: list[IntervalLedger] = []
-    snapshots = [rho_a]
-    born_max = 0.0
-    truncation = False
+    def reservoir(k: int):
+        beta_k = cfg.beta_for(k)
+        return beta_k, thermal_state(sys.h_b, beta_k).mat
 
-    n_cp = len(grid)
-    cp_ha = np.empty(n_cp)
-    cp_hb = np.empty(n_cp)
-    cp_hab = np.empty(n_cp)
-    cp_sa = np.empty(n_cp)
-    cp_rho = np.empty((n_cp, da, da), dtype=complex)
-    cp_done = 0
-
-    t_cum = 0.0
-    k = 0
-    while t_cum < cfg.horizon:
-        if cfg.intervals is not None:
-            if k >= len(cfg.intervals):
-                break
-            t_k = float(cfg.intervals[k])
-        else:
-            t_k = sample_interval(rng, cfg.lam)
-        beta_k, rho_b0 = _thermal_inputs(cfg, sys, k)
-        joint0 = np.kron(rho_a, rho_b0)
-        jt = frame.to_frame_dm(joint0)
-        t_end = t_cum + t_k
-        completes = t_end <= cfg.horizon
-        limit = t_end if completes else cfg.horizon
-
-        while cp_done < n_cp and grid[cp_done] <= limit + 1e-12:
-            delta = min(max(grid[cp_done] - t_cum, 0.0), t_k)
-            joint_cp = frame.evolve_dm(jt, delta)
-            rho_cp, ha, hb, hab = _checkpoint_obs_dm(frame, joint_cp, sys.gamma)
-            cp_ha[cp_done] = ha
-            cp_hb[cp_done] = hb
-            cp_hab[cp_done] = hab
-            cp_sa[cp_done] = von_neumann_entropy(rho_cp)
-            cp_rho[cp_done] = rho_cp
-            pops = _a_populations(frame, rho_cp)
-            if pops[frame.top_a] > TRUNCATION_LIMIT:
-                truncation = True
-            cp_done += 1
-
-        if not completes:
-            break
-
-        joint_t = frame.evolve_dm(jt, t_k)
-        rho_a_end = _partial_trace_a(joint_t, da, db)
-        rho_a_end = 0.5 * (rho_a_end + rho_a_end.conj().T)
-        pops_b = np.einsum("ij,jk,ki->i", frame.v_b.conj().T,
-                           _partial_trace_b(joint_t, da, db), frame.v_b).real
-        born_max = max(born_max, abs(pops_b.sum() - 1.0))
-        h_ab_expect = float(np.trace(frame.hab @ joint_t).real)
-        rho_b_end = (frame.v_b * np.clip(pops_b, 0.0, None)) @ frame.v_b.conj().T
-
-        ledgers.append(ledger_for_interval(
-            rho_a, rho_a_end, rho_b0, rho_b_end, h_ab_expect, sys, beta_k))
-        rho_a = rho_a_end
-        t_cum = t_end
-        times.append(t_cum)
-        snapshots.append(rho_a)
-        if _a_populations(frame, rho_a)[frame.top_a] > TRUNCATION_LIMIT:
-            truncation = True
-        k += 1
-
-    s_a_series = np.array([von_neumann_entropy(r) for r in snapshots])
-    pops_a = np.array([_a_populations(frame, r) for r in snapshots])
-    series = _series_from_checkpoints(
-        grid[:cp_done], cp_ha[:cp_done], cp_hb[:cp_done], cp_hab[:cp_done],
-        cp_sa[:cp_done], np.zeros(cp_done), 1,
-        np.array(times[1:]), ledgers)
+    run = run_intervals(_JointFrame(sys), sys, rho_a, reservoir, cfg.horizon, cfg.grid(),
+                        cfg.lam, cfg.seed, cfg.intervals)
+    snapshots = run.rho_a_snapshots
+    v_a = sys.basis_a.eigenvectors
     return TrajectoryRecord(
         mode="density-matrix",
         seed=cfg.seed,
-        times=np.array(times[1:]),
-        ledgers=ledgers,
+        times=run.times,
+        ledgers=run.ledgers,
         outcomes=None,
-        pops_a=pops_a,
-        s_a_series=s_a_series,
-        rho_a_snapshots=np.array(snapshots),
-        series=series,
-        truncation_suspect=truncation,
-        born_max_deviation=born_max,
-        meta={"lam": cfg.lam, "horizon": cfg.horizon},
+        pops_a=np.array([np.clip(populations(r, v_a), 0.0, None) for r in snapshots]),
+        s_a_series=np.array([von_neumann_entropy(r) for r in snapshots]),
+        rho_a_snapshots=snapshots,
+        series=run.series,
+        truncation_suspect=run.truncation_suspect,
+        born_max_deviation=run.born_max_deviation,
+        meta=run.meta,
     )
-
-
-def _series_from_checkpoints(grid, ha, hb, hab, s_a, se_ha, n_traj, meas_times, ledgers):
-    q = np.array([led.q for led in ledgers]) if ledgers else np.zeros(0)
-    wrk = np.array([led.w for led in ledgers]) if ledgers else np.zeros(0)
-    wm = np.array([led.w_meas for led in ledgers]) if ledgers else np.zeros(0)
-    bq = np.array([led.beta * led.q for led in ledgers]) if ledgers else np.zeros(0)
-    idx = np.searchsorted(meas_times, grid, side="right")
-    qc = np.concatenate(([0.0], np.cumsum(q)))[idx]
-    wc = np.concatenate(([0.0], np.cumsum(wrk)))[idx]
-    wmc = np.concatenate(([0.0], np.cumsum(wm)))[idx]
-    bqc = np.concatenate(([0.0], np.cumsum(bq)))[idx]
-    s0 = s_a[0] if len(s_a) else 0.0
-    return CheckpointSeries(
-        t=np.asarray(grid, dtype=float), mean_ha=ha, mean_hb=hb, mean_hab=hab,
-        q_cum=qc, w_cum=wc, wmeas_cum=wmc, s_a=s_a,
-        s_tot=s_a - s0 - bqc, se_ha=se_ha, n_traj=n_traj,
-    )
-
-
-@dataclass
-class _ChunkAccum:
-    ha: np.ndarray
-    ha2: np.ndarray
-    hb: np.ndarray
-    hab: np.ndarray
-    rho: np.ndarray
-    q_cum: np.ndarray
-    w_cum: np.ndarray
-    wm_cum: np.ndarray
-    bq_cum: np.ndarray
-    born_max: float
-    truncation: bool
 
 
 def _run_one_trajectory(cfg: ProcessConfig, sys: JointSystem, frame: _JointFrame,
                         idx: int, grid: np.ndarray, input_pops):
     rng = _traj_rng(cfg.seed, idx)
-    da, db = frame.da, frame.db
+    da, db = sys.dim_a, sys.dim_b
+    h_a, h_b, hab = sys.h_a.mat, sys.h_b.mat, frame.hab
+    v_b = sys.basis_b.eigenvectors
+    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
     state = cfg.initial_state_a
     if isinstance(state, StateVector):
         psi_a = state.vec.copy()
     else:
-        evals, evecs = np.linalg.eigh(_as_mat(state))
+        evals, evecs = np.linalg.eigh(as_matrix(state))
         p = np.clip(evals, 0.0, None)
-        p = p / p.sum()
-        j = int(np.searchsorted(np.cumsum(p), rng.random() * p.sum()))
-        psi_a = evecs[:, min(j, da - 1)]
+        psi_a = evecs[:, _draw_index(p / p.sum(), rng)]
 
     n_cp = len(grid)
-    ha = np.zeros(n_cp)
-    hb = np.zeros(n_cp)
-    habv = np.zeros(n_cp)
+    ha, hb, habv = obs = np.zeros((3, n_cp))  # <H_A>, <H_B>, gamma <H_AB>
     rho = np.zeros((n_cp, da, da), complex)
     meas_times: list[float] = []
-    q_terms: list[float] = []
-    w_terms: list[float] = []
-    wm_terms: list[float] = []
-    bq_terms: list[float] = []
+    terms: list[tuple[float, float, float, float]] = []
     born_max = 0.0
     truncation = False
     cp_done = 0
@@ -483,17 +489,13 @@ def _run_one_trajectory(cfg: ProcessConfig, sys: JointSystem, frame: _JointFrame
     while t_cum < cfg.horizon:
         t_k = sample_interval(rng, cfg.lam)
         beta_k = cfg.beta_for(k)
-        pops_in = input_pops(beta_k)
-        level = int(np.searchsorted(np.cumsum(pops_in), rng.random() * pops_in.sum()))
-        level = min(level, db - 1)
-        psi0 = np.kron(psi_a, frame.v_b[:, level])
-        c0 = frame.to_frame_sv(psi0)
+        level = _draw_index(input_pops(beta_k), rng)
+        c0 = frame.to_frame_sv(np.kron(psi_a, v_b[:, level]))
         t_end = t_cum + t_k
         completes = t_end <= cfg.horizon
         limit = t_end if completes else cfg.horizon
 
-        ha_start = float(np.vdot(psi_a, frame.h_a @ psi_a).real)
-        hb_start = float(sys.basis_b.eigenvalues[level])
+        ha_start = float(np.vdot(psi_a, h_a @ psi_a).real)
 
         while cp_done < n_cp and grid[cp_done] <= limit + 1e-12:
             delta = min(max(grid[cp_done] - t_cum, 0.0), t_k)
@@ -501,12 +503,11 @@ def _run_one_trajectory(cfg: ProcessConfig, sys: JointSystem, frame: _JointFrame
             m_cp = psi_cp.reshape(da, db)
             rho_cp = m_cp @ m_cp.conj().T
             rho[cp_done] = rho_cp
-            ha[cp_done] = float(np.trace(frame.h_a @ rho_cp).real)
+            ha[cp_done] = float(np.trace(h_a @ rho_cp).real)
             rho_b_cp = m_cp.conj().T @ m_cp
-            hb[cp_done] = float(np.trace(frame.h_b @ rho_b_cp.T).real)
-            habv[cp_done] = sys.gamma * float(np.vdot(psi_cp, frame.hab @ psi_cp).real)
-            pops = _a_populations(frame, rho_cp)
-            if pops[frame.top_a] > TRUNCATION_LIMIT:
+            hb[cp_done] = float(np.trace(h_b @ rho_b_cp.T).real)
+            habv[cp_done] = sys.gamma * float(np.vdot(psi_cp, hab @ psi_cp).real)
+            if np.vdot(v_top, rho_cp @ v_top).real > TRUNCATION_LIMIT:
                 truncation = True
             cp_done += 1
 
@@ -514,118 +515,68 @@ def _run_one_trajectory(cfg: ProcessConfig, sys: JointSystem, frame: _JointFrame
             break
 
         psi_t = frame.evolve_sv(c0, t_k)
-        h_ab_expect = float(np.vdot(psi_t, frame.hab @ psi_t).real)
-        blocks = psi_t.reshape(da, db)
-        amp_b = frame.v_b.conj().T @ blocks.T
-        p_m = (np.abs(amp_b) ** 2).sum(axis=1)
+        h_ab_expect = float(np.vdot(psi_t, hab @ psi_t).real)
+        _, p_m, psi_a = _draw_outcome(psi_t, v_b, rng)
         born_max = max(born_max, abs(p_m.sum() - 1.0))
-        m = int(np.searchsorted(np.cumsum(p_m), rng.random() * p_m.sum()))
-        m = min(m, db - 1)
-        psi_a = amp_b[m] / np.linalg.norm(amp_b[m])
 
-        ha_end = float(np.vdot(psi_a, frame.h_a @ psi_a).real)
-        hb_end = float((p_m * sys.basis_b.eigenvalues).sum())
+        ha_end = float(np.vdot(psi_a, h_a @ psi_a).real)
         # outcome-averaged reservoir bookkeeping; A-side energies conditioned
         # on the sampled outcome (ensemble averages match density-matrix mode)
         ds_b = shannon_entropy(np.clip(p_m, 0.0, None))
         q_k = -ds_b / beta_k if beta_k > 0 else math.nan
         w_k = (ha_end - ha_start) - q_k if beta_k > 0 else math.nan
-        q_terms.append(q_k)
-        w_terms.append(w_k)
-        wm_terms.append(-sys.gamma * h_ab_expect)
-        bq_terms.append(beta_k * q_k if beta_k > 0 else math.nan)
+        bq_k = beta_k * q_k if beta_k > 0 else math.nan
+        terms.append((q_k, w_k, -sys.gamma * h_ab_expect, bq_k))
         meas_times.append(t_end)
         t_cum = t_end
         k += 1
 
-    idxs = np.searchsorted(np.array(meas_times), grid, side="right")
-    qc = np.concatenate(([0.0], np.cumsum(q_terms)))[idxs]
-    wc = np.concatenate(([0.0], np.cumsum(w_terms)))[idxs]
-    wmc = np.concatenate(([0.0], np.cumsum(wm_terms)))[idxs]
-    bqc = np.concatenate(([0.0], np.cumsum(bq_terms)))[idxs]
-    return ha, hb, habv, rho, qc, wc, wmc, bqc, born_max, truncation
+    sums = _cumulative_on_grid(np.array(meas_times), grid, terms)
+    return obs, rho, sums, born_max, truncation
 
 
 def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSummary:
     frame = _JointFrame(sys)
     grid = cfg.grid()
-    da = frame.da
     n_cp = len(grid)
-
+    v_b = sys.basis_b.eigenvectors
     pops_memo: dict[float, np.ndarray] = {}
 
     def input_pops(beta: float) -> np.ndarray:
         pops = pops_memo.get(beta)
         if pops is None:
-            pops = np.clip(np.diag(
-                frame.v_b.conj().T @ thermal_state(sys.h_b, beta).mat @ frame.v_b).real,
-                0.0, None)
+            pops = np.clip(populations(thermal_state(sys.h_b, beta).mat, v_b), 0.0, None)
             pops_memo[beta] = pops
         return pops
 
-    def run_chunk(lo: int, hi: int) -> _ChunkAccum:
-        acc = _ChunkAccum(
-            ha=np.zeros(n_cp), ha2=np.zeros(n_cp), hb=np.zeros(n_cp),
-            hab=np.zeros(n_cp), rho=np.zeros((n_cp, da, da), complex),
-            q_cum=np.zeros(n_cp), w_cum=np.zeros(n_cp), wm_cum=np.zeros(n_cp),
-            bq_cum=np.zeros(n_cp), born_max=0.0, truncation=False,
-        )
-        for idx in range(lo, hi):
-            ha, hb, hab, rho, qc, wc, wmc, bqc, bd, trunc = _run_one_trajectory(
-                cfg, sys, frame, idx, grid, input_pops)
-            acc.ha += ha
-            acc.ha2 += ha * ha
-            acc.hb += hb
-            acc.hab += hab
-            acc.rho += rho
-            acc.q_cum += qc
-            acc.w_cum += wc
-            acc.wm_cum += wmc
-            acc.bq_cum += bqc
-            acc.born_max = max(acc.born_max, bd)
-            acc.truncation = acc.truncation or trunc
-        return acc
-
-    chunk = 256
-    bounds = [(lo, min(lo + chunk, cfg.n_traj)) for lo in range(0, cfg.n_traj, chunk)]
-    workers = worker_count()
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        chunks = [run_chunk(*b) for b in bounds]
+    tot_obs = np.zeros((3, n_cp))
+    tot_ha2 = np.zeros(n_cp)
+    tot_rho = np.zeros((n_cp, sys.dim_a, sys.dim_a), complex)
+    tot_sums = np.zeros((4, n_cp))
+    born_max = 0.0
+    truncation = False
+    for idx in range(cfg.n_traj):
+        obs, rho, sums, bd, trunc = _run_one_trajectory(cfg, sys, frame, idx, grid, input_pops)
+        tot_obs += obs
+        tot_ha2 += obs[0] * obs[0]
+        tot_rho += rho
+        tot_sums += sums
+        born_max = max(born_max, bd)
+        truncation = truncation or trunc
 
     n = cfg.n_traj
-    tot = chunks[0]
-    for c in chunks[1:]:
-        tot.ha += c.ha
-        tot.ha2 += c.ha2
-        tot.hb += c.hb
-        tot.hab += c.hab
-        tot.rho += c.rho
-        tot.q_cum += c.q_cum
-        tot.w_cum += c.w_cum
-        tot.wm_cum += c.wm_cum
-        tot.bq_cum += c.bq_cum
-        tot.born_max = max(tot.born_max, c.born_max)
-        tot.truncation = tot.truncation or c.truncation
-
-    mean_ha = tot.ha / n
-    var = np.maximum(tot.ha2 / n - mean_ha ** 2, 0.0)
-    se_ha = np.sqrt(var / max(n - 1, 1))
-    mean_rho = tot.rho / n
-    s_a = np.array([von_neumann_entropy(0.5 * (r + r.conj().T)) for r in mean_rho])
-    series = CheckpointSeries(
-        t=grid, mean_ha=mean_ha, mean_hb=tot.hb / n, mean_hab=tot.hab / n,
-        q_cum=tot.q_cum / n, w_cum=tot.w_cum / n, wmeas_cum=tot.wm_cum / n,
-        s_a=s_a, s_tot=s_a - s_a[0] - tot.bq_cum / n, se_ha=se_ha, n_traj=n,
-    )
+    mean_ha, mean_hb, mean_hab = tot_obs / n
+    var = np.maximum(tot_ha2 / n - mean_ha ** 2, 0.0)
+    mean_rho = tot_rho / n
+    s_a = np.array([von_neumann_entropy(hermitian_part(r)) for r in mean_rho])
+    series = _checkpoint_series(grid, mean_ha, mean_hb, mean_hab, s_a,
+                                np.sqrt(var / max(n - 1, 1)), n, tot_sums / n)
     return EnsembleSummary(
         n_traj=n,
         series=series,
         mean_rho_a=mean_rho,
-        truncation_suspect=tot.truncation,
-        born_max_deviation=tot.born_max,
+        truncation_suspect=truncation,
+        born_max_deviation=born_max,
         meta={"lam": cfg.lam, "horizon": cfg.horizon, "seed": cfg.seed},
     )
 
@@ -656,28 +607,11 @@ class AveragedIntervalMap:
         self.filter = lam / (lam + 1j * (self.e[:, None] - self.e[None, :]))
 
     def apply(self, rho_a: np.ndarray) -> np.ndarray:
-        da, db = self.sys.dim_a, self.sys.dim_b
         joint = np.kron(np.asarray(rho_a, dtype=complex), self.rho_b)
         jt = self.w.conj().T @ joint @ self.w
         avg = self.w @ (jt * self.filter) @ self.w.conj().T
-        out = _partial_trace_a(avg, da, db)
-        out = 0.5 * (out + out.conj().T)
+        out = hermitian_part(marginal(avg, (self.sys.dim_a, self.sys.dim_b), "A"))
         return out / np.trace(out).real
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense map on vec(rho_A), row-major vectorization."""
-        da = self.sys.dim_a
-        cols = []
-        for i in range(da):
-            for j in range(da):
-                basis = np.zeros((da, da), complex)
-                basis[i, j] = 1.0
-                da2, db = self.sys.dim_a, self.sys.dim_b
-                joint = np.kron(basis, self.rho_b)
-                jt = self.w.conj().T @ joint @ self.w
-                avg = self.w @ (jt * self.filter) @ self.w.conj().T
-                cols.append(_partial_trace_a(avg, da2, db).reshape(-1))
-        return np.array(cols).T
 
     def fixed_point(self, tol: float = 1e-14, max_iter: int = 100000) -> np.ndarray:
         da = self.sys.dim_a
@@ -699,11 +633,11 @@ def jump_averaged_generator(sys: JointSystem, beta: float, lam: float):
     """
     h = sys.total_h.mat
     rho_b = thermal_state(sys.h_b, beta).mat
-    da, db = sys.dim_a, sys.dim_b
+    dims = (sys.dim_a, sys.dim_b)
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         comm = h @ rho - rho @ h
-        replaced = np.kron(_partial_trace_a(rho, da, db), rho_b)
+        replaced = np.kron(marginal(rho, dims, "A"), rho_b)
         return -1j * comm + lam * (replaced - rho)
 
     return rhs
@@ -730,17 +664,16 @@ def ensemble_average_series(sys: JointSystem, beta: float, lam: float,
                     rtol=rtol, atol=atol, method="RK45")
     if not sol.success:
         raise RuntimeError(f"ensemble-average integration failed: {sol.message}")
-    da, db = sys.dim_a, sys.dim_b
-    rho_a = np.empty((len(t_eval), da, da), complex)
+    dims = (sys.dim_a, sys.dim_b)
+    rho_a = np.empty((len(t_eval), sys.dim_a, sys.dim_a), complex)
     ha = np.empty(len(t_eval))
     hb = np.empty(len(t_eval))
     hab = np.empty(len(t_eval))
     for i in range(len(t_eval)):
         rho = sol.y[:, i].reshape(d, d)
-        ra = _partial_trace_a(rho, da, db)
-        rho_a[i] = 0.5 * (ra + ra.conj().T)
+        rho_a[i] = hermitian_part(marginal(rho, dims, "A"))
         ha[i] = float(np.trace(sys.h_a.mat @ rho_a[i]).real)
-        hb[i] = float(np.trace(sys.h_b.mat @ _partial_trace_b(rho, da, db)).real)
+        hb[i] = float(np.trace(sys.h_b.mat @ marginal(rho, dims, "B")).real)
         hab[i] = sys.gamma * float(np.trace(sys.h_ab.mat @ rho).real)
     return rho_a, ha, hb, hab
 
@@ -755,14 +688,14 @@ def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: f
     (rate, rate_se).
     """
     frame = _JointFrame(sys)
-    da, db = frame.da, frame.db
+    da, db = sys.dim_a, sys.dim_b
+    v_b = sys.basis_b.eigenvectors
     if db != 2:
         raise PreconditionError("absorption scoring assumes a two-level reservoir")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    pops_in = np.clip(np.diag(
-        frame.v_b.conj().T @ thermal_state(sys.h_b, beta).mat @ frame.v_b).real, 0.0, None)
+    pops_in = np.clip(populations(thermal_state(sys.h_b, beta).mat, v_b), 0.0, None)
     pops_in = pops_in / pops_in.sum()
-    c0 = [frame.to_frame_sv(np.kron(psi_a.vec, frame.v_b[:, b])) for b in range(db)]
+    c0 = [frame.to_frame_sv(np.kron(psi_a.vec, v_b[:, b])) for b in range(db)]
     # Born amplitudes grouped by outcome level: psi reshaped (da, db)
     x_sum = 0.0
     x2_sum = 0.0
@@ -781,7 +714,7 @@ def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: f
             phases = np.exp(-1j * np.outer(frame.e, ts[sel]))
             psi = frame.w @ (phases * c0[b][:, None])
             # outcome populations in the H_B eigenbasis
-            amp = np.einsum("bi,abm->aim", frame.v_b.conj(), psi.reshape(da, db, -1))
+            amp = np.einsum("bi,abm->aim", v_b.conj(), psi.reshape(da, db, -1))
             p_m = (np.abs(amp) ** 2).sum(axis=0)
             cum = np.cumsum(p_m, axis=0)
             out_lvl = (us[sel][None, :] * cum[-1] > cum).sum(axis=0)

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .engine import IntervalRun, check_rate, run_intervals
 from .errors import DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, thermal_state
-from .qcore import Operator, DensityMatrix
-from .thermo import IntervalLedger, ledger_for_interval
+from .qcore import (Operator, DensityMatrix, as_matrix, hermitian_part, marginal,
+                    populations)
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,9 @@ def decompose(sys: JointSystem, lam: float, tol: float | None = None) -> Generat
 
     Frequencies closer than ``tol`` (default 1e-9 * max|omega|) are binned
     together; binning is symmetric so that V(-w) = V(w)^+ holds exactly.
+    A rate that is not positive and finite is a ConfigError.
     """
-    if lam <= 0:
-        raise ValueError("measurement rate must be positive")
+    check_rate(lam)
     e_a = sys.basis_a.eigenvalues
     e_b = sys.basis_b.eigenvalues
     w0 = np.kron(sys.basis_a.eigenvectors, sys.basis_b.eigenvectors)
@@ -129,9 +130,8 @@ def decompose(sys: JointSystem, lam: float, tol: float | None = None) -> Generat
 
 
 def _check_product(rho: np.ndarray, da: int, db: int) -> None:
-    r = rho.reshape(da, db, da, db)
-    rho_a = np.einsum("abcb->ac", r)
-    rho_b = np.einsum("abad->bd", r)
+    rho_a = marginal(rho, (da, db), "A")
+    rho_b = marginal(rho, (da, db), "B")
     if np.abs(rho - np.kron(rho_a, rho_b)).max() > 1e-8:
         raise PreconditionError("input must be a product state rho_A (x) rho_B")
 
@@ -157,7 +157,7 @@ def weak_map(spec: GeneratorSpec, rho_ab0) -> np.ndarray:
     the interaction frame of the uncoupled Hamiltonian.  The input must be a
     product state (the post-measurement form).
     """
-    rho = np.asarray(getattr(rho_ab0, "mat", rho_ab0), dtype=complex)
+    rho = as_matrix(rho_ab0)
     _check_product(rho, spec.sys.dim_a, spec.sys.dim_b)
     g = spec.gamma
     ht = spec.h_tilde()
@@ -183,10 +183,8 @@ def assemble_reduced_generator(spec: GeneratorSpec, beta: float) -> np.ndarray:
     sys = spec.sys
     da, db = sys.dim_a, sys.dim_b
     e_a = sys.basis_a.eigenvalues
-    p_b = np.clip(np.diag(
-        sys.basis_b.eigenvectors.conj().T
-        @ thermal_state(sys.h_b, beta).mat
-        @ sys.basis_b.eigenvectors).real, 0.0, None)
+    p_b = np.clip(populations(thermal_state(sys.h_b, beta).mat, sys.basis_b.eigenvectors),
+                  0.0, None)
     w0 = np.kron(sys.basis_a.eigenvectors, sys.basis_b.eigenvectors)
 
     ident = np.eye(da)
@@ -255,8 +253,7 @@ def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = 
     null_dim = int((s <= snorm * 1e-10 + 1e-300).sum())
     if null_dim > 1:
         raise DegenerateSteadyStateError(null_dim)
-    rho = vh[-1].conj().reshape(da, da)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = hermitian_part(vh[-1].conj().reshape(da, da))
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise NumericError("steady-state candidate has vanishing trace")
@@ -269,9 +266,8 @@ def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = 
     rho = rho / np.trace(rho).real
     p0 = p1 = beta_eff = math.nan
     if h_a is not None:
-        ham = np.asarray(getattr(h_a, "mat", h_a), dtype=complex)
-        evals_a, vecs_a = np.linalg.eigh(ham)
-        pops = np.einsum("ij,jk,ki->i", vecs_a.conj().T, rho, vecs_a).real
+        evals_a, vecs_a = np.linalg.eigh(as_matrix(h_a))
+        pops = populations(rho, vecs_a)
         p0, p1 = float(pops[0]), float(pops[1])
         gap = float(evals_a[1] - evals_a[0])
         if p0 > 0 and p1 > 0 and gap > 0:
@@ -296,8 +292,8 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     sys = spec.sys
     da = sys.dim_a
-    rho_a0 = np.asarray(getattr(rho_a0, "mat", rho_a0), dtype=complex)
-    rho_b_mat = np.asarray(getattr(rho_b0, "mat", rho_b0), dtype=complex)
+    rho_a0 = as_matrix(rho_a0)
+    rho_b_mat = as_matrix(rho_b0)
     if measurement_protocol == "continuous":
         beta = _beta_of_state(sys, rho_b_mat)
         gen = assemble_reduced_generator(spec, beta)
@@ -313,8 +309,7 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
             raise NumericError(f"continuous propagation failed: {sol.message}")
         out = np.empty((len(t_grid), da, da), complex)
         for i in range(len(t_grid)):
-            r = sol.y[:, i].reshape(da, da)
-            r = 0.5 * (r + r.conj().T)
+            r = hermitian_part(sol.y[:, i].reshape(da, da))
             if np.linalg.eigvalsh(r).min() < -1e-7:
                 raise NumericError("positivity violated beyond 1e-7 during propagation")
             out[i] = va @ r @ va.conj().T
@@ -339,8 +334,7 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
 def _beta_of_state(sys: JointSystem, rho_b: np.ndarray) -> float:
     """Inverse temperature of a reservoir state diagonal in the energy basis."""
     e_b = sys.basis_b.eigenvalues
-    pops = np.clip(np.diag(sys.basis_b.eigenvectors.conj().T @ rho_b
-                           @ sys.basis_b.eigenvectors).real, 1e-300, None)
+    pops = np.clip(populations(rho_b, sys.basis_b.eigenvectors), 1e-300, None)
     if sys.dim_b != 2:
         # fit: least squares of ln p against -beta e
         d = np.polyfit(e_b, np.log(pops), 1)
@@ -348,24 +342,8 @@ def _beta_of_state(sys: JointSystem, rho_b: np.ndarray) -> float:
     return float(-(math.log(pops[1]) - math.log(pops[0])) / (e_b[1] - e_b[0]))
 
 
-@dataclass
-class WeakIntervalRun:
-    """Interval-protocol weak-coupling run with per-interval ledgers.
-
-    State snapshots live in the rotating frame of the uncoupled Hamiltonian;
-    populations, energies and entropies are frame-invariant, only marginal
-    coherence phases differ from the lab frame.
-    """
-
-    times: np.ndarray
-    ledgers: list[IntervalLedger]
-    rho_a_snapshots: np.ndarray
-    checkpoint_times: np.ndarray
-    checkpoint_rho_a: np.ndarray
-    checkpoint_hab: np.ndarray
-    checkpoint_hb: np.ndarray
-    min_eig: float
-    meta: dict
+# The weak and fast runs return the interval driver's record.
+WeakIntervalRun = IntervalRun
 
 
 def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
@@ -404,10 +382,22 @@ def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
 
 
 class _LinearPropagator:
-    """exp(t G) for a vectorized generator G, via its eigendecomposition."""
+    """exp(t G) for a vectorized generator G, via its eigendecomposition.
 
-    def __init__(self, gen: np.ndarray):
+    As the interval driver's propagator it evolves the joint state in the
+    rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
+    the phase-weighted sum over the frequency ``sectors`` (omega, V_omega).
+    The averaged generator does not preserve positivity exactly: each
+    interval's joint state is checked against ``positivity_floor`` and the
+    state of A is re-normalized before the next interval.
+    """
+
+    positivity_floor = -1e-5         # joint eigenvalues and the ledger's entropies
+    checkpoint_floor = -1e-4         # S_A at the checkpoints
+
+    def __init__(self, gen: np.ndarray, sectors):
         self.gen = gen
+        self.sectors = tuple(sectors)
         self.dim = int(round(math.sqrt(gen.shape[0])))
         evals, vr = np.linalg.eig(gen)
         self.evals = evals
@@ -424,7 +414,25 @@ class _LinearPropagator:
         else:  # pragma: no cover - defensive fallback
             from scipy.linalg import expm
             out = (expm(self.gen * t) @ theta.reshape(-1)).reshape(d, d)
-        return 0.5 * (out + out.conj().T)
+        return hermitian_part(out)
+
+    def evolve(self, joint0: np.ndarray, tau: float) -> np.ndarray:
+        return self.apply(joint0, tau)
+
+    def hab_expect(self, joint: np.ndarray, tau: float) -> float:
+        tot = 0.0 + 0.0j
+        for w, v in self.sectors:
+            tot += np.exp(1j * w * tau) * np.trace(joint @ v)
+        return float(tot.real)
+
+    def check_positivity(self, joint: np.ndarray) -> float:
+        ev_min = float(np.linalg.eigvalsh(joint).min())
+        if ev_min < self.positivity_floor:
+            raise NumericError(f"joint state positivity lost ({ev_min:.2e}) in interval protocol")
+        return ev_min
+
+    def next_state(self, rho_a: np.ndarray) -> np.ndarray:
+        return rho_a / np.trace(rho_a).real
 
 
 def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
@@ -434,97 +442,24 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
                       generator: np.ndarray | None = None) -> WeakIntervalRun:
     """Run the averaged-propagator comparison protocol with full bookkeeping.
 
-    Same cycle as the exact process -- couple, evolve one sampled interval,
-    measure-and-replace -- except that the coupled propagator is replaced by
-    the averaged second-order generator (or an explicitly supplied one).  Heat
-    and work ledgers use the same reservoir-side definitions as the exact
-    engine.
+    Same cycle as the exact process, through the same interval driver --
+    couple, evolve one sampled interval, measure-and-replace -- except that
+    the coupled propagator is replaced by the averaged second-order generator
+    (or an explicitly supplied one).  Heat and work ledgers use the same
+    reservoir-side definitions as the exact engine.
     """
     sys = spec.sys
-    da, db = sys.dim_a, sys.dim_b
-    rho_a = np.asarray(getattr(rho_a0, "mat", rho_a0), dtype=complex)
-    rho_b = np.asarray(getattr(rho_b0, "mat", rho_b0), dtype=complex)
+    rho_b = as_matrix(rho_b0)
     if beta is None:
         beta = _beta_of_state(sys, rho_b)
-    if generator is None:
-        generator = assemble_joint_weak_generator(spec)
-    prop = _LinearPropagator(generator)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    prop = _LinearPropagator(assemble_joint_weak_generator(spec) if generator is None
+                             else generator, zip(spec.frequencies, spec.v_ops))
     grid = (np.asarray(checkpoint_times, dtype=float)
             if checkpoint_times is not None else np.linspace(0.0, horizon, 121))
-    v_b = sys.basis_b.eigenvectors
-
-    def hab_expect(theta: np.ndarray, tau: float) -> float:
-        tot = 0.0 + 0.0j
-        for w, v in zip(spec.frequencies, spec.v_ops):
-            tot += np.exp(1j * w * tau) * np.trace(theta @ v)
-        return float(tot.real)
-
-    times = [0.0]
-    ledgers: list[IntervalLedger] = []
-    snaps = [rho_a]
-    cp_rho = np.zeros((len(grid), da, da), complex)
-    cp_hab = np.zeros(len(grid))
-    cp_hb = np.zeros(len(grid))
-    cp_done = 0
-    min_eig = 0.0
-    t_cum = 0.0
-    k = 0
-    while t_cum < horizon:
-        if intervals is not None:
-            if k >= len(intervals):
-                break
-            t_k = float(intervals[k])
-        else:
-            t_k = float(rng.exponential(1.0 / spec.lam))
-        theta0 = np.kron(rho_a, rho_b)
-        t_end = t_cum + t_k
-        completes = t_end <= horizon
-        limit = t_end if completes else horizon
-
-        while cp_done < len(grid) and grid[cp_done] <= limit + 1e-12:
-            delta = min(max(grid[cp_done] - t_cum, 0.0), t_k)
-            th = prop.apply(theta0, delta)
-            ra = np.einsum("abcb->ac", th.reshape(da, db, da, db))
-            rb = np.einsum("abad->bd", th.reshape(da, db, da, db))
-            cp_rho[cp_done] = 0.5 * (ra + ra.conj().T)
-            cp_hab[cp_done] = spec.gamma * hab_expect(th, delta)
-            cp_hb[cp_done] = float(np.trace(sys.h_b.mat @ rb).real)
-            cp_done += 1
-
-        if not completes:
-            break
-        theta = prop.apply(theta0, t_k)
-        ev_min = float(np.linalg.eigvalsh(theta).min())
-        min_eig = min(min_eig, ev_min)
-        if ev_min < -1e-5:
-            raise NumericError(f"joint state positivity lost ({ev_min:.2e}) in interval protocol")
-        ra = np.einsum("abcb->ac", theta.reshape(da, db, da, db))
-        ra = 0.5 * (ra + ra.conj().T)
-        pops_b = np.clip(np.einsum(
-            "ij,jk,ki->i", v_b.conj().T,
-            np.einsum("abad->bd", theta.reshape(da, db, da, db)), v_b).real, 0.0, None)
-        rho_b_end = (v_b * pops_b) @ v_b.conj().T
-        ledgers.append(ledger_for_interval(
-            rho_a, ra, rho_b, rho_b_end, hab_expect(theta, t_k), sys, beta,
-            positivity_floor=-1e-5))
-        rho_a = ra / np.trace(ra).real
-        t_cum = t_end
-        times.append(t_cum)
-        snaps.append(rho_a)
-        k += 1
-
-    return WeakIntervalRun(
-        times=np.array(times[1:]),
-        ledgers=ledgers,
-        rho_a_snapshots=np.array(snaps),
-        checkpoint_times=grid[:cp_done],
-        checkpoint_rho_a=cp_rho[:cp_done],
-        checkpoint_hab=cp_hab[:cp_done],
-        checkpoint_hb=cp_hb[:cp_done],
-        min_eig=min_eig,
-        meta={"lam": spec.lam, "beta": beta, "protocol": "interval"},
-    )
+    run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, rho_b), horizon,
+                        grid, spec.lam, seed, intervals)
+    run.meta.update(beta=beta, protocol="interval")
+    return run
 
 
 def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: float,
@@ -556,7 +491,7 @@ def fast_map(sys: JointSystem, rho_ab0, lam: float) -> np.ndarray:
     if g > 0 and lam < 10 * g:
         warnings.warn("fast-measurement expansion used with lam < 10 gamma",
                       stacklevel=2)
-    rho = np.asarray(getattr(rho_ab0, "mat", rho_ab0), dtype=complex)
+    rho = as_matrix(rho_ab0)
     hab = sys.h_ab.mat
     h0 = sys.uncoupled_h
     comm1 = hab @ rho - rho @ hab
@@ -579,7 +514,7 @@ def fast_map_reduced(sys: JointSystem, rho_a, rho_b_pops: np.ndarray, lam: float
 
     (gamma^2/lam) sum_{m,n} [ 2 p_n V^{mn} rho V^{mn+} - p_m {V^{mn} V^{mn+}, rho} ].
     """
-    rho = np.asarray(getattr(rho_a, "mat", rho_a), dtype=complex)
+    rho = as_matrix(rho_a)
     v = fast_submatrices(sys)
     p = np.asarray(rho_b_pops, dtype=float)
     db = sys.dim_b

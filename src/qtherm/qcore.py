@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, PositivityError, SizeLimitError
+from .errors import DimensionError, PositivityError, PreconditionError, SizeLimitError
 
 # Largest joint dimension the dense representation will accept.
 MAX_JOINT_DIM = 4096
@@ -133,7 +133,7 @@ class Propagator:
 
     @classmethod
     def from_operator(cls, h: Union[Operator, np.ndarray]) -> "Propagator":
-        m = h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
+        m = as_matrix(h)
         if np.abs(m - m.conj().T).max() >= 1e-10:
             raise ValueError("propagator requires a Hermitian operator")
         evals, evecs = np.linalg.eigh(m)
@@ -142,10 +142,48 @@ class Propagator:
             raise ValueError("eigendecomposition failed to reconstruct operator within 1e-10")
         return prop
 
-    def unitary(self, t: float) -> np.ndarray:
-        """Dense U(t) = exp(-i t H)."""
-        v = self.eigenvectors
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+
+def as_matrix(x) -> np.ndarray:
+    """The complex matrix behind an Operator or DensityMatrix, or an array as is."""
+    return np.asarray(getattr(x, "mat", x), dtype=complex)
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^+) / 2."""
+    return 0.5 * (m + m.conj().T)
+
+
+def marginal(joint: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Partial trace of a bipartite (dA dB) matrix as a plain array.
+
+    ``dims = (dA, dB)`` with A the slow Kronecker index; ``keep`` is "A" or "B".
+    """
+    da, db = dims
+    r = joint.reshape(da, db, da, db)
+    if keep == "A":
+        return np.einsum("abcb->ac", r)
+    if keep == "B":
+        return np.einsum("abad->bd", r)
+    raise ValueError("keep must be 'A' or 'B'")
+
+
+def populations(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Diagonal of rho in the orthonormal basis given by the columns of ``vecs``."""
+    return np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs).real
+
+
+def diagonal_populations(rho, basis: Propagator, what: str) -> np.ndarray:
+    """Populations (clipped at 0) of a state that must be diagonal in ``basis``.
+
+    Raises PreconditionError when an off-diagonal element exceeds 1e-9; this
+    is the contract of every reservoir state, which the measurement dephases.
+    """
+    v = basis.eigenvectors
+    in_basis = v.conj().T @ as_matrix(rho) @ v
+    pops = np.diag(in_basis)
+    if np.abs(in_basis - np.diag(pops)).max() > 1e-9:
+        raise PreconditionError(f"{what} is not diagonal in the reservoir energy basis")
+    return np.clip(pops.real, 0.0, None)
 
 
 def _kind_mat(x):
@@ -180,18 +218,11 @@ def partial_trace(rho: Union[DensityMatrix, np.ndarray], dims: tuple[int, int], 
 
     ``dims = (dA, dB)`` with A the slow Kronecker index; ``keep`` is "A" or "B".
     """
-    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = as_matrix(rho)
     da, db = dims
     if m.shape != (da * db, da * db):
         raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
-    r = m.reshape(da, db, da, db)
-    if keep == "A":
-        out = np.einsum("abcb->ac", r)
-    elif keep == "B":
-        out = np.einsum("abad->bd", r)
-    else:
-        raise ValueError("keep must be 'A' or 'B'")
-    return DensityMatrix(out)
+    return DensityMatrix(marginal(m, dims, keep))
 
 
 def evolve(state, prop: Propagator, t: float):
@@ -215,8 +246,7 @@ def evolve(state, prop: Propagator, t: float):
 
 
 def _spectrum(rho, floor: float = -1e-8) -> np.ndarray:
-    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    evals = np.linalg.eigvalsh(m)
+    evals = np.linalg.eigvalsh(as_matrix(rho))
     if evals.min() < floor:
         raise PositivityError(f"eigenvalue {evals.min():.3e} below positivity floor {floor}")
     return np.clip(evals, 0.0, None)
@@ -239,14 +269,13 @@ def relative_entropy(rho, sigma) -> float:
 
     Returns +inf when rho has support outside the support of sigma.
     """
-    rm = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    sm = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
+    rm, sm = as_matrix(rho), as_matrix(sigma)
     if rm.shape != sm.shape:
         raise DimensionError("relative entropy operands must share a dimension")
     s_evals, s_vecs = np.linalg.eigh(sm)
     cutoff = max(s_evals.max(), 1.0) * 1e-14
     null = s_evals <= cutoff
-    diag_in_sigma = np.einsum("ij,jk,ki->i", s_vecs.conj().T, rm, s_vecs).real
+    diag_in_sigma = populations(rm, s_vecs)
     if null.any() and diag_in_sigma[null].sum() > 1e-10:
         return math.inf
     r_evals = _spectrum(rm)
@@ -257,25 +286,12 @@ def relative_entropy(rho, sigma) -> float:
 
 def diag_entropy(rho, basis: Propagator) -> float:
     """Shannon entropy of the populations of rho in the given eigenbasis."""
-    m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = as_matrix(rho)
     if m.shape[0] != basis.dim:
         raise DimensionError("state and basis dimensions differ")
-    v = basis.eigenvectors
-    pops = np.einsum("ij,jk,ki->i", v.conj().T, m, v).real
-    return shannon_entropy(np.clip(pops, 0.0, None))
-
-
-def expectation(op, state) -> float:
-    """Real expectation value <op> in a StateVector or DensityMatrix."""
-    m = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-    if isinstance(state, StateVector):
-        return float(np.vdot(state.vec, m @ state.vec).real)
-    sm = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    return float(np.trace(m @ sm).real)
+    return shannon_entropy(np.clip(populations(m, basis.eigenvectors), 0.0, None))
 
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma."""
-    rm = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    sm = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(rm - sm)).sum())
+    return float(0.5 * np.abs(np.linalg.eigvalsh(as_matrix(rho) - as_matrix(sigma))).sum())

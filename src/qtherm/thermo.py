@@ -16,21 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .qcore import shannon_entropy, trace_distance, von_neumann_entropy
+from .qcore import (Propagator, as_matrix, diagonal_populations, populations,
+                    shannon_entropy, trace_distance, von_neumann_entropy)
 from .models import JointSystem
 
 # Trace-distance threshold under which two states of A count as a cyclic return.
 CYCLE_TOL = 1e-6
-
-
-def _mat(x) -> np.ndarray:
-    return np.asarray(getattr(x, "mat", x), dtype=complex)
-
-
-def _diag_in_basis(rho, basis) -> np.ndarray:
-    v = basis.eigenvectors
-    pops = np.einsum("ij,jk,ki->i", v.conj().T, _mat(rho), v).real
-    return np.clip(pops, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -81,19 +72,10 @@ def ledger_for_interval(
     those populations.  With beta = 0 the heat is undefined and the
     heat-bearing fields are NaN.
     """
-    basis_b = sys.basis_b
-    pb0 = _diag_in_basis(rho_b_start, basis_b)
-    pb1 = _diag_in_basis(rho_b_end, basis_b)
-    for name, rho, pops in (("rho_b_start", rho_b_start, pb0), ("rho_b_end", rho_b_end, pb1)):
-        m = _mat(rho)
-        v = basis_b.eigenvectors
-        off = v.conj().T @ m @ v
-        off = off - np.diag(np.diag(off))
-        if np.abs(off).max() > 1e-9:
-            raise PreconditionError(f"{name} is not diagonal in the reservoir energy basis")
-
+    pb0 = diagonal_populations(rho_b_start, sys.basis_b, "rho_b_start")
+    pb1 = diagonal_populations(rho_b_end, sys.basis_b, "rho_b_end")
     e_b = sys.basis_b.eigenvalues
-    dh_a = float(np.trace(sys.h_a.mat @ (_mat(rho_a_end) - _mat(rho_a_start))).real)
+    dh_a = float(np.trace(sys.h_a.mat @ (as_matrix(rho_a_end) - as_matrix(rho_a_start))).real)
     dh_b = float(((pb1 - pb0) * e_b).sum())
     ds_a = (von_neumann_entropy(rho_a_end, positivity_floor)
             - von_neumann_entropy(rho_a_start, positivity_floor))
@@ -149,11 +131,9 @@ def approx_heat_small_change(rho_b_start, rho_b_end, h_b, beta: float, basis=Non
     Valid when rho_b_start is canonical at beta:
     dS_B ~ -sum_j dp_j ln p_j  and  dQ ~ -dH_B.
     """
-    from .qcore import Propagator
-
     basis = basis or Propagator.from_operator(h_b)
-    p0 = _diag_in_basis(rho_b_start, basis)
-    p1 = _diag_in_basis(rho_b_end, basis)
+    p0 = np.clip(populations(as_matrix(rho_b_start), basis.eigenvectors), 0.0, None)
+    p1 = np.clip(populations(as_matrix(rho_b_end), basis.eigenvectors), 0.0, None)
     if p0.min() <= 0:
         raise PreconditionError("linearization needs full support of the canonical start")
     dp = p1 - p0
@@ -168,9 +148,9 @@ def traditional_qw(rho_a_series: Sequence, h_a) -> tuple[np.ndarray, np.ndarray]
     Q_trad(t) = Tr[H_A (rho_A(t) - rho_A(0))] and W_trad(t) = 0; provided for
     comparison against the reservoir-based ledger.
     """
-    h = _mat(h_a)
-    rho0 = _mat(rho_a_series[0])
-    q = np.array([float(np.trace(h @ (_mat(r) - rho0)).real) for r in rho_a_series])
+    h = as_matrix(h_a)
+    rho0 = as_matrix(rho_a_series[0])
+    q = np.array([float(np.trace(h @ (as_matrix(r) - rho0)).real) for r in rho_a_series])
     return q, np.zeros_like(q)
 
 
@@ -211,7 +191,7 @@ def find_cyclic_windows(rho_a_snapshots: Sequence, tol: float = CYCLE_TOL) -> li
     the window covers intervals i .. j-1.  Only the earliest non-overlapping
     windows are returned to keep the list short.
     """
-    mats = [_mat(r) for r in rho_a_snapshots]
+    mats = [as_matrix(r) for r in rho_a_snapshots]
     out = []
     i = 0
     while i < len(mats) - 1:

@@ -24,6 +24,7 @@ from .engine import (
     absorption_rate_mc,
     ensemble_average_series,
     run_process,
+    step_interval,
 )
 from .generators import (
     assemble_reduced_generator,
@@ -35,15 +36,13 @@ from .generators import (
     weak_interval_run,
 )
 from .models import JcmParams, JointSystem, build_jcm, thermal_state
-from .qcore import Operator, StateVector, trace_distance
+from .qcore import DensityMatrix, Operator, StateVector, trace_distance
 from .thermo import (
     backaction_as_heat_windows,
     ledger_for_interval,
     s_tot,
     second_law_suite,
 )
-from .engine import step_interval
-from .qcore import DensityMatrix
 
 TWO_PI = 2 * math.pi
 

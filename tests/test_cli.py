@@ -138,6 +138,25 @@ class TestMain:
         bad.write_text("gamma == 0.05\n")
         assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "weak", "fast"])
+    @pytest.mark.parametrize("line", ["lambda = nan", "lambda = inf"])
+    def test_non_finite_rate_exit_code(self, tmp_path, mode, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{line}\nn_max = 2\ncheckpoints = 5\n")
+        code = cli.main(["simulate", "--mode", mode, "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+
+    def test_trajectory_without_checkpoints(self, tmp_path):
+        cfgfile = tmp_path / "empty.cfg"
+        cfgfile.write_text("mode = trajectory\ncheckpoints = 0\nn_traj = 2\n"
+                           "n_max = 3\nhorizon = 20\n")
+        code = cli.main(["simulate", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 0
+        _, cols = read_csv(tmp_path / "out" / "timeseries_exact.csv")
+        assert len(cols["t"]) == 0
+
     def test_simulate_roundtrip(self, tmp_path):
         cfgfile = tmp_path / "quick.cfg"
         cfgfile.write_text("horizon = 60\ncheckpoints = 7\nn_max = 8\n")

@@ -5,11 +5,12 @@ import pytest
 
 from qtherm.analytic import mean_b2_poisson
 from qtherm.engine import AveragedIntervalMap
-from qtherm.errors import DegenerateSteadyStateError, PreconditionError
+from qtherm.errors import ConfigError, DegenerateSteadyStateError, PreconditionError
 from qtherm.generators import (
     assemble_reduced_generator,
     decompose,
     dissipator_apply,
+    fast_interval_run,
     fast_map,
     fast_map_reduced,
     four_state_rate,
@@ -290,6 +291,39 @@ class TestLindbladPropagate:
             ph = np.exp(-1j * e_a * t)
             want = (ph[:, None] * rho0 * ph.conj()[None, :])
             np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_interval_protocol_returns_near_positivity_floor(self):
+        # the averaged map loses positivity at small lam; here each interval's
+        # joint state sits within a factor 2 of the -1e-5 floor, and the
+        # checkpoint marginals (entropy floor -1e-4) must not stop the run
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi,
+                                  gamma=0.1, n_max=6, rwa=False))
+        lam = 1e-5
+        spec = decompose(sys, lam)
+        rho0 = np.zeros((sys.dim_a, sys.dim_a), complex)
+        rho0[1, 1] = 1.0
+        rho_b = thermal_state(sys.h_b, 1.0)
+        grid = np.linspace(0.0, 10 / lam, 11)
+        run = weak_interval_run(spec, rho_b, rho0, horizon=grid[-1], seed=3,
+                                checkpoint_times=grid)
+        assert -1e-5 < run.min_eig < -1e-6
+        out = lindblad_propagate(spec, rho0, rho_b, grid, "interval", seed=3)
+        assert out.shape == (len(grid), sys.dim_a, sys.dim_a)
+        assert np.isfinite(out).all()
+
+    def test_interval_protocol_rejects_infinite_horizon(self):
+        sys = build_jcm(JcmParams(n_max=2))
+        rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
+        with pytest.raises(ConfigError):
+            weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, horizon=math.inf,
+                              intervals=np.array([1.0]))
+
+    @pytest.mark.parametrize("lam,horizon", [(0.2, math.inf), (math.nan, 10.0)])
+    def test_fast_protocol_rejects_non_finite(self, lam, horizon):
+        sys = build_jcm(JcmParams(n_max=2))
+        rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
+        with pytest.raises(ConfigError):
+            fast_interval_run(sys, lam, rho_b, rho_a, horizon=horizon, intervals=np.array([1.0]))
 
     def test_interval_protocol_runs_at_small_lam(self):
         sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi,
