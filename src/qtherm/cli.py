@@ -192,6 +192,8 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
     os.makedirs(out_dir, exist_ok=True)
     beta = _beta_value(cfg)
     psi0 = _initial_state(cfg, sys.dim_a)
+    if cfg["checkpoints"] < 0:
+        raise ConfigError(f"checkpoints must be >= 0, got {cfg['checkpoints']}")
     grid = np.linspace(0.0, cfg["horizon"], cfg["checkpoints"])
     header = _header(cfg, "simulate") + [f"run_mode = {run_mode}"]
     made = []

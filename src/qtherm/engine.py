@@ -5,9 +5,10 @@ evolves the pair under the full Hamiltonian for an exponentially distributed
 time, then projectively measures B in its energy basis.  Trajectory mode
 samples outcomes per realization; density-matrix mode applies the
 outcome-averaged map (dephase B, then replace it: rho_AB -> Tr_B rho_AB (x)
-rho_B(0)).  ``run_intervals`` is the one interval driver: the exact
-density-matrix run and the weak and fast averaged runs hand it different
-propagators and nothing else.
+rho_B(0)).  ``_walk`` is the one interval walk, and it advances a batch of
+walkers together: the exact density-matrix run and the weak and fast averaged
+runs are a batch of one that differ only in the propagator, and a trajectory
+ensemble is a batch of n_traj state vectors.
 
 Also provided: the exact measurement-averaged interval map and the continuous
 jump-averaged generator, which give deterministic ensemble-level curves and
@@ -24,10 +25,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, PreconditionError
-from .models import JointSystem, TRUNCATION_LIMIT, thermal_state
+from .models import JointSystem, TRUNCATION_LIMIT, check_beta, thermal_state
 from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
-                    hermitian_part, marginal, populations, shannon_entropy,
-                    von_neumann_entropy)
+                    hermitian_part, marginal, populations, von_neumann_entropy)
 from .thermo import IntervalLedger, ledger_for_interval
 
 BORN_TOL = 1e-10
@@ -39,11 +39,14 @@ def check_rate(lam: float) -> None:
         raise ConfigError(f"measurement rate must be positive and finite, got {lam!r}")
 
 
-def check_rate_and_horizon(lam: float, horizon: float) -> None:
-    """Reject a measurement rate or horizon that no interval schedule can honour."""
+def check_schedule(lam: float, horizon: float, grid: np.ndarray) -> None:
+    """Reject a measurement rate or horizon that no interval schedule can honour,
+    and checkpoint times that are not finite or that decrease."""
     check_rate(lam)
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ConfigError(f"horizon must be non-negative and finite, got {horizon!r}")
+    if not (np.isfinite(grid).all() and (np.diff(grid) >= 0).all()):
+        raise ConfigError("checkpoint times must be finite and non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,15 @@ class ProcessConfig:
     intervals: np.ndarray | None = None   # explicit interval schedule (density-matrix mode)
 
     def __post_init__(self):
-        check_rate_and_horizon(self.lam, self.horizon)
         if self.mode not in ("trajectory", "density-matrix"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n_traj < 1:
             raise ConfigError("n_traj must be >= 1")
+        if self.n_checkpoints < 0:
+            raise ConfigError("n_checkpoints must be >= 0")
+        check_beta(self.beta)
+        check_schedule(self.lam, self.horizon, [] if self.checkpoint_times is None
+                       else np.asarray(self.checkpoint_times, dtype=float))
 
     def beta_for(self, k: int) -> float:
         if np.isscalar(self.beta):
@@ -116,24 +123,6 @@ class CheckpointSeries:
 
 
 @dataclass
-class TrajectoryRecord:
-    """One realization (or one density-matrix run) of the process."""
-
-    mode: str
-    seed: int
-    times: np.ndarray                          # measurement times t_1..t_K
-    ledgers: list[IntervalLedger]
-    outcomes: list[MeasurementOutcome] | None
-    pops_a: np.ndarray                         # (K+1, dim_a) A populations, energy basis
-    s_a_series: np.ndarray                     # (K+1,) von Neumann entropy of A
-    rho_a_snapshots: np.ndarray                # (K+1, dim_a, dim_a)
-    series: CheckpointSeries | None
-    truncation_suspect: bool
-    born_max_deviation: float
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
 class EnsembleSummary:
     """Deterministic reduction of a trajectory ensemble."""
 
@@ -147,7 +136,7 @@ class EnsembleSummary:
 
 @dataclass
 class IntervalRun:
-    """What the interval driver records, whichever propagator it ran with.
+    """What the interval walk records for a batch of one, whichever propagator.
 
     States are in the propagator's frame: the lab frame for the exact run, the
     rotating frame of the uncoupled Hamiltonian for the averaged runs, where
@@ -169,6 +158,15 @@ class IntervalRun:
     born_max_deviation: float
 
 
+@dataclass
+class TrajectoryRecord(IntervalRun):
+    """The exact density-matrix run (trajectory mode returns EnsembleSummary)."""
+
+    seed: int
+    pops_a: np.ndarray                         # (K+1, dim_a) A populations, energy basis
+    s_a_series: np.ndarray                     # (K+1,) von Neumann entropy of A
+
+
 def sample_interval(rng: np.random.Generator, lam: float) -> float:
     """Exponential waiting time with mean 1/lam."""
     if lam <= 0:
@@ -181,17 +179,25 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn with probabilities proportional to p (one uniform draw)."""
-    return min(int(np.searchsorted(np.cumsum(p), rng.random() * p.sum())), len(p) - 1)
+def _draw_index(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices drawn with probabilities proportional to p along its last axis,
+    one uniform of ``u`` each; ``p`` is one distribution or one row per draw."""
+    cum = np.cumsum(p, axis=-1)
+    idx = (cum < (u * p.sum(axis=-1))[..., None]).sum(axis=-1)
+    return np.minimum(idx, p.shape[-1] - 1)
 
 
-def _draw_outcome(psi_t: np.ndarray, v_b: np.ndarray, rng: np.random.Generator):
-    """Measure B of a joint pure state: (outcome m, Born probabilities, post-measurement psi_A)."""
-    amp_b = v_b.conj().T @ psi_t.reshape(-1, v_b.shape[0]).T  # rows: outcome level
-    p_m = (np.abs(amp_b) ** 2).sum(axis=1)
-    m = _draw_index(p_m, rng)
-    return m, p_m, amp_b[m] / np.linalg.norm(amp_b[m])
+def _expect(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """<psi|op|psi> for each row psi of ``rows``."""
+    return ((rows @ op.T) * rows.conj()).sum(axis=1).real
+
+
+def _born(psi: np.ndarray, v_b: np.ndarray):
+    """Amplitudes amp[i, :, m], row i's unnormalized state of A after outcome m
+    of measuring B on joint state-vector rows ``psi``, and the probabilities p[i, m]."""
+    db = v_b.shape[0]
+    amp = (psi.reshape(-1, db) @ v_b.conj()).reshape(len(psi), psi.shape[1] // db, db)
+    return amp, np.einsum("iam->im", np.abs(amp) ** 2)
 
 
 class _JointFrame:
@@ -224,11 +230,28 @@ class _JointFrame:
     def next_state(self, rho_a: np.ndarray) -> np.ndarray:
         return rho_a
 
-    def to_frame_sv(self, psi: np.ndarray) -> np.ndarray:
-        return self.w.conj().T @ psi
+    def to_frame(self, psi: np.ndarray) -> np.ndarray:
+        """Eigenframe coefficients of joint state-vector rows."""
+        return psi @ self.w.conj()
 
-    def evolve_sv(self, c: np.ndarray, t: float) -> np.ndarray:
-        return self.w @ (np.exp(-1j * self.e * t) * c)
+    def evolve_rows(self, c: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Lab-frame state vectors of coefficient rows ``c``, row i evolved for tau[i]."""
+        return (np.exp(-1j * np.multiply.outer(tau, self.e)) * c) @ self.w.T
+
+
+def _measure(frame: _JointFrame, v_b: np.ndarray, c0: np.ndarray, t: np.ndarray,
+             u: np.ndarray):
+    """Evolve coefficient rows ``c0`` for times ``t`` and measure B, drawing each
+    outcome with its uniform ``u``.
+
+    Returns the normalized conditional states of A (rows), <H_AB> before the
+    measurement (gamma excluded), the Born probabilities and the outcomes.
+    """
+    psi_t = frame.evolve_rows(c0, t)
+    amp, p_m = _born(psi_t, v_b)
+    m = _draw_index(p_m, u)
+    post = amp[np.arange(m.size), :, m]
+    return post / np.linalg.norm(post, axis=1)[:, None], _expect(psi_t, frame.hab), p_m, m
 
 
 def _end_interval(prop, sys: JointSystem, joint_t: np.ndarray, tau: float):
@@ -269,17 +292,19 @@ def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
             level = int(pops.argmax())
         else:
             raise PreconditionError("trajectory reservoir input must be an eigenstate or level index")
-        psi_t = frame.evolve_sv(frame.to_frame_sv(np.kron(state_a.vec, v_b[:, level])), t)
-        h_ab_expect = float(np.vdot(psi_t, frame.hab @ psi_t).real)
-        m, p_m, psi_a = _draw_outcome(psi_t, v_b, rng)
+        # the trajectory ensemble's measurement step, on a batch of one
+        c0 = frame.to_frame(np.kron(state_a.vec, v_b[:, level])[None])
+        psi_a, hab, p_m, m = _measure(frame, v_b, c0, np.array([float(t)]),
+                                      np.array([rng.random()]))
+        p_m, m = p_m[0], int(m[0])
         born_dev = abs(p_m.sum() - 1.0)
         if born_dev > BORN_TOL:
             raise PreconditionError(f"outcome probabilities sum to 1 + {p_m.sum()-1:.2e}")
         return IntervalStep(
-            state_a=StateVector(psi_a),
+            state_a=StateVector(psi_a[0]),
             reservoir_populations=p_m,
             outcome=MeasurementOutcome(m=m, p_m=float(p_m[m]), t=t),
-            h_ab_expect=h_ab_expect,
+            h_ab_expect=float(hab[0]),
             born_deviation=born_dev,
         )
 
@@ -296,17 +321,6 @@ def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
     )
 
 
-def _cumulative_on_grid(meas_times, grid: np.ndarray, terms) -> np.ndarray:
-    """Running sums of per-interval (Q, W, W_meas, beta Q) rows at each grid time.
-
-    An interval counts once its measurement time is at or before the grid
-    time; returns a (4, len(grid)) array.
-    """
-    sums = np.cumsum(np.reshape(np.asarray(terms, dtype=float), (-1, 4)), axis=0)
-    sums = np.vstack((np.zeros(4), sums))
-    return sums[np.searchsorted(meas_times, grid, side="right")].T
-
-
 def _checkpoint_series(grid, ha, hb, hab, s_a, se_ha, n_traj: int, sums) -> CheckpointSeries:
     q_cum, w_cum, wm_cum, bq_cum = sums
     s0 = s_a[0] if len(s_a) else 0.0
@@ -317,103 +331,134 @@ def _checkpoint_series(grid, ha, hb, hab, s_a, se_ha, n_traj: int, sums) -> Chec
     )
 
 
+def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
+          horizon: float, grid: np.ndarray, intervals: np.ndarray | None = None):
+    """Advance a batch of walkers together through the measured-interval cycle.
+
+    Step k takes each walker whose clock is before ``horizon`` through its
+    interval k: walker i draws the length from ``rngs[i]`` (or takes
+    ``intervals[k]``), then ``uniforms`` uniforms for the batch's own draws.
+    ``step(k, live, u, t_k, checkpoints, completes)`` evolves the live
+    walkers, records the checkpoints (j, on, tau) of ``grid`` as it iterates
+    them (walkers ``on``, ``tau`` into their interval), measures the walkers
+    whose interval ``completes`` by the horizon and returns their (Q, W,
+    W_meas, beta Q) rows.  The interval that crosses the horizon books no
+    ledger.
+
+    Returns all measurement times in order, the number of checkpoints every
+    walker reached, and there the running ledger sums over walkers, (4, n).
+    """
+    check_schedule(lam, horizon, grid)
+    clock = np.zeros(len(rngs))
+    cp_next = np.zeros(len(rngs), dtype=int)
+    times, terms = [np.empty(0)], [np.empty((0, 4))]
+    t_cum, k = 0.0, 0                          # the earliest walker's clock
+    while t_cum < horizon:
+        live = np.flatnonzero(clock < horizon)
+        if intervals is None:
+            draws = np.array([(sample_interval(rngs[i], lam), *rngs[i].random(uniforms))
+                              for i in live])
+            t_k, u = draws[:, 0], draws[:, 1:]
+        elif k < len(intervals):
+            t_k, u = np.full(live.size, float(intervals[k])), None
+        else:
+            break
+        t_start = clock[live]
+        t_end = t_start + t_k
+        completes = t_end <= horizon
+        first = cp_next[live]
+        stop = np.searchsorted(grid, np.where(completes, t_end, horizon) + 1e-12, side="right")
+        checkpoints = ((j, on, np.minimum(np.maximum(grid[j] - t_start[on], 0.0), t_k[on]))
+                       for j in range(first.min(), stop.max())
+                       if (on := (first <= j) & (j < stop)).any())
+        terms.append(np.reshape(step(k, live, u, t_k, checkpoints, completes), (-1, 4)))
+        times.append(t_end[completes])
+        cp_next[live] = stop
+        clock[live] = t_end
+        t_cum, k = clock.min(), k + 1
+
+    times, terms = np.concatenate(times), np.concatenate(terms)
+    order = np.argsort(times, kind="stable")
+    n_cp = int(cp_next.min())
+    sums = np.vstack((np.zeros(4), np.cumsum(terms[order], axis=0)))
+    return times[order], n_cp, sums[np.searchsorted(times[order], grid[:n_cp], side="right")].T
+
+
 def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
                   reservoir: Callable[[int], tuple[float, np.ndarray]],
                   horizon: float, grid: np.ndarray, lam: float, seed: int,
                   intervals: np.ndarray | None = None) -> IntervalRun:
-    """The measured-interval cycle, shared by the exact, weak and fast runs.
+    """The measured-interval cycle of the exact, weak and fast runs: ``_walk``
+    on a batch of one outcome-averaged state.
 
     Interval k couples rho_A to the reservoir input ``reservoir(k)`` =
-    (beta_k, rho_B), evolves the product with ``prop`` for the next scheduled
-    time (``intervals`` if given, else exponential draws at rate ``lam`` from
-    ``seed``), records every checkpoint of ``grid`` it spans, then measures and
-    replaces B and books the interval's ledger.  The interval that crosses
-    ``horizon`` contributes checkpoints but no ledger.
-
-    ``prop`` supplies evolve(joint0, tau), hab_expect(joint, tau) (gamma
-    excluded), check_positivity(joint) -> lowest eigenvalue checked,
-    next_state(rho_A), and the entropy floors ``positivity_floor`` and
-    ``checkpoint_floor``.
+    (beta_k, rho_B) and evolves the product with ``prop`` for the next
+    scheduled time: ``intervals`` if given, else exponential draws at rate
+    ``lam`` from ``seed``.  ``prop`` supplies evolve(joint0, tau),
+    hab_expect(joint, tau) (gamma excluded), check_positivity(joint) -> lowest
+    eigenvalue checked, next_state(rho_A), and the entropy floors
+    ``positivity_floor`` and ``checkpoint_floor``.
     """
-    check_rate_and_horizon(lam, horizon)
+    grid = np.asarray(grid, dtype=float)
     dims = (sys.dim_a, sys.dim_b)
     v_b = sys.basis_b.eigenvectors
-    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    n_cp = len(grid)
-    cp_rho = np.empty((n_cp, sys.dim_a, sys.dim_a), dtype=complex)
-    cp_obs = np.empty((4, n_cp))               # <H_A>, <H_B>, gamma <H_AB>, S_A
-    times = [0.0]
+    cp_rho = np.empty((len(grid), sys.dim_a, sys.dim_a), dtype=complex)
+    cp_obs = np.empty((4, len(grid)))              # <H_A>, <H_B>, gamma <H_AB>, S_A
     ledgers: list[IntervalLedger] = []
     snapshots = [rho_a]
     born_max = min_eig = 0.0
-    truncation = False
-    cp_done = 0
-    t_cum = 0.0
-    k = 0
-    while t_cum < horizon:
-        if intervals is None:
-            t_k = sample_interval(rng, lam)
-        elif k < len(intervals):
-            t_k = float(intervals[k])
-        else:
-            break
+
+    def step(k, live, u, t_k, checkpoints, completes):
+        nonlocal rho_a, born_max, min_eig
         beta_k, rho_b0 = reservoir(k)
         joint0 = np.kron(rho_a, rho_b0)
-        t_end = t_cum + t_k
-        completes = t_end <= horizon
-        limit = t_end if completes else horizon
-
-        while cp_done < n_cp and grid[cp_done] <= limit + 1e-12:
-            tau = min(max(grid[cp_done] - t_cum, 0.0), t_k)
+        for j, _, tau in checkpoints:
+            tau = float(tau[0])
             joint = prop.evolve(joint0, tau)
             rho_cp = hermitian_part(marginal(joint, dims, "A"))
-            cp_rho[cp_done] = rho_cp
-            cp_obs[:, cp_done] = (
+            cp_rho[j] = rho_cp
+            cp_obs[:, j] = (
                 float(np.trace(sys.h_a.mat @ rho_cp).real),
                 float(np.trace(sys.h_b.mat @ marginal(joint, dims, "B")).real),
                 sys.gamma * prop.hab_expect(joint, tau),
                 von_neumann_entropy(rho_cp, prop.checkpoint_floor),
             )
-            if np.vdot(v_top, rho_cp @ v_top).real > TRUNCATION_LIMIT:
-                truncation = True
-            cp_done += 1
+        if not completes[0]:
+            return ()
 
-        if not completes:
-            break
-
+        t_k = float(t_k[0])
         joint_t = prop.evolve(joint0, t_k)
         min_eig = min(min_eig, prop.check_positivity(joint_t))
         rho_a_end, pops_b, h_ab_expect = _end_interval(prop, sys, joint_t, t_k)
         born_max = max(born_max, abs(pops_b.sum() - 1.0))
         rho_b_end = (v_b * np.clip(pops_b, 0.0, None)) @ v_b.conj().T
-        ledgers.append(ledger_for_interval(
-            rho_a, rho_a_end, rho_b0, rho_b_end, h_ab_expect, sys, beta_k,
-            positivity_floor=prop.positivity_floor))
+        led = ledger_for_interval(rho_a, rho_a_end, rho_b0, rho_b_end, h_ab_expect, sys,
+                                  beta_k, positivity_floor=prop.positivity_floor)
+        ledgers.append(led)
         rho_a = prop.next_state(rho_a_end)
-        t_cum = t_end
-        times.append(t_cum)
         snapshots.append(rho_a)
-        if np.vdot(v_top, rho_a @ v_top).real > TRUNCATION_LIMIT:
-            truncation = True
-        k += 1
+        return (led.q, led.w, led.w_meas, led.beta * led.q)
 
-    meas_times = np.array(times[1:])
-    sums = _cumulative_on_grid(meas_times, grid[:cp_done],
-                               [(led.q, led.w, led.w_meas, led.beta * led.q) for led in ledgers])
-    series = _checkpoint_series(grid[:cp_done], *cp_obs[:, :cp_done], np.zeros(cp_done), 1, sums)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    times, n_cp, sums = _walk(step, 0, [rng], lam, horizon, grid, intervals)
+    series = _checkpoint_series(grid[:n_cp], *cp_obs[:, :n_cp], np.zeros(n_cp), 1, sums)
+    snapshots = np.array(snapshots)
+    # every state of A the run reported: at the checkpoints and after each interval
+    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
+    states = np.concatenate((cp_rho[:n_cp], snapshots[1:]))
+    top = np.einsum("a,kab,b->k", v_top.conj(), states, v_top).real
     return IntervalRun(
-        times=meas_times,
+        times=times,
         ledgers=ledgers,
-        rho_a_snapshots=np.array(snapshots),
+        rho_a_snapshots=snapshots,
         checkpoint_times=series.t,
-        checkpoint_rho_a=cp_rho[:cp_done],
+        checkpoint_rho_a=cp_rho[:n_cp],
         checkpoint_hab=series.mean_hab,
         checkpoint_hb=series.mean_hb,
         min_eig=min_eig,
         meta={"lam": lam, "horizon": horizon},
         series=series,
-        truncation_suspect=truncation,
+        truncation_suspect=bool((top > TRUNCATION_LIMIT).any()),
         born_max_deviation=born_max,
     )
 
@@ -446,131 +491,80 @@ def _run_density_matrix(cfg: ProcessConfig, sys: JointSystem) -> TrajectoryRecor
     snapshots = run.rho_a_snapshots
     v_a = sys.basis_a.eigenvectors
     return TrajectoryRecord(
-        mode="density-matrix",
-        seed=cfg.seed,
-        times=run.times,
-        ledgers=run.ledgers,
-        outcomes=None,
+        **vars(run), seed=cfg.seed,
         pops_a=np.array([np.clip(populations(r, v_a), 0.0, None) for r in snapshots]),
-        s_a_series=np.array([von_neumann_entropy(r) for r in snapshots]),
-        rho_a_snapshots=snapshots,
-        series=run.series,
-        truncation_suspect=run.truncation_suspect,
-        born_max_deviation=run.born_max_deviation,
-        meta=run.meta,
-    )
-
-
-def _run_one_trajectory(cfg: ProcessConfig, sys: JointSystem, frame: _JointFrame,
-                        idx: int, grid: np.ndarray, input_pops):
-    rng = _traj_rng(cfg.seed, idx)
-    da, db = sys.dim_a, sys.dim_b
-    h_a, h_b, hab = sys.h_a.mat, sys.h_b.mat, frame.hab
-    v_b = sys.basis_b.eigenvectors
-    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
-    state = cfg.initial_state_a
-    if isinstance(state, StateVector):
-        psi_a = state.vec.copy()
-    else:
-        evals, evecs = np.linalg.eigh(as_matrix(state))
-        p = np.clip(evals, 0.0, None)
-        psi_a = evecs[:, _draw_index(p / p.sum(), rng)]
-
-    n_cp = len(grid)
-    ha, hb, habv = obs = np.zeros((3, n_cp))  # <H_A>, <H_B>, gamma <H_AB>
-    rho = np.zeros((n_cp, da, da), complex)
-    meas_times: list[float] = []
-    terms: list[tuple[float, float, float, float]] = []
-    born_max = 0.0
-    truncation = False
-    cp_done = 0
-    t_cum = 0.0
-    k = 0
-    while t_cum < cfg.horizon:
-        t_k = sample_interval(rng, cfg.lam)
-        beta_k = cfg.beta_for(k)
-        level = _draw_index(input_pops(beta_k), rng)
-        c0 = frame.to_frame_sv(np.kron(psi_a, v_b[:, level]))
-        t_end = t_cum + t_k
-        completes = t_end <= cfg.horizon
-        limit = t_end if completes else cfg.horizon
-
-        ha_start = float(np.vdot(psi_a, h_a @ psi_a).real)
-
-        while cp_done < n_cp and grid[cp_done] <= limit + 1e-12:
-            delta = min(max(grid[cp_done] - t_cum, 0.0), t_k)
-            psi_cp = frame.evolve_sv(c0, delta)
-            m_cp = psi_cp.reshape(da, db)
-            rho_cp = m_cp @ m_cp.conj().T
-            rho[cp_done] = rho_cp
-            ha[cp_done] = float(np.trace(h_a @ rho_cp).real)
-            rho_b_cp = m_cp.conj().T @ m_cp
-            hb[cp_done] = float(np.trace(h_b @ rho_b_cp.T).real)
-            habv[cp_done] = sys.gamma * float(np.vdot(psi_cp, hab @ psi_cp).real)
-            if np.vdot(v_top, rho_cp @ v_top).real > TRUNCATION_LIMIT:
-                truncation = True
-            cp_done += 1
-
-        if not completes:
-            break
-
-        psi_t = frame.evolve_sv(c0, t_k)
-        h_ab_expect = float(np.vdot(psi_t, hab @ psi_t).real)
-        _, p_m, psi_a = _draw_outcome(psi_t, v_b, rng)
-        born_max = max(born_max, abs(p_m.sum() - 1.0))
-
-        ha_end = float(np.vdot(psi_a, h_a @ psi_a).real)
-        # outcome-averaged reservoir bookkeeping; A-side energies conditioned
-        # on the sampled outcome (ensemble averages match density-matrix mode)
-        ds_b = shannon_entropy(np.clip(p_m, 0.0, None))
-        q_k = -ds_b / beta_k if beta_k > 0 else math.nan
-        w_k = (ha_end - ha_start) - q_k if beta_k > 0 else math.nan
-        bq_k = beta_k * q_k if beta_k > 0 else math.nan
-        terms.append((q_k, w_k, -sys.gamma * h_ab_expect, bq_k))
-        meas_times.append(t_end)
-        t_cum = t_end
-        k += 1
-
-    sums = _cumulative_on_grid(np.array(meas_times), grid, terms)
-    return obs, rho, sums, born_max, truncation
+        s_a_series=np.array([von_neumann_entropy(r) for r in snapshots]))
 
 
 def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSummary:
+    """``_walk`` on a batch of n_traj pure-state trajectories, one row of psi_a each.
+
+    Interval k couples each live trajectory's psi_A to a reservoir level drawn
+    from the thermal populations at beta_k, held as (n, d) coefficients in the
+    coupled eigenframe, so that evolving the trajectories to a checkpoint is
+    one matrix product.  Checkpoint observables are summed over trajectories.
+    Each trajectory draws from its own stream, in the order: its initial
+    eigenstate (mixed start only), then per interval the length, the input
+    level and the outcome.
+    """
+    n = cfg.n_traj
+    rngs = [_traj_rng(cfg.seed, i) for i in range(n)]
+    state = cfg.initial_state_a
+    if isinstance(state, StateVector):
+        psi_a = np.tile(state.vec, (n, 1))
+    else:
+        evals, evecs = np.linalg.eigh(as_matrix(state))
+        p = np.clip(evals, 0.0, None)
+        psi_a = evecs.T[_draw_index(p / p.sum(), np.array([rng.random() for rng in rngs]))]
     frame = _JointFrame(sys)
-    grid = cfg.grid()
-    n_cp = len(grid)
+    dims = (sys.dim_a, sys.dim_b)
     v_b = sys.basis_b.eigenvectors
-    pops_memo: dict[float, np.ndarray] = {}
-
-    def input_pops(beta: float) -> np.ndarray:
-        pops = pops_memo.get(beta)
-        if pops is None:
-            pops = np.clip(populations(thermal_state(sys.h_b, beta).mat, v_b), 0.0, None)
-            pops_memo[beta] = pops
-        return pops
-
-    tot_obs = np.zeros((3, n_cp))
-    tot_ha2 = np.zeros(n_cp)
-    tot_rho = np.zeros((n_cp, sys.dim_a, sys.dim_a), complex)
-    tot_sums = np.zeros((4, n_cp))
+    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
+    # <H_A> and the top-level population as joint-space operators
+    ha_joint = np.kron(sys.h_a.mat, np.eye(sys.dim_b))
+    top_joint = np.kron(np.outer(v_top, v_top.conj()), np.eye(sys.dim_b))
+    ha_now = _expect(psi_a, sys.h_a.mat)
+    grid = cfg.grid()
+    rho_sum = np.zeros((len(grid), sys.dim_a, sys.dim_a), complex)
+    obs_sum = np.zeros((4, len(grid)))             # <H_A>, <H_A>^2, <H_B>, gamma <H_AB>
     born_max = 0.0
     truncation = False
-    for idx in range(cfg.n_traj):
-        obs, rho, sums, bd, trunc = _run_one_trajectory(cfg, sys, frame, idx, grid, input_pops)
-        tot_obs += obs
-        tot_ha2 += obs[0] * obs[0]
-        tot_rho += rho
-        tot_sums += sums
-        born_max = max(born_max, bd)
-        truncation = truncation or trunc
 
-    n = cfg.n_traj
-    mean_ha, mean_hb, mean_hab = tot_obs / n
-    var = np.maximum(tot_ha2 / n - mean_ha ** 2, 0.0)
-    mean_rho = tot_rho / n
+    def step(k, live, u, t_k, checkpoints, completes):
+        nonlocal born_max, truncation
+        beta = cfg.beta_for(k)
+        pops = np.clip(populations(thermal_state(sys.h_b, beta).mat, v_b), 0.0, None)
+        joint0 = psi_a[live][:, :, None] * v_b.T[_draw_index(pops, u[:, 0])][:, None, :]
+        c0 = frame.to_frame(joint0.reshape(live.size, -1))
+        for j, on, tau in checkpoints:
+            psi = frame.evolve_rows(c0[on], tau)
+            joint = psi.T @ psi.conj()             # sum over trajectories of |psi><psi|
+            ha = _expect(psi, ha_joint)
+            rho_sum[j] += marginal(joint, dims, "A")
+            obs_sum[:, j] += (ha.sum(), (ha * ha).sum(),
+                              np.trace(sys.h_b.mat @ marginal(joint, dims, "B")).real,
+                              sys.gamma * np.trace(frame.hab @ joint).real)
+            truncation = truncation or _expect(psi, top_joint).max() > TRUNCATION_LIMIT
+
+        done = live[completes]
+        psi_a[done], hab, p_m, _ = _measure(frame, v_b, c0[completes], t_k[completes],
+                                            u[completes, 1])
+        born_max = max(born_max, float(np.abs(p_m.sum(axis=1) - 1.0).max(initial=0.0)))
+        ha_start, ha_now[done] = ha_now[done], _expect(psi_a[done], sys.h_a.mat)
+        # outcome-averaged reservoir bookkeeping; A-side energies conditioned
+        # on the sampled outcome (ensemble averages match density-matrix mode)
+        p = np.clip(p_m, 0.0, None)
+        ds_b = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+        q = -ds_b / beta if beta > 0 else np.full(done.size, math.nan)
+        return np.column_stack((q, (ha_now[done] - ha_start) - q, -sys.gamma * hab, beta * q))
+
+    _, n_cp, sums = _walk(step, 2, rngs, cfg.lam, cfg.horizon, grid)
+    mean_ha, mean_ha2, mean_hb, mean_hab = obs_sum[:, :n_cp] / n
+    var = np.maximum(mean_ha2 - mean_ha ** 2, 0.0)
+    mean_rho = rho_sum[:n_cp] / n
     s_a = np.array([von_neumann_entropy(hermitian_part(r)) for r in mean_rho])
-    series = _checkpoint_series(grid, mean_ha, mean_hb, mean_hab, s_a,
-                                np.sqrt(var / max(n - 1, 1)), n, tot_sums / n)
+    series = _checkpoint_series(grid[:n_cp], mean_ha, mean_hb, mean_hab, s_a,
+                                np.sqrt(var / max(n - 1, 1)), n, sums / n)
     return EnsembleSummary(
         n_traj=n,
         series=series,
@@ -688,37 +682,24 @@ def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: f
     (rate, rate_se).
     """
     frame = _JointFrame(sys)
-    da, db = sys.dim_a, sys.dim_b
+    db = sys.dim_b
     v_b = sys.basis_b.eigenvectors
     if db != 2:
         raise PreconditionError("absorption scoring assumes a two-level reservoir")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     pops_in = np.clip(populations(thermal_state(sys.h_b, beta).mat, v_b), 0.0, None)
     pops_in = pops_in / pops_in.sum()
-    c0 = [frame.to_frame_sv(np.kron(psi_a.vec, v_b[:, b])) for b in range(db)]
-    # Born amplitudes grouped by outcome level: psi reshaped (da, db)
+    c0 = frame.to_frame(np.array([np.kron(psi_a.vec, v_b[:, b]) for b in range(db)]))
     x_sum = 0.0
     x2_sum = 0.0
     done = 0
     while done < n_trials:
         m = min(chunk, n_trials - done)
-        levels = np.searchsorted(np.cumsum(pops_in), rng.random(m) * pops_in.sum())
-        levels = np.minimum(levels, db - 1)
+        levels = _draw_index(pops_in, rng.random(m))
         ts = rng.exponential(1.0 / lam, size=m)
         us = rng.random(m)
-        x = np.zeros(m)
-        for b in range(db):
-            sel = levels == b
-            if not sel.any():
-                continue
-            phases = np.exp(-1j * np.outer(frame.e, ts[sel]))
-            psi = frame.w @ (phases * c0[b][:, None])
-            # outcome populations in the H_B eigenbasis
-            amp = np.einsum("bi,abm->aim", v_b.conj(), psi.reshape(da, db, -1))
-            p_m = (np.abs(amp) ** 2).sum(axis=0)
-            cum = np.cumsum(p_m, axis=0)
-            out_lvl = (us[sel][None, :] * cum[-1] > cum).sum(axis=0)
-            x[sel] = out_lvl - b
+        psi = frame.evolve_rows(c0[levels], ts)
+        x = _draw_index(_born(psi, v_b)[1], us) - levels
         x_sum += x.sum()
         x2_sum += (x * x).sum()
         done += m

@@ -342,10 +342,6 @@ def _beta_of_state(sys: JointSystem, rho_b: np.ndarray) -> float:
     return float(-(math.log(pops[1]) - math.log(pops[0])) / (e_b[1] - e_b[0]))
 
 
-# The weak and fast runs return the interval driver's record.
-WeakIntervalRun = IntervalRun
-
-
 def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
     """Joint-space generator of the averaged second-order updates at rate lam."""
     sys = spec.sys
@@ -384,7 +380,7 @@ def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
 class _LinearPropagator:
     """exp(t G) for a vectorized generator G, via its eigendecomposition.
 
-    As the interval driver's propagator it evolves the joint state in the
+    As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
     the phase-weighted sum over the frequency ``sectors`` (omega, V_omega).
     The averaged generator does not preserve positivity exactly: each
@@ -411,7 +407,7 @@ class _LinearPropagator:
             coeff = self.vr_inv @ theta.reshape(-1)
             coeff = coeff * np.exp(self.evals * t)
             out = (self.vr @ coeff).reshape(d, d)
-        else:  # pragma: no cover - defensive fallback
+        else:
             from scipy.linalg import expm
             out = (expm(self.gen * t) @ theta.reshape(-1)).reshape(d, d)
         return hermitian_part(out)
@@ -439,10 +435,10 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
                       seed: int = 0, intervals: np.ndarray | None = None,
                       checkpoint_times: np.ndarray | None = None,
                       beta: float | None = None,
-                      generator: np.ndarray | None = None) -> WeakIntervalRun:
+                      generator: np.ndarray | None = None) -> IntervalRun:
     """Run the averaged-propagator comparison protocol with full bookkeeping.
 
-    Same cycle as the exact process, through the same interval driver --
+    Same cycle as the exact process, through the same interval walk --
     couple, evolve one sampled interval, measure-and-replace -- except that
     the coupled propagator is replaced by the averaged second-order generator
     (or an explicitly supplied one).  Heat and work ledgers use the same
@@ -465,7 +461,7 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
 def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: float,
                       seed: int = 0, intervals: np.ndarray | None = None,
                       checkpoint_times: np.ndarray | None = None,
-                      beta: float | None = None) -> WeakIntervalRun:
+                      beta: float | None = None) -> IntervalRun:
     """Interval protocol driven by the fast-measurement generator instead."""
     spec = decompose(sys, lam)
     return weak_interval_run(spec, rho_b0, rho_a0, horizon, seed=seed,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .qcore import Operator, DensityMatrix, Propagator
 
 # Population of the top Fock level above which a run is flagged truncation-suspect.
@@ -33,12 +33,13 @@ class JcmParams:
     rwa: bool = False
 
     def __post_init__(self):
-        if self.omega_a <= 0 or self.omega_b <= 0:
-            raise ValueError("mode frequencies must be positive")
-        if self.gamma < 0:
-            raise ValueError("coupling strength must be non-negative")
+        # each test fails on NaN
+        if not (0 < self.omega_a < math.inf and 0 < self.omega_b < math.inf):
+            raise ConfigError("mode frequencies must be positive and finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError("coupling strength must be non-negative and finite")
         if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+            raise ConfigError("n_max must be at least 1")
 
     @property
     def detuning(self) -> float:
@@ -130,10 +131,17 @@ def build_jcm(p: JcmParams) -> JointSystem:
     )
 
 
+def check_beta(beta) -> None:
+    """Reject inverse temperatures that are negative or NaN (inf is the ground state)."""
+    if not (np.asarray(beta) >= 0).all():
+        raise ConfigError(f"inverse temperature must be non-negative, got {beta!r}")
+
+
 def thermal_state(h: Operator, beta: float) -> DensityMatrix:
     """Gibbs state exp(-beta H)/Z; beta = 0 gives the maximally mixed state,
     beta = inf the ground-state projector (error if the ground state is
     degenerate)."""
+    check_beta(beta)
     prop = Propagator.from_operator(h)
     e = prop.eigenvalues
     v = prop.eigenvectors
@@ -144,8 +152,6 @@ def thermal_state(h: Operator, beta: float) -> DensityMatrix:
             raise ValueError("beta = inf undefined: degenerate ground state")
         p = ground.astype(float)
     else:
-        if beta < 0:
-            raise ValueError("inverse temperature must be non-negative")
         w = np.exp(-beta * (e - e.min()))
         p = w / w.sum()
     return DensityMatrix((v * p) @ v.conj().T)

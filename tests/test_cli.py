@@ -147,6 +147,17 @@ class TestMain:
                          "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
 
+    @pytest.mark.parametrize("line", ["gamma = -1", "gamma = nan", "omega_a = nan",
+                                      "beta = -1", "n_max = 0", "checkpoints = -3"])
+    def test_bad_model_input_is_one_line_error(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(line + "\n")
+        code = cli.main(["simulate", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_trajectory_without_checkpoints(self, tmp_path):
         cfgfile = tmp_path / "empty.cfg"
         cfgfile.write_text("mode = trajectory\ncheckpoints = 0\nn_traj = 2\n"

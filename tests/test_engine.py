@@ -7,6 +7,7 @@ from qtherm.analytic import amplitudes
 from qtherm.engine import (
     AveragedIntervalMap,
     ProcessConfig,
+    _traj_rng,
     absorption_rate_mc,
     ensemble_average_series,
     run_process,
@@ -15,7 +16,7 @@ from qtherm.engine import (
 )
 from qtherm.errors import ConfigError, PreconditionError
 from qtherm.models import JcmParams, build_jcm, thermal_state
-from qtherm.qcore import DensityMatrix, StateVector
+from qtherm.qcore import DensityMatrix, StateVector, shannon_entropy
 
 DECAY = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=12, rwa=False)
 DECAY_RWA = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=12, rwa=True)
@@ -123,6 +124,53 @@ class TestRunProcess:
         kwargs = {"lam": 0.01, "horizon": 10.0, field: value}
         with pytest.raises(ConfigError):
             ProcessConfig(beta=1.0, initial_state_a=fock(1, 3), **kwargs)
+
+    @pytest.mark.parametrize("times", [[0.0, 6.0, 2.0, 4.0], [0.0, 2.0, math.nan, 6.0]])
+    def test_unsorted_or_non_finite_grid_rejected(self, times):
+        # a decreasing grid would report stale <H_A> at the out-of-order
+        # times, and a NaN would silently cut the series short
+        with pytest.raises(ConfigError):
+            ProcessConfig(lam=0.01, beta=1.0, horizon=10.0, initial_state_a=fock(1, 3),
+                          checkpoint_times=np.array(times))
+
+    @pytest.mark.parametrize("field,value", [("beta", -1.0), ("beta", [1.0, math.nan]),
+                                             ("n_checkpoints", -3)])
+    def test_bad_beta_or_checkpoint_count_rejected(self, field, value):
+        kwargs = {"lam": 0.01, "horizon": 10.0, "beta": 1.0, field: value}
+        with pytest.raises(ConfigError):
+            ProcessConfig(initial_state_a=fock(1, 3), **kwargs)
+
+    def test_ensemble_matches_trajectories_stepped_by_hand(self):
+        # each trajectory's stream is drawn in the order: interval length, input
+        # level, outcome; stepping three of them one at a time through
+        # step_interval must give the batched ensemble's ledger
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05,
+                                  n_max=4, rwa=False))
+        lam, beta, horizon, seed = 0.2, 1.0, 60.0, 11
+        cfg = ProcessConfig(lam=lam, beta=beta, horizon=horizon, seed=seed, mode="trajectory",
+                            n_traj=3, initial_state_a=fock(1, sys.dim_a), n_checkpoints=5)
+        ens = run_process(cfg, sys)
+        pops = np.diag(thermal_state(sys.h_b, beta).mat).real
+
+        def energy_a(psi):
+            return np.vdot(psi.vec, sys.h_a.mat @ psi.vec).real
+
+        total = np.zeros(3)
+        for i in range(3):
+            rng = _traj_rng(seed, i)
+            psi, t_cum = fock(1, sys.dim_a), 0.0
+            while t_cum < horizon:
+                t_k = sample_interval(rng, lam)
+                level = int(np.searchsorted(np.cumsum(pops), rng.random() * pops.sum()))
+                if t_cum + t_k > horizon:
+                    break
+                out = step_interval(psi, level, sys, t_k, rng)
+                q = -shannon_entropy(out.reservoir_populations) / beta
+                total += (q, energy_a(out.state_a) - energy_a(psi) - q,
+                          -sys.gamma * out.h_ab_expect)
+                psi, t_cum = out.state_a, t_cum + t_k
+        got = [ens.series.q_cum[-1], ens.series.w_cum[-1], ens.series.wmeas_cum[-1]]
+        np.testing.assert_allclose(got, total / 3, rtol=1e-12, atol=1e-12)
 
     def test_trajectory_empty_grid_gives_empty_series(self):
         sys = build_jcm(JcmParams(n_max=3))

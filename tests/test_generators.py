@@ -7,6 +7,7 @@ from qtherm.analytic import mean_b2_poisson
 from qtherm.engine import AveragedIntervalMap
 from qtherm.errors import ConfigError, DegenerateSteadyStateError, PreconditionError
 from qtherm.generators import (
+    _LinearPropagator,
     assemble_reduced_generator,
     decompose,
     dissipator_apply,
@@ -318,6 +319,16 @@ class TestLindbladPropagate:
             weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, horizon=math.inf,
                               intervals=np.array([1.0]))
 
+    @pytest.mark.parametrize("times", [[0.0, 6.0, 2.0, 4.0], [0.0, 2.0, math.nan, 6.0]])
+    def test_interval_protocol_rejects_bad_grid(self, times):
+        # the walk assigns checkpoints in grid order: a decreasing grid would get
+        # stale states, and a NaN would silently cut the series short
+        sys = build_jcm(JcmParams(n_max=2))
+        rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
+        with pytest.raises(ConfigError):
+            weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, horizon=8.0,
+                              checkpoint_times=np.array(times))
+
     @pytest.mark.parametrize("lam,horizon", [(0.2, math.inf), (math.nan, 10.0)])
     def test_fast_protocol_rejects_non_finite(self, lam, horizon):
         sys = build_jcm(JcmParams(n_max=2))
@@ -346,6 +357,21 @@ class TestLindbladPropagate:
         # and repeated replacement completes the decay to the steady state
         e_last = np.trace(sys.h_a.mat @ run.rho_a_snapshots[-1]).real
         assert abs(e_last - e_gibbs) < 0.02 * (e0 - e_gibbs)
+
+
+class TestLinearPropagator:
+    def test_defective_generator_falls_back_to_dense_expm(self):
+        # a Jordan block has no eigenbasis: cond(vr) ~ 1e291 forces the dense branch
+        g = np.zeros((4, 4))
+        g[0, 1] = 1.0
+        prop = _LinearPropagator(g, ())
+        assert not prop.cond_ok
+        theta = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        t = 0.7
+        # g is nilpotent, so exp(t g) = 1 + t g exactly
+        want = ((np.eye(4) + t * g) @ theta.reshape(-1)).reshape(2, 2)
+        np.testing.assert_allclose(prop.apply(theta, t), 0.5 * (want + want.conj().T),
+                                   atol=1e-15)
 
 
 class TestFastMap:
