@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from ._svg import line_chart
-from .engine import ProcessConfig, run_process
+from .engine import ProcessConfig, check_horizon, run_process
 from .errors import ConfigError, NumericError, QthermError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
     assemble_reduced_generator, min_temp_predict, steady_state
@@ -194,6 +194,7 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
     psi0 = _initial_state(cfg, sys.dim_a)
     if cfg["checkpoints"] < 0:
         raise ConfigError(f"checkpoints must be >= 0, got {cfg['checkpoints']}")
+    check_horizon(cfg["horizon"])
     grid = np.linspace(0.0, cfg["horizon"], cfg["checkpoints"])
     header = _header(cfg, "simulate") + [f"run_mode = {run_mode}"]
     made = []

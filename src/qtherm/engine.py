@@ -39,12 +39,17 @@ def check_rate(lam: float) -> None:
         raise ConfigError(f"measurement rate must be positive and finite, got {lam!r}")
 
 
+def check_horizon(horizon: float) -> None:
+    """Reject a horizon that is negative or not finite."""
+    if not (horizon >= 0 and math.isfinite(horizon)):
+        raise ConfigError(f"horizon must be non-negative and finite, got {horizon!r}")
+
+
 def check_schedule(lam: float, horizon: float, grid: np.ndarray) -> None:
     """Reject a measurement rate or horizon that no interval schedule can honour,
     and checkpoint times that are not finite or that decrease."""
     check_rate(lam)
-    if not (horizon >= 0 and math.isfinite(horizon)):
-        raise ConfigError(f"horizon must be non-negative and finite, got {horizon!r}")
+    check_horizon(horizon)
     if not (np.isfinite(grid).all() and (np.diff(grid) >= 0).all()):
         raise ConfigError("checkpoint times must be finite and non-decreasing")
 
@@ -590,8 +595,7 @@ class AveragedIntervalMap:
     """
 
     def __init__(self, sys: JointSystem, beta: float, lam: float):
-        if lam <= 0:
-            raise ValueError("measurement rate must be positive")
+        check_rate(lam)
         self.sys = sys
         self.beta = beta
         self.lam = lam

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .engine import IntervalRun, check_rate, run_intervals
+from .engine import IntervalRun, check_horizon, check_rate, run_intervals
 from .errors import DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, thermal_state
 from .qcore import (Operator, DensityMatrix, as_matrix, hermitian_part, marginal,
-                    populations)
+                    populations, superoperator)
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,26 @@ def _check_product(rho: np.ndarray, da: int, db: int) -> None:
 
 
 def dissipator_apply(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    """Second-order averaged dissipator acting on a joint density matrix."""
-    out = np.zeros_like(rho)
-    for i, vi in enumerate(spec.v_ops):
-        for j, vj in enumerate(spec.v_ops):
-            s = spec.s_coef[i, j]
-            a = spec.a_coef[i, j]
-            vjd_vi = vj.conj().T @ vi
-            out = out + s * (vi @ rho @ vj.conj().T
-                             - 0.5 * (vjd_vi @ rho + rho @ vjd_vi))
-            out = out + 0.5j * a * (vjd_vi @ rho - rho @ vjd_vi)
+    """Second-order averaged dissipator acting on a joint density matrix or a stack of them.
+
+    In GKSL form, sum_j W_j rho V_j^+ + X rho + rho X^+ with
+    W_j = sum_i s_ij V_i and X = sum_ij (-s_ij / 2 + i a_ij / 2) V_j^+ V_i.
+    """
+    d = spec.sys.dim
+    v = np.array(spec.v_ops, dtype=complex).reshape(-1, d, d)
+    w = np.einsum("ij,ikl->jkl", spec.s_coef, v)
+    x = np.einsum("ij,jlk,ilm->km", 0.5j * spec.a_coef - 0.5 * spec.s_coef, v.conj(), v)
+    out = x @ rho + rho @ x.conj().T
+    for vj, wj in zip(v, w):
+        out = out + wj @ rho @ vj.conj().T
     return out
+
+
+def _weak_increment(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
+    # -i gamma [H_tilde, rho] + gamma^2 L'[rho], on a matrix or a stack of them
+    g = spec.gamma
+    ht = spec.h_tilde()
+    return -1j * g * (ht @ rho - rho @ ht) + g * g * dissipator_apply(spec, rho)
 
 
 def weak_map(spec: GeneratorSpec, rho_ab0) -> np.ndarray:
@@ -159,69 +168,37 @@ def weak_map(spec: GeneratorSpec, rho_ab0) -> np.ndarray:
     """
     rho = as_matrix(rho_ab0)
     _check_product(rho, spec.sys.dim_a, spec.sys.dim_b)
-    g = spec.gamma
-    ht = spec.h_tilde()
-    return -1j * g * (ht @ rho - rho @ ht) + g * g * dissipator_apply(spec, rho)
+    return _weak_increment(spec, rho)
 
 
 # ---------------------------------------------------------------------------
 # Reduced (system-only) weak-coupling master equation
 
 
-def _vec_kron(a: np.ndarray, b_conj_side: np.ndarray) -> np.ndarray:
-    # row-major vec: vec(A rho B^+) = kron(A, conj(B)) vec(rho)
-    return np.kron(a, b_conj_side.conj())
-
-
 def assemble_reduced_generator(spec: GeneratorSpec, beta: float) -> np.ndarray:
     """Dense generator of d rho_A/dt = -i[H_A, rho_A] + gamma^2 lam Tr_B L'[rho_A (x) rho_B].
 
     Expressed in the energy eigenbasis of H_A acting on the row-major
-    vectorization of rho_A.  The reservoir enters through its thermal
-    populations at ``beta``.
+    vectorization of rho_A.  The reservoir is the thermal state at ``beta``.
     """
     sys = spec.sys
-    da, db = sys.dim_a, sys.dim_b
-    e_a = sys.basis_a.eigenvalues
-    p_b = np.clip(populations(thermal_state(sys.h_b, beta).mat, sys.basis_b.eigenvectors),
-                  0.0, None)
-    w0 = np.kron(sys.basis_a.eigenvectors, sys.basis_b.eigenvectors)
-
-    ident = np.eye(da)
-    ha_d = np.diag(e_a).astype(complex)
-    gen = -1j * (np.kron(ha_d, ident) - np.kron(ident, ha_d))
-
-    v_eig = [w0.conj().T @ v @ w0 for v in spec.v_ops]
-    blocks = [v.reshape(da, db, da, db) for v in v_eig]
+    va, e_a = sys.basis_a.eigenvectors, sys.basis_a.eigenvalues
+    rho_b = thermal_state(sys.h_b, beta).mat
     rate = spec.gamma ** 2 * spec.lam
-    for i in range(spec.n_sectors):
-        for j in range(spec.n_sectors):
-            s = spec.s_coef[i, j]
-            a = spec.a_coef[i, j]
-            sand = np.zeros((da * da, da * da), complex)
-            for b in range(db):
-                for bp in range(db):
-                    if p_b[bp] == 0.0:
-                        continue
-                    sand += p_b[bp] * _vec_kron(blocks[i][:, b, :, bp], blocks[j][:, b, :, bp])
-            vjd_vi = (v_eig[j].conj().T @ v_eig[i]).reshape(da, db, da, db)
-            k = np.zeros((da, da), complex)
-            for b in range(db):
-                k += p_b[b] * vjd_vi[:, b, :, b]
-            left = np.kron(k, ident)
-            right = np.kron(ident, k.T)
-            gen = gen + rate * (s * (sand - 0.5 * (left + right))
-                                + 0.5j * a * (left - right))
-    return gen
+
+    def rhs(rho_a):
+        # a stack of (dA, dA) kron one (dB, dB): the stack of products rho_A (x) rho_B
+        joint = np.kron(va @ rho_a @ va.conj().T, rho_b[None])
+        diss = marginal(dissipator_apply(spec, joint), (sys.dim_a, sys.dim_b), "A")
+        return -1j * (e_a[:, None] - e_a[None, :]) * rho_a + rate * (va.conj().T @ diss @ va)
+
+    return superoperator(rhs, sys.dim_a)
 
 
 def population_rates(gen: np.ndarray, da: int) -> np.ndarray:
     """Transition rates n -> m read off a vectorized generator's population block."""
-    rates = np.empty((da, da))
-    for m in range(da):
-        for n in range(da):
-            rates[m, n] = gen[m * da + m, n * da + n].real
-    return rates
+    idx = np.arange(da) * (da + 1)
+    return gen[np.ix_(idx, idx)].real
 
 
 @dataclass(frozen=True)
@@ -307,13 +284,10 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
                         rtol=1e-10, atol=1e-12, method="RK45")
         if not sol.success:
             raise NumericError(f"continuous propagation failed: {sol.message}")
-        out = np.empty((len(t_grid), da, da), complex)
-        for i in range(len(t_grid)):
-            r = hermitian_part(sol.y[:, i].reshape(da, da))
-            if np.linalg.eigvalsh(r).min() < -1e-7:
-                raise NumericError("positivity violated beyond 1e-7 during propagation")
-            out[i] = va @ r @ va.conj().T
-        return out
+        r = hermitian_part(sol.y.T.reshape(-1, da, da))
+        if np.linalg.eigvalsh(r).min() < -1e-7:
+            raise NumericError("positivity violated beyond 1e-7 during propagation")
+        return va @ r @ va.conj().T
     if measurement_protocol != "interval":
         raise ValueError("measurement_protocol must be 'continuous' or 'interval'")
     run = weak_interval_run(spec, rho_b_mat, rho_a0, horizon=float(t_grid[-1]),
@@ -322,13 +296,9 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
     # the averaged propagator works in the rotating frame of the uncoupled
     # Hamiltonian; restore the free phase so coherences read in the lab frame
     va = sys.basis_a.eigenvectors
-    e_a = sys.basis_a.eigenvalues
-    out = np.empty_like(run.checkpoint_rho_a)
-    for i, t in enumerate(run.checkpoint_times):
-        ph = np.exp(-1j * e_a * t)
-        rt = va.conj().T @ run.checkpoint_rho_a[i] @ va
-        out[i] = va @ (rt * np.outer(ph, ph.conj())) @ va.conj().T
-    return out
+    ph = np.exp(-1j * np.outer(run.checkpoint_times, sys.basis_a.eigenvalues))
+    rt = va.conj().T @ run.checkpoint_rho_a @ va
+    return va @ (rt * ph[:, :, None] * ph[:, None, :].conj()) @ va.conj().T
 
 
 def _beta_of_state(sys: JointSystem, rho_b: np.ndarray) -> float:
@@ -344,37 +314,13 @@ def _beta_of_state(sys: JointSystem, rho_b: np.ndarray) -> float:
 
 def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
     """Joint-space generator of the averaged second-order updates at rate lam."""
-    sys = spec.sys
-    d = sys.dim
-    ident = np.eye(d)
-    g = spec.gamma
-    ht = spec.h_tilde()
-    gen = -1j * g * (np.kron(ht, ident) - np.kron(ident, ht.T))
-    for i, vi in enumerate(spec.v_ops):
-        for j, vj in enumerate(spec.v_ops):
-            s = spec.s_coef[i, j]
-            a = spec.a_coef[i, j]
-            vjd_vi = vj.conj().T @ vi
-            left = np.kron(vjd_vi, ident)
-            right = np.kron(ident, vjd_vi.T)
-            gen = gen + g * g * (s * (np.kron(vi, vj.conj()) - 0.5 * (left + right))
-                                 + 0.5j * a * (left - right))
-    return gen * spec.lam  # one averaged update per mean interval
+    # one averaged update per mean interval
+    return superoperator(lambda rho: spec.lam * _weak_increment(spec, rho), spec.sys.dim)
 
 
 def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
     """Joint-space generator of the fast-measurement expansion at rate lam."""
-    d = sys.dim
-    ident = np.eye(d)
-    g = sys.gamma
-    hab = sys.h_ab.mat
-    nested = sys.uncoupled_h @ hab - hab @ sys.uncoupled_h
-    hab2 = hab @ hab
-    c1 = np.kron(hab, ident) - np.kron(ident, hab.T)
-    c2 = np.kron(nested, ident) - np.kron(ident, nested.T)
-    diss = (2.0 * np.kron(hab, hab.conj())
-            - np.kron(hab2, ident) - np.kron(ident, hab2.T))
-    return lam * ((-1j * g / lam) * c1 + (g / lam ** 2) * c2 + (g * g / lam ** 2) * diss)
+    return superoperator(lambda rho: lam * _fast_increment(sys, rho, lam), sys.dim)
 
 
 class _LinearPropagator:
@@ -450,10 +396,11 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
         beta = _beta_of_state(sys, rho_b)
     prop = _LinearPropagator(assemble_joint_weak_generator(spec) if generator is None
                              else generator, zip(spec.frequencies, spec.v_ops))
-    grid = (np.asarray(checkpoint_times, dtype=float)
-            if checkpoint_times is not None else np.linspace(0.0, horizon, 121))
+    if checkpoint_times is None:
+        check_horizon(horizon)      # before linspace, which would warn on an infinite one
+        checkpoint_times = np.linspace(0.0, horizon, 121)
     run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, rho_b), horizon,
-                        grid, spec.lam, seed, intervals)
+                        checkpoint_times, spec.lam, seed, intervals)
     run.meta.update(beta=beta, protocol="interval")
     return run
 
@@ -473,55 +420,50 @@ def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: flo
 # Fast measurement limit
 
 
+def _fast_dissipator(hab: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    # -[H_AB, [H_AB, rho]] = 2 H_AB rho H_AB - {H_AB^2, rho}
+    hab2 = hab @ hab
+    return 2.0 * hab @ rho @ hab - hab2 @ rho - rho @ hab2
+
+
+def _fast_increment(sys: JointSystem, rho: np.ndarray, lam: float) -> np.ndarray:
+    # the fast-measurement expansion through O(gamma^2/lam^2), on a matrix or a stack
+    g = sys.gamma
+    hab = sys.h_ab.mat
+    h0 = sys.uncoupled_h
+    nested = h0 @ hab - hab @ h0
+    out = (-1j * g / lam) * (hab @ rho - rho @ hab)
+    out = out + (g / lam ** 2) * (nested @ rho - rho @ nested)
+    return out + (g * g / lam ** 2) * _fast_dissipator(hab, rho)
+
+
 def fast_map(sys: JointSystem, rho_ab0, lam: float) -> np.ndarray:
     """Expected interval change in the fast-measurement expansion.
 
     All terms through O(gamma^2/lam^2): the first-order commutators (trace-free
     and population-free) and the double-commutator dissipator
     2 H_AB rho H_AB - {H_AB^2, rho}.  Valid for lam >> gamma; a warning is
-    emitted otherwise.
+    emitted otherwise.  A rate that is not positive and finite is a ConfigError.
     """
-    if lam <= 0:
-        raise ValueError("measurement rate must be positive")
+    check_rate(lam)
     g = sys.gamma
     if g > 0 and lam < 10 * g:
         warnings.warn("fast-measurement expansion used with lam < 10 gamma",
                       stacklevel=2)
-    rho = as_matrix(rho_ab0)
-    hab = sys.h_ab.mat
-    h0 = sys.uncoupled_h
-    comm1 = hab @ rho - rho @ hab
-    nested = (h0 @ hab - hab @ h0)
-    comm2 = nested @ rho - rho @ nested
-    diss = 2.0 * hab @ rho @ hab - (hab @ hab @ rho + rho @ hab @ hab)
-    return (-1j * g / lam) * comm1 + (g / lam ** 2) * comm2 + (g * g / lam ** 2) * diss
-
-
-def fast_submatrices(sys: JointSystem) -> np.ndarray:
-    """A-space sub-blocks V^{nm}_{ij} = [H_AB]_{(i,n),(j,m)} in the B energy basis."""
-    da, db = sys.dim_a, sys.dim_b
-    w0 = np.kron(np.eye(da), sys.basis_b.eigenvectors)
-    hab = w0.conj().T @ sys.h_ab.mat @ w0
-    return hab.reshape(da, db, da, db).transpose(1, 3, 0, 2)  # [n, m, i, j]
+    return _fast_increment(sys, as_matrix(rho_ab0), lam)
 
 
 def fast_map_reduced(sys: JointSystem, rho_a, rho_b_pops: np.ndarray, lam: float) -> np.ndarray:
     """d rho_A/dt of the fast-measurement master equation (dissipator part).
 
-    (gamma^2/lam) sum_{m,n} [ 2 p_n V^{mn} rho V^{mn+} - p_m {V^{mn} V^{mn+}, rho} ].
+    (gamma^2/lam) Tr_B[2 H_AB rho H_AB - {H_AB^2, rho}] at rho = rho_A (x) rho_B,
+    with rho_B diagonal in the B energy basis with populations ``rho_b_pops``.
     """
-    rho = as_matrix(rho_a)
-    v = fast_submatrices(sys)
-    p = np.asarray(rho_b_pops, dtype=float)
-    db = sys.dim_b
-    out = np.zeros_like(rho)
-    for m in range(db):
-        for n in range(db):
-            vmn = v[m, n]
-            vv = vmn @ vmn.conj().T
-            out = out + 2.0 * p[n] * (vmn @ rho @ vmn.conj().T) \
-                - p[m] * (vv @ rho + rho @ vv)
-    return (sys.gamma ** 2 / lam) * out
+    v_b = sys.basis_b.eigenvectors
+    rho_b = (v_b * np.asarray(rho_b_pops, dtype=float)) @ v_b.conj().T
+    joint = np.kron(as_matrix(rho_a), rho_b)
+    diss = _fast_dissipator(sys.h_ab.mat, joint)
+    return (sys.gamma ** 2 / lam) * marginal(diss, (sys.dim_a, sys.dim_b), "A")
 
 
 # ---------------------------------------------------------------------------

@@ -149,22 +149,33 @@ def as_matrix(x) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^+) / 2."""
-    return 0.5 * (m + m.conj().T)
+    """(M + M^+) / 2, for a matrix or a stack of them."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def marginal(joint: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Partial trace of a bipartite (dA dB) matrix as a plain array.
+    """Partial trace of a bipartite (dA dB) matrix, or of a stack of them, as a plain array.
 
     ``dims = (dA, dB)`` with A the slow Kronecker index; ``keep`` is "A" or "B".
+    Leading axes of ``joint`` are kept.
     """
     da, db = dims
-    r = joint.reshape(da, db, da, db)
+    r = joint.reshape(joint.shape[:-2] + (da, db, da, db))
     if keep == "A":
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == "B":
-        return np.einsum("abad->bd", r)
+        return np.einsum("...abad->...bd", r)
     raise ValueError("keep must be 'A' or 'B'")
+
+
+def superoperator(fn, d: int) -> np.ndarray:
+    """Row-major matrix S of a linear map on d x d matrices: S vec(rho) = vec(fn(rho)).
+
+    ``fn`` is applied once, to the stack of the d^2 matrix units, and must map
+    a stack of matrices to the stack of their images.
+    """
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return fn(units).reshape(d * d, d * d).T
 
 
 def populations(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -274,6 +274,12 @@ class TestAveragedIntervalMap:
             acc += wg * lam * math.exp(-lam * t) * out.state_a.mat
         np.testing.assert_allclose(got, acc, atol=5e-9)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rate(self, lam):
+        # a NaN rate used to run every fixed-point iteration and return NaN
+        with pytest.raises(ConfigError):
+            AveragedIntervalMap(build_jcm(DECAY_RWA), beta=1.0, lam=lam)
+
     def test_fixed_point_is_stationary(self):
         sys = build_jcm(DECAY_RWA)
         amap = AveragedIntervalMap(sys, beta=1.0, lam=0.01)

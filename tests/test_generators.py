@@ -8,6 +8,8 @@ from qtherm.engine import AveragedIntervalMap
 from qtherm.errors import ConfigError, DegenerateSteadyStateError, PreconditionError
 from qtherm.generators import (
     _LinearPropagator,
+    assemble_joint_fast_generator,
+    assemble_joint_weak_generator,
     assemble_reduced_generator,
     decompose,
     dissipator_apply,
@@ -24,7 +26,7 @@ from qtherm.generators import (
     weak_map,
 )
 from qtherm.models import JcmParams, JointSystem, build_jcm, destroy, thermal_state
-from qtherm.qcore import Operator, trace_distance
+from qtherm.qcore import Operator, marginal, populations, trace_distance
 
 RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=False)
 RESONANT_RWA = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=True)
@@ -389,6 +391,14 @@ class TestFastMap:
         with pytest.warns(UserWarning):
             fast_map(sys, rho0, lam=1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rate(self, lam):
+        rng = np.random.default_rng(13)
+        sys = random_system(rng, 2, 2, gamma=0.01)
+        rho0 = np.kron(random_density(rng, 2), thermal_state(sys.h_b, 1.0).mat)
+        with pytest.raises(ConfigError):
+            fast_map(sys, rho0, lam)
+
     def test_against_brute_force_average(self):
         rng = np.random.default_rng(14)
         sys = random_system(rng, 3, 2, gamma=1.0)
@@ -445,6 +455,68 @@ class TestFastMap:
         n_op = np.diag(np.arange(sys.dim_a)).astype(complex)
         rate = -float(np.trace(n_op @ drho).real)
         assert abs(rate - composed) / abs(composed) < 0.01
+
+
+class TestSuperoperatorsMatchMaps:
+    """Every superoperator and reduced form is derived from one map; tie each back to it."""
+
+    @staticmethod
+    def exchange_system(rng, da, db, gamma=0.2):
+        # the coupling only moves B between energy levels (no B-diagonal blocks), so
+        # the first-order terms of both maps trace out of B on a thermal reservoir
+        sys = random_system(rng, da, db, gamma)
+        h_b = np.diag(np.sort(rng.normal(size=db))).astype(complex)
+        h_ab = sys.h_ab.mat.reshape(da, db, da, db).copy()
+        for b in range(db):
+            h_ab[:, b, :, b] = 0.0
+        return JointSystem(dim_a=da, dim_b=db, h_a=sys.h_a,
+                           h_b=Operator(h_b, hermitian=True),
+                           h_ab=Operator(h_ab.reshape(da * db, da * db), hermitian=True),
+                           gamma=gamma)
+
+    @pytest.fixture(params=[(3, 2, 21), (4, 3, 22)], ids=["3x2", "4x3"])
+    def case(self, request):
+        da, db, seed = request.param
+        rng = np.random.default_rng(seed)
+        sys = self.exchange_system(rng, da, db)
+        rho_a = random_density(rng, da)
+        rho_b = thermal_state(sys.h_b, 0.8).mat
+        return sys, rho_a, rho_b, np.kron(rho_a, rho_b)
+
+    @staticmethod
+    def apply(gen, rho):
+        d = rho.shape[0]
+        return (gen @ rho.reshape(-1)).reshape(d, d)
+
+    def test_joint_weak_generator(self, case):
+        sys, _, _, rho = case
+        spec = decompose(sys, 0.4)
+        np.testing.assert_allclose(self.apply(assemble_joint_weak_generator(spec), rho),
+                                   0.4 * weak_map(spec, rho), atol=1e-13)
+
+    def test_joint_fast_generator(self, case):
+        sys, _, _, rho = case
+        np.testing.assert_allclose(self.apply(assemble_joint_fast_generator(sys, 3.0), rho),
+                                   3.0 * fast_map(sys, rho, 3.0), atol=1e-13)
+
+    def test_reduced_generator(self, case):
+        sys, rho_a, _, rho = case
+        lam = 0.4
+        spec = decompose(sys, lam)
+        va = sys.basis_a.eigenvectors
+        got = va @ self.apply(assemble_reduced_generator(spec, 0.8), va.conj().T @ rho_a @ va) \
+            @ va.conj().T
+        h_a = sys.h_a.mat
+        dims = (sys.dim_a, sys.dim_b)
+        want = -1j * (h_a @ rho_a - rho_a @ h_a) + lam * marginal(weak_map(spec, rho), dims, "A")
+        np.testing.assert_allclose(got, want, atol=1e-13)
+
+    def test_fast_map_reduced(self, case):
+        sys, rho_a, rho_b, rho = case
+        lam = 3.0
+        pops = populations(rho_b, sys.basis_b.eigenvectors)
+        want = lam * marginal(fast_map(sys, rho, lam), (sys.dim_a, sys.dim_b), "A")
+        np.testing.assert_allclose(fast_map_reduced(sys, rho_a, pops, lam), want, atol=1e-15)
 
 
 class TestSteadyStateSolver:

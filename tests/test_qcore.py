@@ -9,8 +9,10 @@ from qtherm.qcore import (
     StateVector,
     diag_entropy,
     evolve,
+    marginal,
     partial_trace,
     relative_entropy,
+    superoperator,
     tensor_product,
     trace_distance,
     von_neumann_entropy,
@@ -109,6 +111,23 @@ class TestPartialTrace:
         rng = np.random.default_rng(4)
         with pytest.raises(DimensionError):
             partial_trace(random_density(rng, 6), (4, 2), "A")
+
+    @pytest.mark.parametrize("keep", ["A", "B"])
+    def test_marginal_of_a_stack(self, keep):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_density(rng, 6).mat for _ in range(4)]).reshape(2, 2, 6, 6)
+        got = marginal(stack, (3, 2), keep)
+        for idx in np.ndindex(2, 2):
+            np.testing.assert_allclose(got[idx], brute_force_partial_trace(stack[idx], 3, 2, keep),
+                                       atol=1e-13)
+
+
+def test_superoperator_is_row_major():
+    # row-major vec: vec(A rho B) = kron(A, B^T) vec(rho)
+    rng = np.random.default_rng(6)
+    a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    np.testing.assert_allclose(superoperator(lambda rho: a @ rho @ b, 3), np.kron(a, b.T),
+                               atol=1e-14)
 
 
 class TestEvolve:
