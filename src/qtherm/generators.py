@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 
 from .engine import IntervalRun, check_horizon, check_rate, run_intervals
 from .errors import DegenerateSteadyStateError, NumericError, PreconditionError
@@ -324,39 +326,59 @@ def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
 
 
 class _LinearPropagator:
-    """exp(t G) for a vectorized generator G, via its eigendecomposition.
+    """exp(t G) for a vectorized generator G, one independent block at a time.
+
+    The connected components of G's nonzero pattern are ``blocks`` of indices
+    that G never couples to each other (for the averaged generators, ket/bra
+    parity or excitation-number sectors), so exp(t G) is block-diagonal in
+    them.  Each block is eigendecomposed on its own; a block whose
+    eigenvectors are too ill-conditioned to invert (cond >= 1e10, a defective
+    block) is propagated with a dense ``expm`` of that block alone, listed in
+    ``expm_blocks``.
 
     As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
     the phase-weighted sum over the frequency ``sectors`` (omega, V_omega).
-    The averaged generator does not preserve positivity exactly: each
-    interval's joint state is checked against ``positivity_floor`` and the
-    state of A is re-normalized before the next interval.
+    The averaged generators are of GKSL form with a positive coefficient
+    matrix, but that matrix is nearly singular at small lam, so in floating
+    point (or for a generator the caller supplies) positivity and the trace
+    are not exactly preserved: each interval's joint state is checked against
+    ``positivity_floor`` and the state of A is re-normalized before the next
+    interval.
     """
 
     positivity_floor = -1e-5         # joint eigenvalues and the ledger's entropies
     checkpoint_floor = -1e-4         # S_A at the checkpoints
 
     def __init__(self, gen: np.ndarray, sectors):
-        self.gen = gen
+        # imported here, as loading csgraph adds ~1 MB of RSS to every run without one
+        from scipy.sparse.csgraph import connected_components
+
         self.sectors = tuple(sectors)
         self.dim = int(round(math.sqrt(gen.shape[0])))
-        evals, vr = np.linalg.eig(gen)
-        self.evals = evals
-        self.vr = vr
-        self.vr_inv = np.linalg.inv(vr)
-        self.cond_ok = np.linalg.cond(vr) < 1e10
+        _, labels = connected_components(csr_matrix(gen != 0), directed=False)
+        order = np.argsort(labels, kind="stable")
+        self.blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+        # blocks of one size are decomposed and applied as one stack
+        self._eig = []               # (indices, evals, vr, vr^-1), each stacked over blocks
+        self.expm_blocks = []        # (indices, block of G) for the ill-conditioned ones
+        for size in sorted({len(b) for b in self.blocks}):
+            idx = np.array([b for b in self.blocks if len(b) == size])
+            g = gen[idx[:, :, None], idx[:, None, :]]
+            evals, vr = np.linalg.eig(g)
+            ok = np.linalg.cond(vr) < 1e10
+            self._eig.append((idx[ok], evals[ok], vr[ok], np.linalg.inv(vr[ok])))
+            self.expm_blocks.extend(zip(idx[~ok], g[~ok]))
 
     def apply(self, theta: np.ndarray, t: float) -> np.ndarray:
-        d = self.dim
-        if self.cond_ok:
-            coeff = self.vr_inv @ theta.reshape(-1)
-            coeff = coeff * np.exp(self.evals * t)
-            out = (self.vr @ coeff).reshape(d, d)
-        else:
-            from scipy.linalg import expm
-            out = (expm(self.gen * t) @ theta.reshape(-1)).reshape(d, d)
-        return hermitian_part(out)
+        x = theta.reshape(-1)
+        out = np.empty(x.shape, dtype=complex)
+        for idx, evals, vr, vr_inv in self._eig:
+            coeff = (vr_inv @ x[idx][..., None])[..., 0] * np.exp(evals * t)
+            out[idx] = (vr @ coeff[..., None])[..., 0]
+        for idx, g in self.expm_blocks:
+            out[idx] = expm(g * t) @ x[idx]
+        return hermitian_part(out.reshape(self.dim, self.dim))
 
     def evolve(self, joint0: np.ndarray, tau: float) -> np.ndarray:
         return self.apply(joint0, tau)
@@ -401,7 +423,8 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
         checkpoint_times = np.linspace(0.0, horizon, 121)
     run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, rho_b), horizon,
                         checkpoint_times, spec.lam, seed, intervals)
-    run.meta.update(beta=beta, protocol="interval")
+    run.meta.update(beta=beta, protocol="interval", propagator_blocks=len(prop.blocks),
+                    largest_block=max(len(b) for b in prop.blocks))
     return run
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qtherm.analytic import mean_b2_poisson
 from qtherm.engine import AveragedIntervalMap
@@ -26,7 +27,7 @@ from qtherm.generators import (
     weak_map,
 )
 from qtherm.models import JcmParams, JointSystem, build_jcm, destroy, thermal_state
-from qtherm.qcore import Operator, marginal, populations, trace_distance
+from qtherm.qcore import Operator, marginal, populations, superoperator, trace_distance
 
 RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=False)
 RESONANT_RWA = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=True)
@@ -78,6 +79,8 @@ class TestDecompose:
         np.testing.assert_allclose(spec.s_coef, spec.s_coef.T.conj(), atol=1e-14)
         np.testing.assert_allclose(spec.a_coef, spec.a_coef.T.conj(), atol=1e-14)
         np.testing.assert_allclose(spec.d_coef, spec.d_coef.T.conj(), atol=1e-14)
+        # s is positive semidefinite, so the averaged dissipator is of GKSL form
+        assert np.linalg.eigvalsh(spec.s_coef).min() >= -1e-14 * np.abs(spec.s_coef).max()
 
     def test_rwa_single_sector_pair(self):
         p = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.5, gamma=0.05,
@@ -296,23 +299,46 @@ class TestLindbladPropagate:
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_interval_protocol_returns_near_positivity_floor(self):
-        # the averaged map loses positivity at small lam; here each interval's
-        # joint state sits within a factor 2 of the -1e-5 floor, and the
-        # checkpoint marginals (entropy floor -1e-4) must not stop the run
+        # the averaged generators are GKSL with a positive coefficient matrix,
+        # so they lose positivity only by rounding; adding cavity damping at a
+        # negative rate -eps gives a generator that is not CP: from |1> it drains
+        # the empty ground level, so the joint state's lowest eigenvalue after
+        # tau is about -eps tau in exact arithmetic.  The run must return with
+        # that value between the joint floor -1e-5 and -1e-6, matching a
+        # 30-digit reference, and the checkpoint marginals (entropy floor -1e-4)
+        # must not stop it.
+        import mpmath
+
         sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi,
-                                  gamma=0.1, n_max=6, rwa=False))
-        lam = 1e-5
-        spec = decompose(sys, lam)
+                                  gamma=0.1, n_max=1, rwa=False))
+        spec = decompose(sys, 0.5)
+        eps, tau = 3e-6, 1.0
+        a = np.kron(destroy(sys.dim_a), np.eye(sys.dim_b))
+        ada = a.conj().T @ a
+
+        def anti_damping(rho):
+            return -eps * (a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada))
+
+        gen = assemble_joint_weak_generator(spec) + superoperator(anti_damping, sys.dim)
         rho0 = np.zeros((sys.dim_a, sys.dim_a), complex)
         rho0[1, 1] = 1.0
         rho_b = thermal_state(sys.h_b, 1.0)
-        grid = np.linspace(0.0, 10 / lam, 11)
-        run = weak_interval_run(spec, rho_b, rho0, horizon=grid[-1], seed=3,
-                                checkpoint_times=grid)
+        run = weak_interval_run(spec, rho_b, rho0, horizon=tau, intervals=np.array([tau]),
+                                checkpoint_times=np.linspace(0.0, tau, 5), generator=gen)
+        assert len(run.ledgers) == 1 and len(run.checkpoint_times) == 5
         assert -1e-5 < run.min_eig < -1e-6
-        out = lindblad_propagate(spec, rho0, rho_b, grid, "interval", seed=3)
-        assert out.shape == (len(grid), sys.dim_a, sys.dim_a)
-        assert np.isfinite(out).all()
+
+        d = sys.dim
+        with mpmath.workdps(30):
+            vec = mpmath.expm(mpmath.matrix(gen.tolist()) * tau) \
+                * mpmath.matrix(np.kron(rho0, rho_b.mat).reshape(-1).tolist())
+            joint = mpmath.matrix(d, d)
+            for i in range(d):
+                for j in range(d):
+                    joint[i, j] = (vec[i * d + j] + mpmath.conj(vec[j * d + i])) / 2
+            want = float(min(mpmath.eigh(joint, eigvals_only=True)))
+        assert -1e-5 < want < -1e-6
+        assert abs(run.min_eig - want) < 1e-12
 
     def test_interval_protocol_rejects_infinite_horizon(self):
         sys = build_jcm(JcmParams(n_max=2))
@@ -363,17 +389,55 @@ class TestLindbladPropagate:
 
 class TestLinearPropagator:
     def test_defective_generator_falls_back_to_dense_expm(self):
-        # a Jordan block has no eigenbasis: cond(vr) ~ 1e291 forces the dense branch
+        # a Jordan block has no eigenbasis: cond(vr) ~ 1e291 sends block {0, 1},
+        # and only it, to expm; indices 2 and 3 are 1x1 blocks of their own
         g = np.zeros((4, 4))
         g[0, 1] = 1.0
         prop = _LinearPropagator(g, ())
-        assert not prop.cond_ok
+        assert [b.tolist() for b in prop.blocks] == [[0, 1], [2], [3]]
+        assert [idx.tolist() for idx, _ in prop.expm_blocks] == [[0, 1]]
         theta = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
         t = 0.7
         # g is nilpotent, so exp(t g) = 1 + t g exactly
         want = ((np.eye(4) + t * g) @ theta.reshape(-1)).reshape(2, 2)
         np.testing.assert_allclose(prop.apply(theta, t), 0.5 * (want + want.conj().T),
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
+    @pytest.mark.parametrize("kind", ["weak", "fast"])
+    def test_blockwise_apply_matches_dense_expm(self, kind, rwa):
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                  gamma=0.1, n_max=3, rwa=rwa))
+        lam = 0.2 if kind == "weak" else 5.0
+        gen = (assemble_joint_weak_generator(decompose(sys, lam)) if kind == "weak"
+               else assemble_joint_fast_generator(sys, lam))
+        prop = _LinearPropagator(gen, ())
+        # the blocks partition the indices and G couples no two of them
+        idx = np.concatenate(prop.blocks)
+        np.testing.assert_array_equal(np.sort(idx), np.arange(gen.shape[0]))
+        label = np.empty(gen.shape[0], dtype=int)
+        for k, b in enumerate(prop.blocks):
+            label[b] = k
+        rows, cols = np.nonzero(gen)
+        assert (label[rows] == label[cols]).all()
+        assert len(prop.blocks) > 1 and not prop.expm_blocks
+        rho = random_density(np.random.default_rng(7), sys.dim)
+        for t in (0.1 / lam, 1.0 / lam, 10.0 / lam):
+            want = (expm(t * gen) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
+            np.testing.assert_allclose(prop.apply(rho, t), want,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("rwa,n_blocks,largest", [(False, 4, 225), (True, 256, 4)],
+                             ids=["full", "rwa"])
+    def test_weak_run_reports_blocks(self, rwa, n_blocks, largest):
+        # n_max 14 (the CLI default): full coupling splits by ket/bra parity,
+        # the rotating-wave coupling by excitation number
+        sys = build_jcm(JcmParams(n_max=14, rwa=rwa))
+        rho_b = thermal_state(sys.h_b, 1.0)
+        run = weak_interval_run(decompose(sys, 0.1), rho_b, thermal_state(sys.h_a, 1.0),
+                                horizon=1.0, intervals=np.array([1.0]),
+                                checkpoint_times=np.array([0.0, 1.0]))
+        assert (run.meta["propagator_blocks"], run.meta["largest_block"]) == (n_blocks, largest)
 
 
 class TestFastMap:
