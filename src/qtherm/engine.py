@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, PreconditionError
 from .models import JointSystem, TRUNCATION_LIMIT, check_beta, thermal_state
 from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
-                    hermitian_part, marginal, populations, von_neumann_entropy)
+                    hermitian_part, marginal, populations, propagate_grid, superoperator,
+                    von_neumann_entropy)
 from .thermo import IntervalLedger, ledger_for_interval
 
 BORN_TOL = 1e-10
@@ -622,8 +622,8 @@ class AveragedIntervalMap:
         return rho
 
 
-def jump_averaged_generator(sys: JointSystem, beta: float, lam: float):
-    """Right-hand side of the exact ensemble-averaged joint master equation.
+def jump_averaged_generator(sys: JointSystem, beta: float, lam: float) -> np.ndarray:
+    """Row-major superoperator of the exact ensemble-averaged joint master equation.
 
     d rho/dt = -i[H, rho] + lam (Tr_B rho (x) rho_B(0) - rho).  This is the
     exact average of the piecewise-unitary process over both outcomes and
@@ -634,45 +634,33 @@ def jump_averaged_generator(sys: JointSystem, beta: float, lam: float):
     dims = (sys.dim_a, sys.dim_b)
 
     def rhs(rho: np.ndarray) -> np.ndarray:
+        # on a stack of matrices: np.kron of a stack with rho_B[None] krons each one
         comm = h @ rho - rho @ h
-        replaced = np.kron(marginal(rho, dims, "A"), rho_b)
+        replaced = np.kron(marginal(rho, dims, "A"), rho_b[None])
         return -1j * comm + lam * (replaced - rho)
 
-    return rhs
+    return superoperator(rhs, sys.dim)
 
 
 def ensemble_average_series(sys: JointSystem, beta: float, lam: float,
-                            rho_a0: np.ndarray, t_eval: np.ndarray,
-                            rtol: float = 1e-9, atol: float = 1e-11):
-    """Exact ensemble-mean observables of the process on a time grid.
+                            rho_a0: np.ndarray, t_eval: np.ndarray):
+    """Exact ensemble-mean observables of the process on a sorted time grid.
 
-    Returns (rho_a_stack, mean_ha, mean_hb, mean_hab) where mean_hab includes
-    the gamma factor.
+    The jump-averaged generator is constant and linear, so the joint state is
+    propagated exactly from t = 0 (``qcore.propagate_grid``).  Returns
+    (rho_a_stack, mean_ha, mean_hb, mean_hab) where mean_hab includes the
+    gamma factor.
     """
-    rhs = jump_averaged_generator(sys, beta, lam)
+    gen = jump_averaged_generator(sys, beta, lam)
     d = sys.dim
     rho_b = thermal_state(sys.h_b, beta).mat
     y0 = np.kron(np.asarray(rho_a0, dtype=complex), rho_b).reshape(-1)
-
-    def f(t, y):
-        return rhs(y.reshape(d, d)).reshape(-1)
-
-    t_eval = np.asarray(t_eval, dtype=float)
-    sol = solve_ivp(f, (0.0, float(t_eval[-1])), y0, t_eval=t_eval,
-                    rtol=rtol, atol=atol, method="RK45")
-    if not sol.success:
-        raise RuntimeError(f"ensemble-average integration failed: {sol.message}")
+    rho = propagate_grid(gen, y0, 0.0, t_eval).reshape(-1, d, d)
     dims = (sys.dim_a, sys.dim_b)
-    rho_a = np.empty((len(t_eval), sys.dim_a, sys.dim_a), complex)
-    ha = np.empty(len(t_eval))
-    hb = np.empty(len(t_eval))
-    hab = np.empty(len(t_eval))
-    for i in range(len(t_eval)):
-        rho = sol.y[:, i].reshape(d, d)
-        rho_a[i] = hermitian_part(marginal(rho, dims, "A"))
-        ha[i] = float(np.trace(sys.h_a.mat @ rho_a[i]).real)
-        hb[i] = float(np.trace(sys.h_b.mat @ marginal(rho, dims, "B")).real)
-        hab[i] = sys.gamma * float(np.trace(sys.h_ab.mat @ rho).real)
+    rho_a = hermitian_part(marginal(rho, dims, "A"))
+    ha = np.einsum("ij,tji->t", sys.h_a.mat, rho_a).real
+    hb = np.einsum("ij,tji->t", sys.h_b.mat, marginal(rho, dims, "B")).real
+    hab = sys.gamma * np.einsum("ij,tji->t", sys.h_ab.mat, rho).real
     return rho_a, ha, hb, hab
 
 

@@ -21,15 +21,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
 
 from .engine import IntervalRun, check_horizon, check_rate, run_intervals
 from .errors import DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, thermal_state
-from .qcore import (Operator, DensityMatrix, as_matrix, hermitian_part, marginal,
-                    populations, superoperator)
+from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, hermitian_part,
+                    marginal, populations, propagate_grid, superoperator)
 
 
 @dataclass(frozen=True)
@@ -261,11 +258,12 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
                        seed: int | None = None) -> np.ndarray:
     """Propagate the weak-coupling dynamics of rho_A over ``t_grid``.
 
-    "continuous" integrates the reduced master equation with an adaptive
-    explicit scheme.  "interval" evolves the joint state under the averaged
-    second-order generator in measured intervals (drawn at rate lam from
-    ``seed`` unless given explicitly), applying the reservoir-replacement map
-    after each one; only the time-propagator differs from the exact process.
+    "continuous" propagates the reduced master equation, whose generator is
+    constant, exactly from ``t_grid[0]`` (``qcore.propagate_grid``).
+    "interval" evolves the joint state under the averaged second-order
+    generator in measured intervals (drawn at rate lam from ``seed`` unless
+    given explicitly), applying the reservoir-replacement map after each one;
+    only the time-propagator differs from the exact process.
     Returns the stack of rho_A matrices at the grid times (storage basis).
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -278,15 +276,7 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
         gen = assemble_reduced_generator(spec, beta)
         va = sys.basis_a.eigenvectors
         y0 = (va.conj().T @ rho_a0 @ va).reshape(-1)
-
-        def f(t, y):
-            return gen @ y
-
-        sol = solve_ivp(f, (float(t_grid[0]), float(t_grid[-1])), y0, t_eval=t_grid,
-                        rtol=1e-10, atol=1e-12, method="RK45")
-        if not sol.success:
-            raise NumericError(f"continuous propagation failed: {sol.message}")
-        r = hermitian_part(sol.y.T.reshape(-1, da, da))
+        r = hermitian_part(propagate_grid(gen, y0, t_grid[0], t_grid).reshape(-1, da, da))
         if np.linalg.eigvalsh(r).min() < -1e-7:
             raise NumericError("positivity violated beyond 1e-7 during propagation")
         return va @ r @ va.conj().T
@@ -351,14 +341,9 @@ class _LinearPropagator:
     checkpoint_floor = -1e-4         # S_A at the checkpoints
 
     def __init__(self, gen: np.ndarray, sectors):
-        # imported here, as loading csgraph adds ~1 MB of RSS to every run without one
-        from scipy.sparse.csgraph import connected_components
-
         self.sectors = tuple(sectors)
         self.dim = int(round(math.sqrt(gen.shape[0])))
-        _, labels = connected_components(csr_matrix(gen != 0), directed=False)
-        order = np.argsort(labels, kind="stable")
-        self.blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+        self.blocks = connected_blocks(gen != 0)
         # blocks of one size are decomposed and applied as one stack
         self._eig = []               # (indices, evals, vr, vr^-1), each stacked over blocks
         self.expm_blocks = []        # (indices, block of G) for the ill-conditioned ones
@@ -376,8 +361,12 @@ class _LinearPropagator:
         for idx, evals, vr, vr_inv in self._eig:
             coeff = (vr_inv @ x[idx][..., None])[..., 0] * np.exp(evals * t)
             out[idx] = (vr @ coeff[..., None])[..., 0]
-        for idx, g in self.expm_blocks:
-            out[idx] = expm(g * t) @ x[idx]
+        if self.expm_blocks:
+            # imported here, as scipy costs ~0.3 s and ~45 MB in every run that needs no expm
+            from scipy.linalg import expm
+
+            for idx, g in self.expm_blocks:
+                out[idx] = expm(g * t) @ x[idx]
         return hermitian_part(out.reshape(self.dim, self.dim))
 
     def evolve(self, joint0: np.ndarray, tau: float) -> np.ndarray:
@@ -424,7 +413,8 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
     run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, rho_b), horizon,
                         checkpoint_times, spec.lam, seed, intervals)
     run.meta.update(beta=beta, protocol="interval", propagator_blocks=len(prop.blocks),
-                    largest_block=max(len(b) for b in prop.blocks))
+                    largest_block=max(len(b) for b in prop.blocks),
+                    expm_blocks=len(prop.expm_blocks))
     return run
 
 

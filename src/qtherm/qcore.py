@@ -178,6 +178,70 @@ def superoperator(fn, d: int) -> np.ndarray:
     return fn(units).reshape(d * d, d * d).T
 
 
+def connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a square nonzero pattern, its entries taken as undirected edges.
+
+    Every index starts as the root of its own tree.  Each pass hooks the root
+    of both ends of every edge (i, j) to the smaller of their two roots, then
+    points every index at its root (pointer jumping), until a pass changes
+    nothing; each root is then its component's smallest index.  The blocks
+    come ordered by that index, each in ascending order.
+    """
+    rows, cols = np.nonzero(pattern)
+    root = np.arange(pattern.shape[0])
+    while True:
+        low = np.minimum(root[rows], root[cols])
+        new = root.copy()
+        np.minimum.at(new, root[rows], low)
+        np.minimum.at(new, root[cols], low)
+        while not (new[new] == new).all():
+            new = new[new]
+        if (new == root).all():
+            break
+        root = new
+    _, counts = np.unique(root, return_counts=True)
+    return np.split(np.argsort(root, kind="stable"), np.cumsum(counts)[:-1])
+
+
+def propagate_grid(gen: np.ndarray, y0: np.ndarray, t0: float, t_grid) -> np.ndarray:
+    """Stack of exp((t - t0) G) y0 over a sorted time grid, for a constant generator G.
+
+    Exact up to rounding: per connected block of G (``connected_blocks``), one
+    ``expm`` per distinct step between neighbouring times (keyed on the exact
+    float step), then matrix-vector products.  An eigendecomposition is not
+    used, as the generators are non-normal.  Holds one matrix of each block's
+    size per distinct step.
+    """
+    # imported here, as scipy costs ~0.5 s and ~45 MB in every run that propagates no reference
+    from scipy.linalg import expm
+
+    t_grid = np.asarray(t_grid, dtype=float)
+    steps = np.diff(t_grid, prepend=float(t0))
+    if (steps < 0).any():
+        raise ValueError("time grid must be sorted and start at or after t0")
+    gen = np.asarray(gen, dtype=complex)
+    y0 = np.asarray(y0, dtype=complex)
+    out = np.zeros((len(t_grid), len(y0)), dtype=complex)
+    for idx in connected_blocks(gen != 0):
+        if not y0[idx].any():
+            continue                 # exp(tG) keeps a block that starts at zero at zero
+        g = gen[np.ix_(idx, idx)]
+        eye = np.eye(len(idx), dtype=complex)
+        # exp(hG) = exp(h'G) exp((h - h')G) from the next smaller step h'.  Steps a
+        # rounding apart (as in a linspace grid) differ by an A = (h - h')G so small
+        # that exp(A) = 1 + A to double precision (the remainder is ~|A|^2 / 2 < 1e-16)
+        cache: dict[float, np.ndarray] = {}
+        prev_h, prev = 0.0, eye
+        for h in np.unique(steps).tolist():
+            a = (h - prev_h) * g
+            prev = cache[h] = prev @ (eye + a if np.abs(a).sum(0).max() < 1e-8 else expm(a))
+            prev_h = h
+        y = y0[idx]
+        for k, h in enumerate(steps.tolist()):
+            y = out[k, idx] = cache[h] @ y
+    return out
+
+
 def populations(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Diagonal of rho in the orthonormal basis given by the columns of ``vecs``."""
     return np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs).real

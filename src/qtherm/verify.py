@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import amplitudes, mean_b2_poisson
 from .engine import (
@@ -115,6 +114,9 @@ def check_block_oracle() -> CheckResult:
 @_timed
 def check_poisson_average() -> CheckResult:
     """mean_b2_poisson against adaptive quadrature of the exponential average."""
+    # imported here, as scipy costs ~0.5 s and ~45 MB in every CLI run but verify
+    from scipy.integrate import quad
+
     worst = 0.0
     for lam in (1e-4, 1e-2, 1.0, 1e2):
         for n in (1, 5):

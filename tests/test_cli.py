@@ -1,12 +1,37 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qtherm import cli
 from qtherm.errors import ConfigError
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Runs in a fresh interpreter: prints the loaded scipy modules after the import
+# and again after every command but verify.
+SCIPY_PROBE = """
+import sys
+from qtherm import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print(scipy_modules())
+out = sys.argv[1]
+for args in (["simulate", "--mode", "both", "--config", out + "/small.cfg"],
+             ["simulate", "--mode", "both", "--config", out + "/traj.cfg"],
+             ["simulate", "--mode", "fast", "--config", out + "/fast.cfg"],
+             ["steady-scan", "--config", out + "/small.cfg"],
+             ["jcm-analytic", "--config", out + "/small.cfg"]):
+    assert cli.main(args + ["--out", out + "/" + args[0], "--quiet"]) == 0, args
+print(scipy_modules())
+"""
 
 
 def read_csv(path):
@@ -125,6 +150,26 @@ class TestJcmAnalytic:
         assert len(cols["t"]) == 3 * 41
         unit = cols["re_a"] ** 2 + cols["im_a"] ** 2 + cols["abs_b2"]
         np.testing.assert_allclose(unit, 1.0, atol=1e-12)
+
+
+class TestScipyFreeStart:
+    def test_cli_commands_load_no_scipy(self, tmp_path):
+        # scipy is needed only by verify, the dense-expm fallback and the reference
+        # propagation; importing the CLI or running any other command loads none of it
+        small = "n_max = 3\nhorizon = 20\ncheckpoints = 5\nscan_n_max = 3\n" \
+                "beta_list = 1.0,4.0\nn_levels = 2\nt_points = 5\n"
+        (tmp_path / "small.cfg").write_text(small)
+        (tmp_path / "traj.cfg").write_text(small + "mode = trajectory\nn_traj = 8\n")
+        (tmp_path / "fast.cfg").write_text(small + "lambda = 5.0\n")
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+                             capture_output=True, text=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["[]", "[]"], res.stdout
+        assert (tmp_path / "simulate" / "timeseries_weak.csv").exists()
+        assert (tmp_path / "simulate" / "timeseries_fast.csv").exists()
+        assert (tmp_path / "steady-scan" / "steady_scan.csv").exists()
 
 
 class TestMain:

@@ -250,6 +250,40 @@ class TestRunProcess:
         assert all(b == 2.0 for b in betas[1:])
 
 
+class TestEnsembleAverageSeries:
+    def test_matches_tight_rk45(self):
+        # exact grid propagation against an independent tight-tolerance integration,
+        # on a non-uniform grid whose steps repeat (0.5 three times) or lie a
+        # rounding apart (the linspace part's 0.3s)
+        from scipy.integrate import solve_ivp
+
+        sys = build_jcm(JcmParams(gamma=0.2, n_max=3, rwa=False))
+        beta, lam = 0.7, 0.3
+        rho_a0 = fock(1, sys.dim_a).projector().mat
+        grid = np.concatenate([np.linspace(0.3, 3.0, 10), [3.5, 4.0, 9.0, 9.5]])
+        got = ensemble_average_series(sys, beta, lam, rho_a0, grid)
+        h, d = sys.total_h.mat, sys.dim
+        dims = (sys.dim_a, sys.dim_b, sys.dim_a, sys.dim_b)
+        rho_b = thermal_state(sys.h_b, beta).mat
+
+        def rhs(t, y):
+            rho = y.reshape(d, d)
+            rho_a = np.einsum("abcb->ac", rho.reshape(dims))
+            return (-1j * (h @ rho - rho @ h) + lam * (np.kron(rho_a, rho_b) - rho)).ravel()
+
+        sol = solve_ivp(rhs, (0.0, grid[-1]), np.kron(rho_a0, rho_b).ravel(), t_eval=grid,
+                        rtol=1e-12, atol=1e-14, method="DOP853")
+        rho = sol.y.T.reshape(-1, d, d)
+        rho_a = np.einsum("tabcb->tac", rho.reshape((-1,) + dims))
+        rho_bt = np.einsum("tabad->tbd", rho.reshape((-1,) + dims))
+        want = (rho_a,
+                np.einsum("ij,tji->t", sys.h_a.mat, rho_a).real,
+                np.einsum("ij,tji->t", sys.h_b.mat, rho_bt).real,
+                sys.gamma * np.einsum("ij,tji->t", sys.h_ab.mat, rho).real)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+
+
 class TestAveragedIntervalMap:
     def test_matches_time_quadrature(self):
         p = JcmParams(omega_a=1.3, omega_b=1.7, gamma=0.2, n_max=2, rwa=False)
@@ -261,13 +295,14 @@ class TestAveragedIntervalMap:
         rho_a = m @ m.conj().T
         rho_a /= np.trace(rho_a).real
         got = amap.apply(rho_a)
-        # oracle: dense Simpson average of the exact step over exp(lam) times
+        # oracle: composite Gauss-Legendre average (50 panels x 16 nodes) of the
+        # exact step over exp(lam) times on [0, 50 / lam]
         rho_b = thermal_state(sys.h_b, 0.9)
-        ts = np.linspace(0.0, 50.0 / lam, 40001)
-        h = ts[1] - ts[0]
-        wgt = np.ones(len(ts))
-        wgt[1:-1:2], wgt[2:-1:2] = 4.0, 2.0
-        wgt *= h / 3.0
+        x, w = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(0.0, 50.0 / lam, 51)
+        half = 0.5 * np.diff(edges)[:, None]
+        ts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+        wgt = (half * w).ravel()
         acc = np.zeros_like(got)
         for t, wg in zip(ts, wgt):
             out = step_interval(DensityMatrix(rho_a), rho_b, sys, float(t))

@@ -280,6 +280,27 @@ class TestLindbladPropagate:
         for r in out:
             assert abs(np.trace(r).real - 1.0) < 1e-9
 
+    def test_continuous_matches_tight_rk45(self):
+        # exact grid propagation against an independent tight-tolerance integration,
+        # on a non-uniform grid whose steps repeat (0.5 three times) or lie a
+        # rounding apart (the linspace part's 0.3s)
+        from scipy.integrate import solve_ivp
+
+        sys = build_jcm(JcmParams(gamma=0.2, n_max=3, rwa=False))
+        beta, lam = 0.7, 0.3
+        spec = decompose(sys, lam)
+        rho0 = random_density(np.random.default_rng(5), sys.dim_a)
+        grid = np.concatenate([np.linspace(0.3, 3.0, 10), [3.5, 4.0, 9.0, 9.5]])
+        got = lindblad_propagate(spec, rho0, thermal_state(sys.h_b, beta), grid, "continuous")
+        gen = assemble_reduced_generator(spec, beta)
+        va = sys.basis_a.eigenvectors
+        sol = solve_ivp(lambda t, y: gen @ y, (grid[0], grid[-1]),
+                        (va.conj().T @ rho0 @ va).reshape(-1), t_eval=grid,
+                        rtol=1e-12, atol=1e-14, method="DOP853")
+        want = va @ sol.y.T.reshape(-1, sys.dim_a, sys.dim_a) @ va.conj().T
+        np.testing.assert_allclose(got, 0.5 * (want + want.conj().swapaxes(1, 2)),
+                                   rtol=0, atol=1e-10)
+
     def test_interval_protocol_free_limit_is_lab_frame(self):
         # gamma = 0 must reduce to free evolution, coherence phases included
         sys = build_jcm(JcmParams(gamma=0.0, n_max=3, rwa=True))
@@ -438,6 +459,23 @@ class TestLinearPropagator:
                                 horizon=1.0, intervals=np.array([1.0]),
                                 checkpoint_times=np.array([0.0, 1.0]))
         assert (run.meta["propagator_blocks"], run.meta["largest_block"]) == (n_blocks, largest)
+
+    @pytest.mark.parametrize("mode", ["weak", "fast"])
+    def test_default_run_needs_no_expm(self, mode):
+        # at the CLI defaults every block has an invertible eigenbasis, so no run
+        # falls back to (or loads scipy for) a dense expm
+        from qtherm.cli import resolve_config
+
+        cfg = resolve_config(None, {})
+        lam = cfg["lambda"] if mode == "weak" else 5.0
+        sys = build_jcm(JcmParams(omega_a=cfg["omega_a"], omega_b=cfg["omega_b"],
+                                  gamma=cfg["gamma"], n_max=cfg["n_max"], rwa=cfg["rwa"]))
+        args = (thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0))
+        opts = dict(horizon=1.0, intervals=np.array([1.0]),
+                    checkpoint_times=np.array([0.0, 1.0]))
+        run = (weak_interval_run(decompose(sys, lam), *args, **opts) if mode == "weak"
+               else fast_interval_run(sys, lam, *args, **opts))
+        assert run.meta["expm_blocks"] == 0
 
 
 class TestFastMap:

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from qtherm.errors import DimensionError, PositivityError, SizeLimitError
+from qtherm.generators import (assemble_joint_fast_generator, assemble_joint_weak_generator,
+                               decompose)
+from qtherm.models import JcmParams, build_jcm
 from qtherm.qcore import (
     DensityMatrix,
     Operator,
     Propagator,
     StateVector,
+    connected_blocks,
     diag_entropy,
     evolve,
     marginal,
@@ -254,3 +258,41 @@ def test_trace_distance_basic():
     b = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     assert abs(trace_distance(a, b) - 1.0) < 1e-14
     assert trace_distance(a, a) < 1e-14
+
+
+class TestConnectedBlocks:
+    @staticmethod
+    def csgraph_blocks(pattern):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        _, labels = connected_components(csr_matrix(pattern), directed=False)
+        order = np.argsort(labels, kind="stable")
+        return [b.tolist() for b in np.split(order, np.cumsum(np.bincount(labels))[:-1])]
+
+    def test_chain_cycle_and_isolated_indices(self):
+        # a 150-long chain visited in shuffled order, with one-way edges only (the
+        # pattern is not symmetric) and pointers that take several jumping passes to
+        # reach the root, a 3-cycle, an index with only a self-loop and one with nothing
+        n = 155
+        rng = np.random.default_rng(3)
+        perm = rng.permutation(n)
+        chain, cycle, loop, isolated = perm[:150], perm[150:153], perm[153], perm[154]
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[chain[:-1], chain[1:]] = True
+        pattern[cycle, np.roll(cycle, 1)] = True
+        pattern[loop, loop] = True
+        got = [b.tolist() for b in connected_blocks(pattern)]
+        assert got == self.csgraph_blocks(pattern)
+        assert sorted(chain.tolist()) in got and sorted(cycle.tolist()) in got
+        assert [loop] in got and [isolated] in got and len(got) == 4
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
+    @pytest.mark.parametrize("kind", ["weak", "fast"])
+    def test_averaged_generators_match_csgraph(self, kind, rwa):
+        # the partition, and the block order, that the blockwise propagator used from scipy
+        sys = build_jcm(JcmParams(n_max=6, rwa=rwa))
+        gen = (assemble_joint_weak_generator(decompose(sys, 0.1)) if kind == "weak"
+               else assemble_joint_fast_generator(sys, 5.0))
+        got = [b.tolist() for b in connected_blocks(gen != 0)]
+        assert got == self.csgraph_blocks(gen != 0)
