@@ -23,7 +23,8 @@ from .qcore import (
     trace_distance,
     von_neumann_entropy,
 )
-from .models import JcmParams, JointSystem, build_jcm, thermal_state, validate_coupling
+from .models import (JcmParams, JointSystem, build_jcm, thermal_populations, thermal_state,
+                     validate_coupling)
 from .engine import (
     EnsembleSummary,
     MeasurementOutcome,

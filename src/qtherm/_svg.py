@@ -35,8 +35,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 
 
 def line_chart(path: str, title: str, xlabel: str, ylabel: str,
-               series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-               logy: bool = False) -> None:
+               series: Sequence[tuple[str, Sequence[float], Sequence[float]]]) -> None:
     """Write a line chart with one polyline per named series."""
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
            if math.isfinite(x) and math.isfinite(y)]

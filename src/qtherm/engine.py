@@ -24,7 +24,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .models import JointSystem, TRUNCATION_LIMIT, check_beta, thermal_state
+from .models import JointSystem, TRUNCATION_LIMIT, check_beta, thermal_populations, thermal_state
 from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
                     hermitian_part, marginal, populations, propagate_grid, superoperator,
                     von_neumann_entropy)
@@ -397,12 +397,12 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     on a batch of one outcome-averaged state.
 
     Interval k couples rho_A to the reservoir input ``reservoir(k)`` =
-    (beta_k, rho_B) and evolves the product with ``prop`` for the next
-    scheduled time: ``intervals`` if given, else exponential draws at rate
-    ``lam`` from ``seed``.  ``prop`` supplies evolve(joint0, tau),
-    hab_expect(joint, tau) (gamma excluded), check_positivity(joint) -> lowest
-    eigenvalue checked, next_state(rho_A), and the entropy floors
-    ``positivity_floor`` and ``checkpoint_floor``.
+    (beta_k, populations of B in ``sys.basis_b``) and evolves the product
+    with ``prop`` for the next scheduled time: ``intervals`` if given, else
+    exponential draws at rate ``lam`` from ``seed``.  ``prop`` supplies
+    evolve(joint0, tau), hab_expect(joint, tau) (gamma excluded),
+    check_positivity(joint) -> lowest eigenvalue checked, next_state(rho_A),
+    and the entropy floors ``positivity_floor`` and ``checkpoint_floor``.
     """
     grid = np.asarray(grid, dtype=float)
     dims = (sys.dim_a, sys.dim_b)
@@ -415,8 +415,8 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
 
     def step(k, live, u, t_k, checkpoints, completes):
         nonlocal rho_a, born_max, min_eig
-        beta_k, rho_b0 = reservoir(k)
-        joint0 = np.kron(rho_a, rho_b0)
+        beta_k, pops_b0 = reservoir(k)
+        joint0 = np.kron(rho_a, (v_b * pops_b0) @ v_b.conj().T)
         for j, _, tau in checkpoints:
             tau = float(tau[0])
             joint = prop.evolve(joint0, tau)
@@ -436,9 +436,9 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         min_eig = min(min_eig, prop.check_positivity(joint_t))
         rho_a_end, pops_b, h_ab_expect = _end_interval(prop, sys, joint_t, t_k)
         born_max = max(born_max, abs(pops_b.sum() - 1.0))
-        rho_b_end = (v_b * np.clip(pops_b, 0.0, None)) @ v_b.conj().T
-        led = ledger_for_interval(rho_a, rho_a_end, rho_b0, rho_b_end, h_ab_expect, sys,
-                                  beta_k, positivity_floor=prop.positivity_floor)
+        led = ledger_for_interval(rho_a, rho_a_end, pops_b0, np.clip(pops_b, 0.0, None),
+                                  h_ab_expect, sys, beta_k,
+                                  positivity_floor=prop.positivity_floor)
         ledgers.append(led)
         rho_a = prop.next_state(rho_a_end)
         snapshots.append(rho_a)
@@ -489,7 +489,7 @@ def _run_density_matrix(cfg: ProcessConfig, sys: JointSystem) -> TrajectoryRecor
 
     def reservoir(k: int):
         beta_k = cfg.beta_for(k)
-        return beta_k, thermal_state(sys.h_b, beta_k).mat
+        return beta_k, thermal_populations(sys.basis_b.eigenvalues, beta_k)
 
     run = run_intervals(_JointFrame(sys), sys, rho_a, reservoir, cfg.horizon, cfg.grid(),
                         cfg.lam, cfg.seed, cfg.intervals)
@@ -538,7 +538,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     def step(k, live, u, t_k, checkpoints, completes):
         nonlocal born_max, truncation
         beta = cfg.beta_for(k)
-        pops = np.clip(populations(thermal_state(sys.h_b, beta).mat, v_b), 0.0, None)
+        pops = thermal_populations(sys.basis_b.eigenvalues, beta)
         joint0 = psi_a[live][:, :, None] * v_b.T[_draw_index(pops, u[:, 0])][:, None, :]
         c0 = frame.to_frame(joint0.reshape(live.size, -1))
         for j, on, tau in checkpoints:
@@ -649,8 +649,10 @@ def ensemble_average_series(sys: JointSystem, beta: float, lam: float,
     The jump-averaged generator is constant and linear, so the joint state is
     propagated exactly from t = 0 (``qcore.propagate_grid``).  Returns
     (rho_a_stack, mean_ha, mean_hb, mean_hab) where mean_hab includes the
-    gamma factor.
+    gamma factor.  An empty grid is a ConfigError.
     """
+    if len(t_eval) == 0:
+        raise ConfigError("time grid is empty")
     gen = jump_averaged_generator(sys, beta, lam)
     d = sys.dim
     rho_b = thermal_state(sys.h_b, beta).mat
@@ -679,8 +681,7 @@ def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: f
     if db != 2:
         raise PreconditionError("absorption scoring assumes a two-level reservoir")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    pops_in = np.clip(populations(thermal_state(sys.h_b, beta).mat, v_b), 0.0, None)
-    pops_in = pops_in / pops_in.sum()
+    pops_in = thermal_populations(sys.basis_b.eigenvalues, beta)
     c0 = frame.to_frame(np.array([np.kron(psi_a.vec, v_b[:, b]) for b in range(db)]))
     x_sum = 0.0
     x2_sum = 0.0

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import IntervalRun, check_horizon, check_rate, run_intervals
-from .errors import DegenerateSteadyStateError, NumericError, PreconditionError
+from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, thermal_state
-from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, hermitian_part,
-                    marginal, populations, propagate_grid, superoperator)
+from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
+                    hermitian_part, marginal, populations, propagate_grid, superoperator)
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ class GeneratorSpec:
         return out
 
 
-def decompose(sys: JointSystem, lam: float, tol: float | None = None) -> GeneratorSpec:
+def decompose(sys: JointSystem, lam: float) -> GeneratorSpec:
     """Split H_AB into frequency sectors of the uncoupled Hamiltonian.
 
-    Frequencies closer than ``tol`` (default 1e-9 * max|omega|) are binned
-    together; binning is symmetric so that V(-w) = V(w)^+ holds exactly.
-    A rate that is not positive and finite is a ConfigError.
+    Frequencies closer than 1e-9 * max|omega| are binned together; binning is
+    symmetric so that V(-w) = V(w)^+ holds exactly.  A rate that is not
+    positive and finite is a ConfigError.
     """
     check_rate(lam)
     e_a = sys.basis_a.eigenvalues
@@ -77,10 +77,7 @@ def decompose(sys: JointSystem, lam: float, tol: float | None = None) -> Generat
     omega = e0[:, None] - e0[None, :]
 
     scale = float(np.abs(omega).max()) if omega.size else 0.0
-    if tol is None:
-        tol = 1e-9 * scale if scale > 0 else 1e-12
-    if tol <= 0:
-        raise ValueError("binning tolerance must be positive")
+    tol = 1e-9 * scale if scale > 0 else 1e-12
 
     # cluster |omega| so sectors come in symmetric +-pairs
     mags = np.sort(np.unique(np.abs(omega).ravel()))
@@ -252,51 +249,34 @@ def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = 
                              beta_eff=beta_eff, residual=residual)
 
 
-def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid,
-                       measurement_protocol: str = "continuous",
-                       intervals: np.ndarray | None = None,
-                       seed: int | None = None) -> np.ndarray:
-    """Propagate the weak-coupling dynamics of rho_A over ``t_grid``.
+def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid) -> np.ndarray:
+    """Propagate the continuous weak-coupling master equation of rho_A over ``t_grid``.
 
-    "continuous" propagates the reduced master equation, whose generator is
-    constant, exactly from ``t_grid[0]`` (``qcore.propagate_grid``).
-    "interval" evolves the joint state under the averaged second-order
-    generator in measured intervals (drawn at rate lam from ``seed`` unless
-    given explicitly), applying the reservoir-replacement map after each one;
-    only the time-propagator differs from the exact process.
-    Returns the stack of rho_A matrices at the grid times (storage basis).
+    Its generator is constant, so rho_A is propagated exactly from
+    ``t_grid[0]`` (``qcore.propagate_grid``).  The reservoir state ``rho_b0``
+    must be diagonal in the energy basis of H_B; an empty grid is a
+    ConfigError.  Returns the stack of rho_A matrices at the grid times
+    (storage basis).
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ConfigError("time grid is empty")
     sys = spec.sys
     da = sys.dim_a
-    rho_a0 = as_matrix(rho_a0)
-    rho_b_mat = as_matrix(rho_b0)
-    if measurement_protocol == "continuous":
-        beta = _beta_of_state(sys, rho_b_mat)
-        gen = assemble_reduced_generator(spec, beta)
-        va = sys.basis_a.eigenvectors
-        y0 = (va.conj().T @ rho_a0 @ va).reshape(-1)
-        r = hermitian_part(propagate_grid(gen, y0, t_grid[0], t_grid).reshape(-1, da, da))
-        if np.linalg.eigvalsh(r).min() < -1e-7:
-            raise NumericError("positivity violated beyond 1e-7 during propagation")
-        return va @ r @ va.conj().T
-    if measurement_protocol != "interval":
-        raise ValueError("measurement_protocol must be 'continuous' or 'interval'")
-    run = weak_interval_run(spec, rho_b_mat, rho_a0, horizon=float(t_grid[-1]),
-                            seed=0 if seed is None else seed,
-                            intervals=intervals, checkpoint_times=t_grid)
-    # the averaged propagator works in the rotating frame of the uncoupled
-    # Hamiltonian; restore the free phase so coherences read in the lab frame
+    beta = _beta_of_state(sys, diagonal_populations(rho_b0, sys.basis_b, "reservoir input"))
+    gen = assemble_reduced_generator(spec, beta)
     va = sys.basis_a.eigenvectors
-    ph = np.exp(-1j * np.outer(run.checkpoint_times, sys.basis_a.eigenvalues))
-    rt = va.conj().T @ run.checkpoint_rho_a @ va
-    return va @ (rt * ph[:, :, None] * ph[:, None, :].conj()) @ va.conj().T
+    y0 = (va.conj().T @ as_matrix(rho_a0) @ va).reshape(-1)
+    r = hermitian_part(propagate_grid(gen, y0, t_grid[0], t_grid).reshape(-1, da, da))
+    if np.linalg.eigvalsh(r).min() < -1e-7:
+        raise NumericError("positivity violated beyond 1e-7 during propagation")
+    return va @ r @ va.conj().T
 
 
-def _beta_of_state(sys: JointSystem, rho_b: np.ndarray) -> float:
-    """Inverse temperature of a reservoir state diagonal in the energy basis."""
+def _beta_of_state(sys: JointSystem, pops_b: np.ndarray) -> float:
+    """Inverse temperature of reservoir populations in the energy basis."""
     e_b = sys.basis_b.eigenvalues
-    pops = np.clip(populations(rho_b, sys.basis_b.eigenvectors), 1e-300, None)
+    pops = np.clip(pops_b, 1e-300, None)
     if sys.dim_b != 2:
         # fit: least squares of ln p against -beta e
         d = np.polyfit(e_b, np.log(pops), 1)
@@ -399,18 +379,20 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
     couple, evolve one sampled interval, measure-and-replace -- except that
     the coupled propagator is replaced by the averaged second-order generator
     (or an explicitly supplied one).  Heat and work ledgers use the same
-    reservoir-side definitions as the exact engine.
+    reservoir-side definitions as the exact engine.  The reservoir input
+    ``rho_b0`` must be diagonal in the energy basis of H_B (a
+    PreconditionError otherwise); it is carried as its populations.
     """
     sys = spec.sys
-    rho_b = as_matrix(rho_b0)
+    pops_b = diagonal_populations(rho_b0, sys.basis_b, "reservoir input")
     if beta is None:
-        beta = _beta_of_state(sys, rho_b)
+        beta = _beta_of_state(sys, pops_b)
     prop = _LinearPropagator(assemble_joint_weak_generator(spec) if generator is None
                              else generator, zip(spec.frequencies, spec.v_ops))
     if checkpoint_times is None:
         check_horizon(horizon)      # before linspace, which would warn on an infinite one
         checkpoint_times = np.linspace(0.0, horizon, 121)
-    run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, rho_b), horizon,
+    run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, pops_b), horizon,
                         checkpoint_times, spec.lam, seed, intervals)
     run.meta.update(beta=beta, protocol="interval", propagator_blocks=len(prop.blocks),
                     largest_block=max(len(b) for b in prop.blocks),

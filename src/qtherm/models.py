@@ -137,24 +137,28 @@ def check_beta(beta) -> None:
         raise ConfigError(f"inverse temperature must be non-negative, got {beta!r}")
 
 
-def thermal_state(h: Operator, beta: float) -> DensityMatrix:
-    """Gibbs state exp(-beta H)/Z; beta = 0 gives the maximally mixed state,
-    beta = inf the ground-state projector (error if the ground state is
-    degenerate)."""
+def thermal_populations(energies: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs weights exp(-beta E)/Z of the levels ``energies``; beta = 0 gives
+    equal weights, beta = inf the ground level alone (error if the ground
+    level is degenerate).  For a reservoir in its energy basis, pass
+    ``sys.basis_b.eigenvalues``."""
     check_beta(beta)
-    prop = Propagator.from_operator(h)
-    e = prop.eigenvalues
-    v = prop.eigenvectors
+    e = np.asarray(energies, dtype=float)
     if math.isinf(beta):
-        gap = e - e.min()
-        ground = gap < 1e-12
+        ground = e - e.min() < 1e-12
         if ground.sum() > 1:
             raise ValueError("beta = inf undefined: degenerate ground state")
-        p = ground.astype(float)
-    else:
-        w = np.exp(-beta * (e - e.min()))
-        p = w / w.sum()
-    return DensityMatrix((v * p) @ v.conj().T)
+        return ground.astype(float)
+    w = np.exp(-beta * (e - e.min()))
+    return w / w.sum()
+
+
+def thermal_state(h: Operator, beta: float) -> DensityMatrix:
+    """Gibbs state exp(-beta H)/Z, the matrix form of ``thermal_populations``
+    in the eigenbasis of H."""
+    prop = Propagator.from_operator(h)
+    v = prop.eigenvectors
+    return DensityMatrix((v * thermal_populations(prop.eigenvalues, beta)) @ v.conj().T)
 
 
 @dataclass(frozen=True)

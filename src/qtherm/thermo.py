@@ -15,13 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
-from .qcore import (Propagator, as_matrix, diagonal_populations, populations,
-                    shannon_entropy, trace_distance, von_neumann_entropy)
+from .errors import DimensionError, PreconditionError
+from .qcore import as_matrix, shannon_entropy, trace_distance, von_neumann_entropy
 from .models import JointSystem
 
 # Trace-distance threshold under which two states of A count as a cyclic return.
 CYCLE_TOL = 1e-6
+
+# Violation thresholds of the second-law suite.
+ENTROPY_TOL = 1e-9        # dS_a + dS_b below -ENTROPY_TOL
+KLEIN_TOL = 1e-9          # dH_b - dS_b/beta below -KLEIN_TOL
+CYCLE_Q_TOL = 1e-8        # window heat sum above CYCLE_Q_TOL
+BACKACTION_TOL = 1e-9     # |w_meas - (dH_a + dH_b)| above BACKACTION_TOL
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,19 @@ class IntervalLedger:
         return self.r - self.dH_a
 
 
+def _reservoir_populations(pops, sys: JointSystem, what: str) -> np.ndarray:
+    shape = np.shape(pops)
+    if shape != (sys.dim_b,):
+        raise DimensionError(f"{what} must be the {sys.dim_b} populations of B "
+                             f"in its energy basis, got shape {shape}")
+    return np.asarray(pops, dtype=float)
+
+
 def ledger_for_interval(
     rho_a_start,
     rho_a_end,
-    rho_b_start,
-    rho_b_end,
+    pops_b_start,
+    pops_b_end,
     h_ab_expect_pre_meas: float,
     sys: JointSystem,
     beta: float,
@@ -67,13 +80,13 @@ def ledger_for_interval(
 ) -> IntervalLedger:
     """Account one interval from its boundary marginals.
 
-    The reservoir marginals must be diagonal in the energy basis of H_B
-    (the measurement dephases them); their entropy is the Shannon entropy of
-    those populations.  With beta = 0 the heat is undefined and the
+    The measured reservoir is its populations in the energy basis of H_B
+    (``sys.basis_b``; the measurement dephases it), and its entropy is their
+    Shannon entropy.  With beta = 0 the heat is undefined and the
     heat-bearing fields are NaN.
     """
-    pb0 = diagonal_populations(rho_b_start, sys.basis_b, "rho_b_start")
-    pb1 = diagonal_populations(rho_b_end, sys.basis_b, "rho_b_end")
+    pb0 = _reservoir_populations(pops_b_start, sys, "pops_b_start")
+    pb1 = _reservoir_populations(pops_b_end, sys, "pops_b_end")
     e_b = sys.basis_b.eigenvalues
     dh_a = float(np.trace(sys.h_a.mat @ (as_matrix(rho_a_end) - as_matrix(rho_a_start))).real)
     dh_b = float(((pb1 - pb0) * e_b).sum())
@@ -99,20 +112,12 @@ def ledger_for_interval(
     )
 
 
-def s_tot(record_or_s_a, ledgers: Sequence[IntervalLedger] | None = None) -> np.ndarray:
+def s_tot(s_a_series: Sequence[float], ledgers: Sequence[IntervalLedger]) -> np.ndarray:
     """Total entropy production at each measurement time.
 
     S_tot(t_k) = S_A(t_k) - S_A(0) - sum_{j<=k} beta_j Q_j, with S_A sampled at
-    t_0 = 0 and after each of the len(ledgers) intervals.  Accepts either a
-    run record (anything with ``s_a_series`` and ``ledgers``) or the explicit
-    pair of sequences.
+    t_0 = 0 and after each of the len(ledgers) intervals.
     """
-    if ledgers is None:
-        record = record_or_s_a
-        s_a_series = record.s_a_series
-        ledgers = record.ledgers
-    else:
-        s_a_series = record_or_s_a
     if len(s_a_series) != len(ledgers) + 1:
         raise ValueError("need one S_A sample per measurement time, including t = 0")
     for led in ledgers:
@@ -125,20 +130,19 @@ def s_tot(record_or_s_a, ledgers: Sequence[IntervalLedger] | None = None) -> np.
     return out
 
 
-def approx_heat_small_change(rho_b_start, rho_b_end, h_b, beta: float, basis=None) -> tuple[float, float]:
+def approx_heat_small_change(pops_b_start, pops_b_end, sys: JointSystem) -> tuple[float, float]:
     """Linearized reservoir entropy and heat for a small population change.
 
-    Valid when rho_b_start is canonical at beta:
-    dS_B ~ -sum_j dp_j ln p_j  and  dQ ~ -dH_B.
+    The populations are those of B in ``sys.basis_b``.  Valid when the start
+    is canonical: dS_B ~ -sum_j dp_j ln p_j  and  dQ ~ -dH_B.
     """
-    basis = basis or Propagator.from_operator(h_b)
-    p0 = np.clip(populations(as_matrix(rho_b_start), basis.eigenvectors), 0.0, None)
-    p1 = np.clip(populations(as_matrix(rho_b_end), basis.eigenvectors), 0.0, None)
+    p0 = _reservoir_populations(pops_b_start, sys, "pops_b_start")
+    p1 = _reservoir_populations(pops_b_end, sys, "pops_b_end")
     if p0.min() <= 0:
         raise PreconditionError("linearization needs full support of the canonical start")
     dp = p1 - p0
     ds_lin = float(-(dp * np.log(p0)).sum())
-    dq_lin = float(-((p1 - p0) * basis.eigenvalues).sum())
+    dq_lin = float(-(dp * sys.basis_b.eigenvalues).sum())
     return ds_lin, dq_lin
 
 
@@ -210,46 +214,33 @@ def find_cyclic_windows(rho_a_snapshots: Sequence, tol: float = CYCLE_TOL) -> li
 
 
 def second_law_suite(
-    ledgers,
+    ledgers: Sequence[IntervalLedger],
     rho_a_snapshots: Sequence | None = None,
-    reservoir_thermal: bool = True,
-    exact_dynamics: bool = True,
-    entropy_tol: float = 1e-9,
-    klein_tol: float = 1e-9,
-    cycle_q_tol: float = 1e-8,
-    backaction_tol: float = 1e-9,
 ) -> SecondLawReport:
-    """Check the second-law structure of a run.
+    """Check the second-law structure of an exact run with a thermal reservoir.
 
-    Per interval: dS_a + dS_b >= 0 and, for a thermal reservoir input, the
-    Klein positivity of the cyclic contribution dH_b - dS_b/beta.  For exact
-    dynamics the back-action identity w_meas = dH_a + dH_b is also enforced.
-    Over every detected cyclic window of A, sum(Q) <= 0.  A run record may be
-    passed in place of the ledger list.
+    Per interval: dS_a + dS_b >= 0, the Klein positivity of the cyclic
+    contribution dH_b - dS_b/beta (where heat is defined), and the
+    back-action identity w_meas = dH_a + dH_b.  Over every cyclic window of
+    the ``rho_a_snapshots`` of A, sum(Q) <= 0.
     """
-    if hasattr(ledgers, "ledgers"):
-        record = ledgers
-        ledgers = record.ledgers
-        if rho_a_snapshots is None:
-            rho_a_snapshots = record.rho_a_snapshots
     ent_viol, klein_viol, back_viol = [], [], []
     min_ent, min_klein, max_wth, max_back = math.inf, math.inf, -math.inf, 0.0
     for k, led in enumerate(ledgers):
         ent = led.dS_a + led.dS_b
         min_ent = min(min_ent, ent)
-        if ent < -entropy_tol:
+        if ent < -ENTROPY_TOL:
             ent_viol.append(k)
-        if reservoir_thermal and led.heat_defined:
+        if led.heat_defined:
             contrib = led.cyclic_r_contribution
             min_klein = min(min_klein, contrib)
             max_wth = max(max_wth, led.w_therm)
-            if contrib < -klein_tol:
+            if contrib < -KLEIN_TOL:
                 klein_viol.append(k)
-        if exact_dynamics:
-            resid = abs(led.w_meas - (led.dH_a + led.dH_b))
-            max_back = max(max_back, resid)
-            if resid > backaction_tol:
-                back_viol.append(k)
+        resid = abs(led.w_meas - (led.dH_a + led.dH_b))
+        max_back = max(max_back, resid)
+        if resid > BACKACTION_TOL:
+            back_viol.append(k)
 
     windows: list[CyclicWindow] = []
     q_viol: list[int] = []
@@ -258,7 +249,7 @@ def second_law_suite(
             q_sum = sum(led.q for led in ledgers[i:j])
             r_sum = sum(led.r for led in ledgers[i:j])
             windows.append(CyclicWindow(i, j, dist, q_sum, r_sum))
-            if q_sum > cycle_q_tol:
+            if q_sum > CYCLE_Q_TOL:
                 q_viol.append(len(windows) - 1)
 
     n = len(ledgers)

@@ -34,7 +34,7 @@ from .generators import (
     steady_state,
     weak_interval_run,
 )
-from .models import JcmParams, JointSystem, build_jcm, thermal_state
+from .models import JcmParams, JointSystem, build_jcm, thermal_populations, thermal_state
 from .qcore import DensityMatrix, Operator, StateVector, trace_distance
 from .thermo import (
     backaction_as_heat_windows,
@@ -187,7 +187,7 @@ def check_einstein_rate(n_trials: int = 4_000_000) -> CheckResult:
     beta, lam = 1.0, 1e-3
     rate, se = absorption_rate_mc(sys, _fock(3, sys.dim_a), beta, lam,
                                   n_trials=n_trials, seed=7)
-    sigma = np.diag(thermal_state(sys.h_b, beta).mat).real
+    sigma = thermal_populations(sys.basis_b.eigenvalues, beta)
     want = 2 * lam * p.gamma ** 2 / (lam ** 2 + dc ** 2) * (sigma[0] * 3 - sigma[1] * 4)
     rel = abs(rate - want) / abs(want)
     ok = abs(rate - want) <= max(0.05 * abs(want), 3 * se)
@@ -225,7 +225,7 @@ def check_weak_vs_exact_steady() -> CheckResult:
         # early-time curvature: exact is concave (cos^2), weak is convex
         _, ha_e, _, _ = ensemble_average_series(sys, beta, lam, psi0.projector().mat, early)
         rho_w = lindblad_propagate(spec, psi0.projector().mat,
-                                   thermal_state(sys.h_b, beta), early, "continuous")
+                                   thermal_state(sys.h_b, beta), early)
         ha_w = np.array([np.trace(sys.h_a.mat @ r).real for r in rho_w])
         c_exact = np.polyfit(early, ha_e, 2)[0]
         c_weak = np.polyfit(early, ha_w, 2)[0]
@@ -300,7 +300,7 @@ def check_fast_limit() -> CheckResult:
     p0 = JcmParams(omega_a=TWO_PI, omega_b=TWO_PI, gamma=0.05, n_max=6, rwa=True)
     lam = 100 * p0.gamma
     sys0 = build_jcm(p0)
-    sigma = np.diag(thermal_state(sys0.h_b, beta).mat).real
+    sigma = thermal_populations(sys0.basis_b.eigenvalues, beta)
     p_n = np.zeros(sys0.dim_a)
     p_n[2] = 1.0
     composed = lam * sum(
@@ -348,12 +348,11 @@ def check_klein_positivity() -> CheckResult:
         m = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
         r = m @ m.conj().T
         rho_a = DensityMatrix(r / np.trace(r).real)
-        rho_b0 = thermal_state(sys.h_b, beta)
-        out = step_interval(rho_a, rho_b0, sys, float(rng.uniform(0.2, 8.0)))
-        v_b = sys.basis_b.eigenvectors
-        rho_b_end = DensityMatrix((v_b * out.reservoir_populations) @ v_b.conj().T)
-        led = ledger_for_interval(rho_a, out.state_a, rho_b0, rho_b_end,
-                                  out.h_ab_expect, sys, beta)
+        out = step_interval(rho_a, thermal_state(sys.h_b, beta), sys,
+                            float(rng.uniform(0.2, 8.0)))
+        led = ledger_for_interval(rho_a, out.state_a,
+                                  thermal_populations(sys.basis_b.eigenvalues, beta),
+                                  out.reservoir_populations, out.h_ab_expect, sys, beta)
         min_contrib = min(min_contrib, led.cyclic_r_contribution)
         max_w_therm = max(max_w_therm, led.w_therm)
 

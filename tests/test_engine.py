@@ -283,6 +283,11 @@ class TestEnsembleAverageSeries:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
 
+    def test_rejects_empty_grid(self):
+        sys = build_jcm(JcmParams(n_max=3))
+        with pytest.raises(ConfigError):
+            ensemble_average_series(sys, 1.0, 0.2, fock(1, sys.dim_a).projector().mat, [])
+
 
 class TestAveragedIntervalMap:
     def test_matches_time_quadrature(self):

@@ -26,7 +26,8 @@ from qtherm.generators import (
     weak_interval_run,
     weak_map,
 )
-from qtherm.models import JcmParams, JointSystem, build_jcm, destroy, thermal_state
+from qtherm.models import (JcmParams, JointSystem, build_jcm, destroy, thermal_populations,
+                           thermal_state)
 from qtherm.qcore import Operator, marginal, populations, superoperator, trace_distance
 
 RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=False)
@@ -54,8 +55,11 @@ def random_density(rng, d):
 
 
 def thermal_pops(sys, beta):
-    v = sys.basis_b.eigenvectors
-    return np.clip(np.diag(v.conj().T @ thermal_state(sys.h_b, beta).mat @ v).real, 0, None)
+    return thermal_populations(sys.basis_b.eigenvalues, beta)
+
+
+# a reservoir state with coherence in the energy basis of the qubit
+COHERENT_B = np.array([[0.5, 0.5], [0.5, 0.5]])
 
 
 class TestDecompose:
@@ -246,7 +250,7 @@ class TestReducedGenerator:
         # long-time integration oracle
         t_end = 40.0 / (2 * sys.gamma ** 2 / lam)
         series = lindblad_propagate(spec, rho0, thermal_state(sys.h_b, beta),
-                                    np.array([0.0, t_end]), "continuous")
+                                    np.array([0.0, t_end]))
         assert trace_distance(series[-1], res.rho_ss.mat) < 1e-6
 
     def test_elevated_temperature_full_coupling(self):
@@ -266,7 +270,7 @@ class TestLindbladPropagate:
         spec = decompose(nul, lam=0.05)
         rho0 = np.diag([0.2, 0.8, 0, 0, 0]).astype(complex)
         out = lindblad_propagate(spec, rho0, thermal_state(sys.h_b, 1.0),
-                                 np.linspace(0, 50, 6), "continuous")
+                                 np.linspace(0, 50, 6))
         for r in out:
             np.testing.assert_allclose(np.diag(r).real, [0.2, 0.8, 0, 0, 0], atol=1e-9)
 
@@ -276,7 +280,7 @@ class TestLindbladPropagate:
         rho0 = np.zeros((sys.dim_a, sys.dim_a), complex)
         rho0[1, 1] = 1.0
         out = lindblad_propagate(spec, rho0, thermal_state(sys.h_b, 1.0),
-                                 np.linspace(0, 400, 5), "continuous")
+                                 np.linspace(0, 400, 5))
         for r in out:
             assert abs(np.trace(r).real - 1.0) < 1e-9
 
@@ -291,7 +295,7 @@ class TestLindbladPropagate:
         spec = decompose(sys, lam)
         rho0 = random_density(np.random.default_rng(5), sys.dim_a)
         grid = np.concatenate([np.linspace(0.3, 3.0, 10), [3.5, 4.0, 9.0, 9.5]])
-        got = lindblad_propagate(spec, rho0, thermal_state(sys.h_b, beta), grid, "continuous")
+        got = lindblad_propagate(spec, rho0, thermal_state(sys.h_b, beta), grid)
         gen = assemble_reduced_generator(spec, beta)
         va = sys.basis_a.eigenvectors
         sol = solve_ivp(lambda t, y: gen @ y, (grid[0], grid[-1]),
@@ -301,23 +305,38 @@ class TestLindbladPropagate:
         np.testing.assert_allclose(got, 0.5 * (want + want.conj().swapaxes(1, 2)),
                                    rtol=0, atol=1e-10)
 
-    def test_interval_protocol_free_limit_is_lab_frame(self):
-        # gamma = 0 must reduce to free evolution, coherence phases included
+    def test_rejects_coherent_reservoir(self):
+        sys = build_jcm(JcmParams(n_max=2))
+        with pytest.raises(PreconditionError):
+            lindblad_propagate(decompose(sys, 0.2), thermal_state(sys.h_a, 1.0).mat,
+                               COHERENT_B, np.linspace(0.0, 1.0, 3))
+
+    def test_rejects_empty_grid(self):
+        sys = build_jcm(JcmParams(n_max=3))
+        with pytest.raises(ConfigError):
+            lindblad_propagate(decompose(sys, 0.2), thermal_state(sys.h_a, 1.0).mat,
+                               thermal_state(sys.h_b, 1.0), [])
+
+    def test_interval_protocol_free_limit_holds_rotating_frame_state(self):
+        # gamma = 0 leaves only the free evolution, which the averaged runs'
+        # rotating frame removes: every checkpoint state of A is rho_A(0),
+        # coherences included
         sys = build_jcm(JcmParams(gamma=0.0, n_max=3, rwa=True))
-        nul = JointSystem(dim_a=sys.dim_a, dim_b=sys.dim_b, h_a=sys.h_a, h_b=sys.h_b,
-                          h_ab=sys.h_ab, gamma=0.0)
-        spec = decompose(nul, lam=0.05)
         psi = np.zeros(sys.dim_a, complex)
         psi[0] = psi[1] = 1 / math.sqrt(2)
         rho0 = np.outer(psi, psi.conj())
-        grid = np.array([0.0, 3.7, 11.0])
-        out = lindblad_propagate(spec, rho0, thermal_state(sys.h_b, 1.0), grid,
-                                 "interval", seed=2)
-        e_a = np.diag(sys.h_a.mat).real
-        for t, got in zip(grid, out):
-            ph = np.exp(-1j * e_a * t)
-            want = (ph[:, None] * rho0 * ph.conj()[None, :])
-            np.testing.assert_allclose(got, want, atol=1e-10)
+        run = weak_interval_run(decompose(sys, lam=0.05), thermal_state(sys.h_b, 1.0), rho0,
+                                horizon=11.0, seed=2, checkpoint_times=np.array([0.0, 3.7, 11.0]))
+        assert len(run.checkpoint_rho_a) == 3
+        for got in run.checkpoint_rho_a:
+            np.testing.assert_allclose(got, rho0, atol=1e-10)
+
+    def test_interval_protocol_rejects_coherent_reservoir(self):
+        # the only interval ends after the horizon, so no ledger ever reads the reservoir
+        sys = build_jcm(JcmParams(n_max=2))
+        with pytest.raises(PreconditionError):
+            weak_interval_run(decompose(sys, 0.2), COHERENT_B, thermal_state(sys.h_a, 1.0),
+                              horizon=1.0, intervals=np.array([5.0]))
 
     def test_interval_protocol_returns_near_positivity_floor(self):
         # the averaged generators are GKSL with a positive coefficient matrix,

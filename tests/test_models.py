@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qtherm.models import JcmParams, build_jcm, destroy, thermal_state, validate_coupling
-from qtherm.qcore import Operator
+from qtherm.models import (JcmParams, build_jcm, destroy, thermal_populations, thermal_state,
+                           validate_coupling)
+from qtherm.qcore import Operator, populations
 
 
 def number_op(dim):
@@ -85,6 +86,16 @@ class TestThermalState:
         h = Operator((m + m.conj().T) / 2, hermitian=True)
         rho = thermal_state(h, 0.7)
         assert np.abs(rho.mat @ h.mat - h.mat @ rho.mat).max() < 1e-12
+
+    def test_is_matrix_form_of_populations(self):
+        rng = np.random.default_rng(1)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = Operator((m + m.conj().T) / 2, hermitian=True)
+        e, v = np.linalg.eigh(h.mat)
+        pops = thermal_populations(e, 0.7)
+        # oracle: Boltzmann weights of the eigenvalues
+        np.testing.assert_allclose(pops, np.exp(-0.7 * e) / np.exp(-0.7 * e).sum(), rtol=1e-13)
+        np.testing.assert_allclose(populations(thermal_state(h, 0.7).mat, v), pops, atol=1e-14)
 
 
 class TestValidateCoupling:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qtherm.engine import ProcessConfig, run_process, step_interval
-from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_state
+from qtherm.errors import DimensionError
+from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_populations, thermal_state
 from qtherm.qcore import DensityMatrix, Operator, StateVector, relative_entropy
 from qtherm.thermo import (
     approx_heat_small_change,
@@ -45,6 +46,10 @@ def random_density(rng, d):
     return DensityMatrix(r / np.trace(r).real)
 
 
+def gibbs_b(sys, beta):
+    return thermal_populations(sys.basis_b.eigenvalues, beta)
+
+
 def run_decay(horizon=300.0, seed=8, intervals=None, lam=1e-2):
     sys = build_jcm(DECAY)
     cfg = ProcessConfig(lam=lam, beta=1.0, horizon=horizon, seed=seed,
@@ -56,10 +61,10 @@ def run_decay(horizon=300.0, seed=8, intervals=None, lam=1e-2):
 class TestLedger:
     def test_uncoupled_interval_all_zero(self):
         sys = build_jcm(JcmParams(gamma=0.0, n_max=4, rwa=True))
-        rho_b = thermal_state(sys.h_b, 1.0)
-        out = step_interval(fock(1, sys.dim_a).projector(), rho_b, sys, 50.0)
+        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, 1.0),
+                            sys, 50.0)
         led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  rho_b, rho_b, out.h_ab_expect, sys, 1.0)
+                                  gibbs_b(sys, 1.0), gibbs_b(sys, 1.0), out.h_ab_expect, sys, 1.0)
         for v in (led.q, led.w, led.w_therm, led.w_meas, led.dH_a, led.dH_b):
             assert abs(v) < 1e-12
 
@@ -68,15 +73,16 @@ class TestLedger:
         for _ in range(40):
             sys = random_system(rng, 3, 3)
             beta = float(rng.uniform(0.2, 3.0))
-            rho_b0 = thermal_state(sys.h_b, beta)
-            out = step_interval(random_density(rng, 3), rho_b0, sys, float(rng.uniform(0.2, 8.0)))
-            v_b = sys.basis_b.eigenvectors
-            rho_b_end = DensityMatrix((v_b * out.reservoir_populations) @ v_b.conj().T)
-            led = ledger_for_interval(random_density(rng, 3), out.state_a, rho_b0,
-                                      rho_b_end, out.h_ab_expect, sys, beta)
+            p0 = gibbs_b(sys, beta)
+            out = step_interval(random_density(rng, 3), thermal_state(sys.h_b, beta), sys,
+                                float(rng.uniform(0.2, 8.0)))
+            p1 = out.reservoir_populations
+            led = ledger_for_interval(random_density(rng, 3), out.state_a, p0, p1,
+                                      out.h_ab_expect, sys, beta)
             gain = -led.w_therm
             assert gain >= -1e-10
-            want = relative_entropy(rho_b_end, rho_b0) / beta
+            # the relative entropy of the two B states, both diagonal in its energy basis
+            want = relative_entropy(np.diag(p1), np.diag(p0)) / beta
             assert abs(gain - want) < 1e-10
 
     def test_first_law_identity(self):
@@ -91,33 +97,38 @@ class TestLedger:
 
     def test_beta_zero_marks_heat_undefined(self):
         sys = build_jcm(DECAY)
-        rho_b = thermal_state(sys.h_b, 0.0)
-        out = step_interval(fock(1, sys.dim_a).projector(), rho_b, sys, 12.0)
-        v_b = sys.basis_b.eigenvectors
-        rho_b_end = DensityMatrix((v_b * out.reservoir_populations) @ v_b.conj().T)
+        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, 0.0),
+                            sys, 12.0)
         led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  rho_b, rho_b_end, out.h_ab_expect, sys, 0.0)
+                                  gibbs_b(sys, 0.0), out.reservoir_populations,
+                                  out.h_ab_expect, sys, 0.0)
         assert math.isnan(led.q) and not led.heat_defined
 
     def test_reservoir_entropy_decrease_during_emission(self):
         # strong emission leaves the reservoir in a consistent low-entropy state
         sys = build_jcm(DECAY)
         beta = 1.0
-        rho_b = thermal_state(sys.h_b, beta)
         t_half = math.pi / (2 * DECAY.gamma)  # first Rabi half-cycle: full transfer
-        out = step_interval(fock(1, sys.dim_a).projector(), rho_b, sys, t_half)
-        v_b = sys.basis_b.eigenvectors
-        rho_b_end = DensityMatrix((v_b * out.reservoir_populations) @ v_b.conj().T)
+        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, beta),
+                            sys, t_half)
         led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  rho_b, rho_b_end, out.h_ab_expect, sys, beta)
+                                  gibbs_b(sys, beta), out.reservoir_populations,
+                                  out.h_ab_expect, sys, beta)
         assert led.dS_b < 0 and led.q > 0
+
+    def test_rejects_reservoir_matrix(self):
+        # the ledger takes B as its populations; a d_B x d_B matrix is a shape error
+        sys = build_jcm(DECAY)
+        rho = fock(1, sys.dim_a).projector()
+        with pytest.raises(DimensionError):
+            ledger_for_interval(rho, rho, gibbs_b(sys, 1.0), thermal_state(sys.h_b, 1.0).mat,
+                                0.0, sys, 1.0)
 
 
 class TestApproxHeat:
     def test_zero_change(self):
         sys = build_jcm(DECAY)
-        rho_b = thermal_state(sys.h_b, 1.0)
-        ds, dq = approx_heat_small_change(rho_b, rho_b, sys.h_b, 1.0, sys.basis_b)
+        ds, dq = approx_heat_small_change(gibbs_b(sys, 1.0), gibbs_b(sys, 1.0), sys)
         assert ds == 0.0 and dq == 0.0
 
     def test_quadratic_error_in_population_change(self):
@@ -128,13 +139,13 @@ class TestApproxHeat:
             p = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=gamma,
                           n_max=6, rwa=True)
             sys = build_jcm(p)
-            rho_b = thermal_state(sys.h_b, beta)
-            out = step_interval(fock(1, sys.dim_a).projector(), rho_b, sys, t)
-            v_b = sys.basis_b.eigenvectors
-            rho_b_end = DensityMatrix((v_b * out.reservoir_populations) @ v_b.conj().T)
+            p0 = gibbs_b(sys, beta)
+            out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, beta),
+                                sys, t)
+            p1 = out.reservoir_populations
             led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                      rho_b, rho_b_end, out.h_ab_expect, sys, beta)
-            _, dq_lin = approx_heat_small_change(rho_b, rho_b_end, sys.h_b, beta, sys.basis_b)
+                                      p0, p1, out.h_ab_expect, sys, beta)
+            _, dq_lin = approx_heat_small_change(p0, p1, sys)
             errs.append(abs(dq_lin - led.q))
         ratio = errs[0] / errs[1]
         assert 8.0 < ratio < 32.0
@@ -144,13 +155,13 @@ class TestApproxHeat:
         p = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.01, n_max=6, rwa=True)
         sys = build_jcm(p)
         beta = 1.0
-        rho_b = thermal_state(sys.h_b, beta)
-        out = step_interval(fock(1, sys.dim_a).projector(), rho_b, sys, 30.0)
-        v_b = sys.basis_b.eigenvectors
-        rho_b_end = DensityMatrix((v_b * out.reservoir_populations) @ v_b.conj().T)
+        p0 = gibbs_b(sys, beta)
+        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, beta),
+                            sys, 30.0)
+        p1 = out.reservoir_populations
         led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  rho_b, rho_b_end, out.h_ab_expect, sys, beta)
-        _, dq_lin = approx_heat_small_change(rho_b, rho_b_end, sys.h_b, beta, sys.basis_b)
+                                  p0, p1, out.h_ab_expect, sys, beta)
+        _, dq_lin = approx_heat_small_change(p0, p1, sys)
         assert abs(dq_lin - (-led.dH_b)) < 1e-12
         assert abs(led.dH_a + led.dH_b) < 1e-10
 
