@@ -301,10 +301,13 @@ class _LinearPropagator:
     The connected components of G's nonzero pattern are ``blocks`` of indices
     that G never couples to each other (for the averaged generators, ket/bra
     parity or excitation-number sectors), so exp(t G) is block-diagonal in
-    them.  Each block is eigendecomposed on its own; a block whose
-    eigenvectors are too ill-conditioned to invert (cond >= 1e10, a defective
-    block) is propagated with a dense ``expm`` of that block alone, listed in
-    ``expm_blocks``.
+    them.  A block is eigendecomposed the first time ``apply`` gets a state
+    with weight in it (``decomposed``); a zero block gives an exactly zero
+    result.  Each interval starts from rho_A (x) rho_B with B dephased, so
+    from a parity-symmetric start (a Fock state) the ket/bra cross-parity
+    blocks never get weight.  A block whose eigenvectors are too
+    ill-conditioned to invert (cond >= 1e10, a defective block) is propagated
+    with a dense ``expm`` of that block alone, listed in ``expm_blocks``.
 
     As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
@@ -324,21 +327,39 @@ class _LinearPropagator:
         self.sectors = tuple(sectors)
         self.dim = int(round(math.sqrt(gen.shape[0])))
         self.blocks = connected_blocks(gen != 0)
-        # blocks of one size are decomposed and applied as one stack
-        self._eig = []               # (indices, evals, vr, vr^-1), each stacked over blocks
+        self._gen = gen
+        self._label = np.empty(gen.shape[0], dtype=int)         # block number of each index
+        for k, b in enumerate(self.blocks):
+            self._label[b] = k
+        self.decomposed = np.zeros(len(self.blocks), dtype=bool)  # per block: eig (or expm) done
+        self._eig = []               # (block numbers, indices, evals, vr, vr^-1), stacked per eig call
         self.expm_blocks = []        # (indices, block of G) for the ill-conditioned ones
-        for size in sorted({len(b) for b in self.blocks}):
-            idx = np.array([b for b in self.blocks if len(b) == size])
-            g = gen[idx[:, :, None], idx[:, None, :]]
+        self._live, self._stacks = self.decomposed.copy(), []   # the live blocks' parts of _eig
+
+    def _restack(self, live: np.ndarray) -> None:
+        # decompose the newly live blocks, those of one size as one stack
+        new = np.flatnonzero(live & ~self.decomposed)
+        self.decomposed[new] = True
+        for size in sorted({len(self.blocks[k]) for k in new}):
+            ks = np.array([k for k in new if len(self.blocks[k]) == size])
+            idx = np.array([self.blocks[k] for k in ks])
+            g = self._gen[idx[:, :, None], idx[:, None, :]]
             evals, vr = np.linalg.eig(g)
             ok = np.linalg.cond(vr) < 1e10
-            self._eig.append((idx[ok], evals[ok], vr[ok], np.linalg.inv(vr[ok])))
+            self._eig.append((ks[ok], idx[ok], evals[ok], vr[ok], np.linalg.inv(vr[ok])))
             self.expm_blocks.extend(zip(idx[~ok], g[~ok]))
+        # kept until the live set changes, so that apply gathers no eigenvectors
+        self._stacks = [e[1:] if live[e[0]].all() else [a[live[e[0]]] for a in e[1:]]
+                        for e in self._eig if live[e[0]].any()]
+        self._live = live
 
     def apply(self, theta: np.ndarray, t: float) -> np.ndarray:
         x = theta.reshape(-1)
-        out = np.empty(x.shape, dtype=complex)
-        for idx, evals, vr, vr_inv in self._eig:
+        live = np.bincount(self._label[x != 0], minlength=len(self.blocks)) > 0
+        if not np.array_equal(live, self._live):
+            self._restack(live)
+        out = np.zeros(x.shape, dtype=complex)
+        for idx, evals, vr, vr_inv in self._stacks:
             coeff = (vr_inv @ x[idx][..., None])[..., 0] * np.exp(evals * t)
             out[idx] = (vr @ coeff[..., None])[..., 0]
         if self.expm_blocks:
@@ -346,7 +367,8 @@ class _LinearPropagator:
             from scipy.linalg import expm
 
             for idx, g in self.expm_blocks:
-                out[idx] = expm(g * t) @ x[idx]
+                if live[self._label[idx[0]]]:
+                    out[idx] = expm(g * t) @ x[idx]
         return hermitian_part(out.reshape(self.dim, self.dim))
 
     def evolve(self, joint0: np.ndarray, tau: float) -> np.ndarray:
@@ -396,7 +418,7 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
                         checkpoint_times, spec.lam, seed, intervals)
     run.meta.update(beta=beta, protocol="interval", propagator_blocks=len(prop.blocks),
                     largest_block=max(len(b) for b in prop.blocks),
-                    expm_blocks=len(prop.expm_blocks))
+                    decomposed_blocks=int(prop.decomposed.sum()), expm_blocks=len(prop.expm_blocks))
     return run
 
 

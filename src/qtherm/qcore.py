@@ -250,14 +250,17 @@ def populations(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def diagonal_populations(rho, basis: Propagator, what: str) -> np.ndarray:
     """Populations (clipped at 0) of a state that must be diagonal in ``basis``.
 
-    Raises PreconditionError when an off-diagonal element exceeds 1e-9; this
-    is the contract of every reservoir state, which the measurement dephases.
+    Raises PreconditionError when an off-diagonal element exceeds 1e-9 (every
+    reservoir state is dephased by the measurement) or when the populations
+    are not a distribution (sum 1 within TRACE_TOL, none below -EIGMIN_TOL).
     """
     v = basis.eigenvectors
     in_basis = v.conj().T @ as_matrix(rho) @ v
     pops = np.diag(in_basis)
     if np.abs(in_basis - np.diag(pops)).max() > 1e-9:
         raise PreconditionError(f"{what} is not diagonal in the reservoir energy basis")
+    if not abs(pops.real.sum() - 1.0) <= TRACE_TOL or not pops.real.min() >= -EIGMIN_TOL:
+        raise PreconditionError(f"{what} is not a state: populations {pops.real}")
     return np.clip(pops.real, 0.0, None)
 
 

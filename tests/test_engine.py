@@ -109,6 +109,12 @@ class TestStepInterval:
         with pytest.raises(PreconditionError):
             step_interval(fock(1, sys.dim_a).projector(), coherent, sys, 1.0)
 
+    @pytest.mark.parametrize("pops", [[2.0, 0.0], [1.3, -0.3]], ids=["trace2", "negative"])
+    def test_reservoir_that_is_not_a_state_rejected(self, pops):
+        sys = build_jcm(JcmParams(n_max=3))
+        with pytest.raises(PreconditionError, match="reservoir input"):
+            step_interval(fock(1, sys.dim_a).projector(), np.diag(pops), sys, 1.0)
+
     def test_trajectory_superposition_reservoir_rejected(self):
         sys = build_jcm(DECAY)
         plus = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))

@@ -311,6 +311,13 @@ class TestLindbladPropagate:
             lindblad_propagate(decompose(sys, 0.2), thermal_state(sys.h_a, 1.0).mat,
                                COHERENT_B, np.linspace(0.0, 1.0, 3))
 
+    @pytest.mark.parametrize("pops", [[2.0, 0.0], [1.3, -0.3]], ids=["trace2", "negative"])
+    def test_rejects_reservoir_that_is_not_a_state(self, pops):
+        sys = build_jcm(JcmParams(n_max=3))
+        with pytest.raises(PreconditionError, match="reservoir input"):
+            lindblad_propagate(decompose(sys, 0.2), thermal_state(sys.h_a, 1.0).mat,
+                               np.diag(pops), np.linspace(0.0, 1.0, 3))
+
     def test_rejects_empty_grid(self):
         sys = build_jcm(JcmParams(n_max=3))
         with pytest.raises(ConfigError):
@@ -336,6 +343,13 @@ class TestLindbladPropagate:
         sys = build_jcm(JcmParams(n_max=2))
         with pytest.raises(PreconditionError):
             weak_interval_run(decompose(sys, 0.2), COHERENT_B, thermal_state(sys.h_a, 1.0),
+                              horizon=1.0, intervals=np.array([5.0]))
+
+    @pytest.mark.parametrize("pops", [[2.0, 0.0], [1.3, -0.3]], ids=["trace2", "negative"])
+    def test_interval_protocol_rejects_reservoir_that_is_not_a_state(self, pops):
+        sys = build_jcm(JcmParams(n_max=3))
+        with pytest.raises(PreconditionError, match="reservoir input"):
+            weak_interval_run(decompose(sys, 0.2), np.diag(pops), thermal_state(sys.h_a, 1.0),
                               horizon=1.0, intervals=np.array([5.0]))
 
     def test_interval_protocol_returns_near_positivity_floor(self):
@@ -435,13 +449,14 @@ class TestLinearPropagator:
         g[0, 1] = 1.0
         prop = _LinearPropagator(g, ())
         assert [b.tolist() for b in prop.blocks] == [[0, 1], [2], [3]]
-        assert [idx.tolist() for idx, _ in prop.expm_blocks] == [[0, 1]]
         theta = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
         t = 0.7
         # g is nilpotent, so exp(t g) = 1 + t g exactly
         want = ((np.eye(4) + t * g) @ theta.reshape(-1)).reshape(2, 2)
         np.testing.assert_allclose(prop.apply(theta, t), 0.5 * (want + want.conj().T),
                                    atol=1e-15)
+        # theta has weight in all three blocks, so the first apply decomposed them all
+        assert [idx.tolist() for idx, _ in prop.expm_blocks] == [[0, 1]]
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
     @pytest.mark.parametrize("kind", ["weak", "fast"])
@@ -460,24 +475,65 @@ class TestLinearPropagator:
             label[b] = k
         rows, cols = np.nonzero(gen)
         assert (label[rows] == label[cols]).all()
-        assert len(prop.blocks) > 1 and not prop.expm_blocks
+        assert len(prop.blocks) > 1
         rho = random_density(np.random.default_rng(7), sys.dim)
         for t in (0.1 / lam, 1.0 / lam, 10.0 / lam):
             want = (expm(t * gen) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
             np.testing.assert_allclose(prop.apply(rho, t), want,
                                        atol=1e-12 * np.abs(want).max())
+        # rho has full support, so every block was decomposed, none by expm
+        assert prop.decomposed.all() and not prop.expm_blocks
 
-    @pytest.mark.parametrize("rwa,n_blocks,largest", [(False, 4, 225), (True, 256, 4)],
-                             ids=["full", "rwa"])
-    def test_weak_run_reports_blocks(self, rwa, n_blocks, largest):
+    @pytest.mark.parametrize("kind", ["weak", "fast"])
+    def test_unreached_blocks_are_not_decomposed(self, kind):
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                  gamma=0.1, n_max=3))
+        lam = 0.2 if kind == "weak" else 5.0
+        gen = (assemble_joint_weak_generator(decompose(sys, lam)) if kind == "weak"
+               else assemble_joint_fast_generator(sys, lam))
+        prop = _LinearPropagator(gen, ())
+        label = np.empty(gen.shape[0], dtype=int)
+        for k, b in enumerate(prop.blocks):
+            label[b] = k
+        assert not prop.decomposed.any()
+        rng = np.random.default_rng(11)
+        # a diagonal joint state, as the interval walk builds from a Fock start:
+        # it has weight only in the blocks that hold the diagonal
+        diag = np.diag(rng.dirichlet(np.ones(sys.dim))).astype(complex)
+        reached = np.unique(label[np.flatnonzero(diag.reshape(-1))])
+        assert 0 < len(reached) < len(prop.blocks)
+        unreached = ~np.isin(label, reached)
+
+        def check(rho, t):
+            got = prop.apply(rho, t)
+            want = (expm(t * gen) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
+            np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
+            return got.reshape(-1)
+
+        for t in (0.1 / lam, 10.0 / lam):
+            assert (check(diag, t)[unreached] == 0).all()
+        np.testing.assert_array_equal(np.flatnonzero(prop.decomposed), reached)
+        # a full-support state decomposes the rest, and the cached stacks follow
+        # the live set back and forth
+        check(random_density(rng, sys.dim), 1.0 / lam)
+        assert prop.decomposed.all() and not prop.expm_blocks
+        assert (check(diag, 1.0 / lam)[unreached] == 0).all()
+
+    @pytest.mark.parametrize("rwa,n_blocks,largest,decomposed",
+                             [(False, 4, 225, 2), (True, 256, 4, 5)], ids=["full", "rwa"])
+    def test_weak_run_reports_blocks(self, rwa, n_blocks, largest, decomposed):
         # n_max 14 (the CLI default): full coupling splits by ket/bra parity,
-        # the rotating-wave coupling by excitation number
+        # the rotating-wave coupling by excitation number.  From the CLI's Fock
+        # start every interval's state commutes with the joint parity (or the
+        # excitation number), so only diagonal sector-pair blocks are reached
+        # and decomposed, and under the RWA only those the walk spreads into
         sys = build_jcm(JcmParams(n_max=14, rwa=rwa))
-        rho_b = thermal_state(sys.h_b, 1.0)
-        run = weak_interval_run(decompose(sys, 0.1), rho_b, thermal_state(sys.h_a, 1.0),
-                                horizon=1.0, intervals=np.array([1.0]),
-                                checkpoint_times=np.array([0.0, 1.0]))
+        rho_a = np.zeros((sys.dim_a, sys.dim_a))
+        rho_a[1, 1] = 1.0
+        run = weak_interval_run(decompose(sys, 1e-2), thermal_state(sys.h_b, 1.0), rho_a,
+                                horizon=300.0, seed=5)
         assert (run.meta["propagator_blocks"], run.meta["largest_block"]) == (n_blocks, largest)
+        assert (run.meta["decomposed_blocks"], run.meta["expm_blocks"]) == (decomposed, 0)
 
     @pytest.mark.parametrize("mode", ["weak", "fast"])
     def test_default_run_needs_no_expm(self, mode):
@@ -495,6 +551,12 @@ class TestLinearPropagator:
         run = (weak_interval_run(decompose(sys, lam), *args, **opts) if mode == "weak"
                else fast_interval_run(sys, lam, *args, **opts))
         assert run.meta["expm_blocks"] == 0
+        # the run reaches only some blocks; a full-support state decomposes every one
+        gen = (assemble_joint_weak_generator(decompose(sys, lam)) if mode == "weak"
+               else assemble_joint_fast_generator(sys, lam))
+        prop = _LinearPropagator(gen, ())
+        prop.apply(random_density(np.random.default_rng(3), sys.dim), 1.0)
+        assert prop.decomposed.all() and not prop.expm_blocks
 
 
 class TestFastMap:
