@@ -55,12 +55,6 @@ DEFAULTS = {
     "t_points": 201,
 }
 
-_INT_KEYS = {"n_max", "seed", "n_traj", "initial_n", "checkpoints", "scan_n_max",
-             "n_levels", "t_points"}
-_BOOL_KEYS = {"rwa"}
-_STR_KEYS = {"mode", "beta", "beta_list", "lambda_list"}
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -78,21 +72,19 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(key: str, value):
-    if isinstance(value, str):
-        try:
-            if key in _BOOL_KEYS:
-                low = value.strip().lower()
-                if low not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(value)
-                return low in ("true", "1", "yes")
-            if key in _INT_KEYS:
-                return int(value)
-            if key in _STR_KEYS:
-                return value.strip()
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"config field {key!r}: cannot parse {value!r}") from exc
-    return value
+    # a text value takes the type of the key's default (bool is checked before int)
+    if not isinstance(value, str):
+        return value
+    kind = type(DEFAULTS[key])
+    try:
+        if kind is bool:
+            low = value.strip().lower()
+            if low not in ("true", "false", "1", "0", "yes", "no"):
+                raise ValueError(value)
+            return low in ("true", "1", "yes")
+        return value.strip() if kind is str else kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"config field {key!r}: cannot parse {value!r}") from exc
 
 
 def resolve_config(path: str | None, overrides: dict) -> dict:
@@ -331,25 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Repeated-measurement dynamics of a cavity-qubit system")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        sp.add_argument("--seed", type=int, metavar="N")
+    # each subcommand offers only the flags it reads
+    flags = {"--config": dict(metavar="PATH", help="flat key=value config file"),
+             "--seed": dict(type=int, metavar="N"),
+             "--traj": dict(type=int, metavar="N", help="trajectory count override")}
+
+    def command(name, help, *names):
+        sp = sub.add_parser(name, help=help)
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
         sp.add_argument("--out", metavar="DIR", default="qtherm_out")
-        sp.add_argument("--traj", type=int, metavar="N", help="trajectory count override")
         sp.add_argument("--quiet", action="store_true")
+        return sp
 
-    sp = sub.add_parser("simulate", help="run the measured-evolution process")
-    common(sp)
+    sp = command("simulate", "run the measured-evolution process", "--config", "--seed", "--traj")
     sp.add_argument("--mode", choices=["exact", "weak", "fast", "both"], default="exact")
-
-    sp = sub.add_parser("steady-scan", help="steady states across beta and lambda grids")
-    common(sp)
-
-    sp = sub.add_parser("jcm-analytic", help="dump the closed-form exchange amplitudes")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="run the verification suite")
-    common(sp)
+    command("steady-scan", "steady states across beta and lambda grids", "--config")
+    command("jcm-analytic", "dump the closed-form exchange amplitudes", "--config")
+    command("verify", "run the verification suite", "--traj")
     return p
 
 
@@ -359,10 +350,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        overrides = {"seed": args.seed, "n_traj": args.traj}
-        cfg = resolve_config(args.config, overrides)
         if args.command == "simulate":
+            cfg = resolve_config(args.config, {"seed": args.seed, "n_traj": args.traj})
             return cmd_simulate(cfg, args.out, args.quiet, run_mode=args.mode)
+        cfg = resolve_config(args.config, {})
         if args.command == "steady-scan":
             return cmd_steady_scan(cfg, args.out, args.quiet)
         if args.command == "jcm-analytic":

@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, NumericError, PreconditionError
 from .models import JointSystem, TRUNCATION_LIMIT, check_beta, thermal_populations, thermal_state
 from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
                     hermitian_part, marginal, populations, propagate_grid, superoperator,
@@ -31,6 +31,8 @@ from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
 from .thermo import IntervalLedger, ledger_for_interval
 
 BORN_TOL = 1e-10
+FIXED_POINT_TOL = 1e-14          # max |change| of rho_A between iterates at convergence
+FIXED_POINT_MAX_ITER = 100000
 
 
 def check_rate(lam: float) -> None:
@@ -221,7 +223,7 @@ class _JointFrame:
         self.e, self.w = prop.eigenvalues, prop.eigenvectors
         self.hab = sys.h_ab.mat
 
-    def evolve(self, joint0: np.ndarray, tau: float) -> np.ndarray:
+    def apply(self, joint0: np.ndarray, tau: float) -> np.ndarray:
         jt = self.w.conj().T @ joint0 @ self.w
         ph = np.exp(-1j * self.e * tau)
         return self.w @ (jt * np.outer(ph, ph.conj())) @ self.w.conj().T
@@ -315,7 +317,7 @@ def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
 
     rho_b = as_matrix(reservoir_in)
     diagonal_populations(rho_b, sys.basis_b, "reservoir input")
-    joint_t = frame.evolve(np.kron(as_matrix(state_a), rho_b), t)
+    joint_t = frame.apply(np.kron(as_matrix(state_a), rho_b), t)
     rho_a_end, pops_b, h_ab_expect = _end_interval(frame, sys, joint_t, t)
     return IntervalStep(
         state_a=DensityMatrix(rho_a_end),
@@ -400,7 +402,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     (beta_k, populations of B in ``sys.basis_b``) and evolves the product
     with ``prop`` for the next scheduled time: ``intervals`` if given, else
     exponential draws at rate ``lam`` from ``seed``.  ``prop`` supplies
-    evolve(joint0, tau), hab_expect(joint, tau) (gamma excluded),
+    apply(joint0, tau), hab_expect(joint, tau) (gamma excluded),
     check_positivity(joint) -> lowest eigenvalue checked, next_state(rho_A),
     and the entropy floors ``positivity_floor`` and ``checkpoint_floor``.
     """
@@ -419,7 +421,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         joint0 = np.kron(rho_a, (v_b * pops_b0) @ v_b.conj().T)
         for j, _, tau in checkpoints:
             tau = float(tau[0])
-            joint = prop.evolve(joint0, tau)
+            joint = prop.apply(joint0, tau)
             rho_cp = hermitian_part(marginal(joint, dims, "A"))
             cp_rho[j] = rho_cp
             cp_obs[:, j] = (
@@ -432,7 +434,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
             return ()
 
         t_k = float(t_k[0])
-        joint_t = prop.evolve(joint0, t_k)
+        joint_t = prop.apply(joint0, t_k)
         min_eig = min(min_eig, prop.check_positivity(joint_t))
         rho_a_end, pops_b, h_ab_expect = _end_interval(prop, sys, joint_t, t_k)
         born_max = max(born_max, abs(pops_b.sum() - 1.0))
@@ -611,15 +613,19 @@ class AveragedIntervalMap:
         out = hermitian_part(marginal(avg, (self.sys.dim_a, self.sys.dim_b), "A"))
         return out / np.trace(out).real
 
-    def fixed_point(self, tol: float = 1e-14, max_iter: int = 100000) -> np.ndarray:
+    def fixed_point(self) -> np.ndarray:
+        """Iterate ``apply`` from the maximally mixed state until an iterate moves
+        by less than FIXED_POINT_TOL; NumericError after FIXED_POINT_MAX_ITER."""
         da = self.sys.dim_a
         rho = np.eye(da, dtype=complex) / da
-        for _ in range(max_iter):
+        for _ in range(FIXED_POINT_MAX_ITER):
             new = self.apply(rho)
-            if np.abs(new - rho).max() < tol:
+            change = np.abs(new - rho).max()
+            if change < FIXED_POINT_TOL:
                 return new
             rho = new
-        return rho
+        raise NumericError(f"interval map fixed point not reached in {FIXED_POINT_MAX_ITER} "
+                           f"iterations (last change {change:.1e})")
 
 
 def jump_averaged_generator(sys: JointSystem, beta: float, lam: float) -> np.ndarray:

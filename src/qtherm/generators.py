@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import IntervalRun, check_horizon, check_rate, run_intervals
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
-from .models import JointSystem, thermal_state
+from .models import JointSystem, thermal_populations
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
                     hermitian_part, marginal, populations, propagate_grid, superoperator)
 
@@ -43,7 +43,6 @@ class GeneratorSpec:
     v_ops: tuple[np.ndarray, ...]
     s_coef: np.ndarray
     a_coef: np.ndarray
-    d_coef: np.ndarray
     gamma: float = field(init=False)
 
     def __post_init__(self):
@@ -112,17 +111,15 @@ def decompose(sys: JointSystem, lam: float) -> GeneratorSpec:
     mats_tup = tuple(mats[i] for i in order)
 
     n = len(freqs_arr)
-    d_coef = np.empty((n, n), complex)
     s_coef = np.empty((n, n), complex)
     a_coef = np.empty((n, n), complex)
     for i, w in enumerate(freqs_arr):
         for j, wp in enumerate(freqs_arr):
             d = (lam - 1j * w) * (lam + 1j * wp) * (lam - 1j * (w - wp))
-            d_coef[i, j] = d
             s_coef[i, j] = (2 * lam - 1j * (w - wp)) / d
             a_coef[i, j] = (w + wp) / d
     return GeneratorSpec(sys=sys, lam=lam, frequencies=freqs_arr, v_ops=mats_tup,
-                         s_coef=s_coef, a_coef=a_coef, d_coef=d_coef)
+                         s_coef=s_coef, a_coef=a_coef)
 
 
 def _check_product(rho: np.ndarray, da: int, db: int) -> None:
@@ -177,9 +174,15 @@ def assemble_reduced_generator(spec: GeneratorSpec, beta: float) -> np.ndarray:
     Expressed in the energy eigenbasis of H_A acting on the row-major
     vectorization of rho_A.  The reservoir is the thermal state at ``beta``.
     """
+    return _reduced_generator(spec, thermal_populations(spec.sys.basis_b.eigenvalues, beta))
+
+
+def _reduced_generator(spec: GeneratorSpec, pops_b: np.ndarray) -> np.ndarray:
+    # assemble_reduced_generator for a reservoir with populations pops_b in its energy basis
     sys = spec.sys
     va, e_a = sys.basis_a.eigenvectors, sys.basis_a.eigenvalues
-    rho_b = thermal_state(sys.h_b, beta).mat
+    v_b = sys.basis_b.eigenvectors
+    rho_b = (v_b * pops_b) @ v_b.conj().T
     rate = spec.gamma ** 2 * spec.lam
 
     def rhs(rho_a):
@@ -254,17 +257,16 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid) -> np.ndarra
 
     Its generator is constant, so rho_A is propagated exactly from
     ``t_grid[0]`` (``qcore.propagate_grid``).  The reservoir state ``rho_b0``
-    must be diagonal in the energy basis of H_B; an empty grid is a
-    ConfigError.  Returns the stack of rho_A matrices at the grid times
-    (storage basis).
+    must be diagonal in the energy basis of H_B, and its populations there
+    enter the generator as they are; an empty grid is a ConfigError.
+    Returns the stack of rho_A matrices at the grid times (storage basis).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ConfigError("time grid is empty")
     sys = spec.sys
     da = sys.dim_a
-    beta = _beta_of_state(sys, diagonal_populations(rho_b0, sys.basis_b, "reservoir input"))
-    gen = assemble_reduced_generator(spec, beta)
+    gen = _reduced_generator(spec, diagonal_populations(rho_b0, sys.basis_b, "reservoir input"))
     va = sys.basis_a.eigenvectors
     y0 = (va.conj().T @ as_matrix(rho_a0) @ va).reshape(-1)
     r = hermitian_part(propagate_grid(gen, y0, t_grid[0], t_grid).reshape(-1, da, da))
@@ -331,48 +333,39 @@ class _LinearPropagator:
         self._label = np.empty(gen.shape[0], dtype=int)         # block number of each index
         for k, b in enumerate(self.blocks):
             self._label[b] = k
-        self.decomposed = np.zeros(len(self.blocks), dtype=bool)  # per block: eig (or expm) done
-        self._eig = []               # (block numbers, indices, evals, vr, vr^-1), stacked per eig call
+        self._parts = [None] * len(self.blocks)   # per block: (evals, vr, vr^-1), or (block of G,)
         self.expm_blocks = []        # (indices, block of G) for the ill-conditioned ones
-        self._live, self._stacks = self.decomposed.copy(), []   # the live blocks' parts of _eig
 
-    def _restack(self, live: np.ndarray) -> None:
-        # decompose the newly live blocks, those of one size as one stack
-        new = np.flatnonzero(live & ~self.decomposed)
-        self.decomposed[new] = True
-        for size in sorted({len(self.blocks[k]) for k in new}):
-            ks = np.array([k for k in new if len(self.blocks[k]) == size])
-            idx = np.array([self.blocks[k] for k in ks])
-            g = self._gen[idx[:, :, None], idx[:, None, :]]
-            evals, vr = np.linalg.eig(g)
-            ok = np.linalg.cond(vr) < 1e10
-            self._eig.append((ks[ok], idx[ok], evals[ok], vr[ok], np.linalg.inv(vr[ok])))
-            self.expm_blocks.extend(zip(idx[~ok], g[~ok]))
-        # kept until the live set changes, so that apply gathers no eigenvectors
-        self._stacks = [e[1:] if live[e[0]].all() else [a[live[e[0]]] for a in e[1:]]
-                        for e in self._eig if live[e[0]].any()]
-        self._live = live
+    @property
+    def decomposed(self) -> np.ndarray:
+        """Per block: eigendecomposed (or sent to ``expm``) yet."""
+        return np.array([p is not None for p in self._parts])
+
+    def _decompose(self, k: int) -> tuple:
+        idx = self.blocks[k]
+        g = self._gen[np.ix_(idx, idx)]
+        evals, vr = np.linalg.eig(g)
+        if np.linalg.cond(vr) < 1e10:
+            return evals, vr, np.linalg.inv(vr)
+        self.expm_blocks.append((idx, g))
+        return (g,)
 
     def apply(self, theta: np.ndarray, t: float) -> np.ndarray:
         x = theta.reshape(-1)
-        live = np.bincount(self._label[x != 0], minlength=len(self.blocks)) > 0
-        if not np.array_equal(live, self._live):
-            self._restack(live)
         out = np.zeros(x.shape, dtype=complex)
-        for idx, evals, vr, vr_inv in self._stacks:
-            coeff = (vr_inv @ x[idx][..., None])[..., 0] * np.exp(evals * t)
-            out[idx] = (vr @ coeff[..., None])[..., 0]
-        if self.expm_blocks:
-            # imported here, as scipy costs ~0.3 s and ~45 MB in every run that needs no expm
-            from scipy.linalg import expm
+        for k in np.unique(self._label[x != 0]).tolist():
+            if self._parts[k] is None:
+                self._parts[k] = self._decompose(k)
+            idx, parts = self.blocks[k], self._parts[k]
+            if len(parts) == 3:
+                evals, vr, vr_inv = parts
+                out[idx] = vr @ ((vr_inv @ x[idx]) * np.exp(evals * t))
+            else:
+                # imported here, as scipy costs ~0.3 s and ~45 MB in every run that needs no expm
+                from scipy.linalg import expm
 
-            for idx, g in self.expm_blocks:
-                if live[self._label[idx[0]]]:
-                    out[idx] = expm(g * t) @ x[idx]
+                out[idx] = expm(parts[0] * t) @ x[idx]
         return hermitian_part(out.reshape(self.dim, self.dim))
-
-    def evolve(self, joint0: np.ndarray, tau: float) -> np.ndarray:
-        return self.apply(joint0, tau)
 
     def hab_expect(self, joint: np.ndarray, tau: float) -> float:
         tot = 0.0 + 0.0j
@@ -416,7 +409,7 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
         checkpoint_times = np.linspace(0.0, horizon, 121)
     run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, pops_b), horizon,
                         checkpoint_times, spec.lam, seed, intervals)
-    run.meta.update(beta=beta, protocol="interval", propagator_blocks=len(prop.blocks),
+    run.meta.update(beta=beta, propagator_blocks=len(prop.blocks),
                     largest_block=max(len(b) for b in prop.blocks),
                     decomposed_blocks=int(prop.decomposed.sum()), expm_blocks=len(prop.expm_blocks))
     return run

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import amplitudes, mean_b2_poisson
+from .analytic import AtomFieldState, amplitudes, einstein_rate, mean_b2_poisson
 from .engine import (
     AveragedIntervalMap,
     ProcessConfig,
+    _JointFrame,
     absorption_rate_mc,
     ensemble_average_series,
     run_process,
@@ -81,32 +82,37 @@ def _fock(n: int, dim: int) -> StateVector:
 
 @_timed
 def check_block_oracle() -> CheckResult:
-    """Exact propagation against the closed-form two-level block solution."""
+    """The exact engine's propagator against the closed-form two-level block solution.
+
+    Both of its forms are checked: state-vector rows (trajectory mode) and
+    density matrices (density-matrix mode).
+    """
     worst = 0.0
     ts = np.linspace(0.0, 100.0, 41)
     for dc in (0.0, 0.5):
         p = JcmParams(omega_a=TWO_PI, omega_b=TWO_PI + dc, gamma=0.05, n_max=6, rwa=True)
-        sys = build_jcm(p)
-        e, w = sys.propagator.eigenvalues, sys.propagator.eigenvectors
+        frame = _JointFrame(build_jcm(p))
         for n in range(1, 6):
             up = (n - 1) * 2 + 1      # |n-1, e>
             dn = n * 2 + 0            # |n, g>
+            block = np.ix_([up, dn], [up, dn])
             for start, want_of in (
                 (up, lambda a, b: np.array([[abs(a) ** 2, -a * b],
                                             [np.conj(a) * b, abs(b) ** 2]])),
                 (dn, lambda a, b: np.array([[abs(b) ** 2, a * b],
                                             [-np.conj(a) * b, abs(a) ** 2]])),
             ):
-                psi0 = np.zeros(sys.dim, dtype=complex)
+                psi0 = np.zeros(len(frame.e), dtype=complex)
                 psi0[start] = 1.0
-                c0 = w.conj().T @ psi0
-                for t in ts:
-                    psi = w @ (np.exp(-1j * e * t) * c0)
-                    c1, c2 = psi[up], psi[dn]
-                    block = np.array([[c1 * np.conj(c1), c1 * np.conj(c2)],
-                                      [c2 * np.conj(c1), c2 * np.conj(c2)]])
+                rho0 = np.outer(psi0, psi0)
+                rows = frame.evolve_rows(frame.to_frame(psi0[None]), ts)   # psi(t), one row per t
+                for t, psi in zip(ts, rows):
                     amp = amplitudes(n, float(t), p)
-                    worst = max(worst, float(np.abs(block - want_of(amp.a_n, amp.b_n)).max()))
+                    want = want_of(amp.a_n, amp.b_n)
+                    from_rows = np.outer(psi, psi.conj())[block]
+                    from_rho = frame.apply(rho0, float(t))[block]
+                    worst = max(worst, float(np.abs(from_rows - want).max()),
+                                float(np.abs(from_rho - want).max()))
     return CheckResult(1, "closed-form block oracle", worst < 1e-9,
                        "max deviation < 1e-9", f"max deviation {worst:.2e}")
 
@@ -188,7 +194,8 @@ def check_einstein_rate(n_trials: int = 4_000_000) -> CheckResult:
     rate, se = absorption_rate_mc(sys, _fock(3, sys.dim_a), beta, lam,
                                   n_trials=n_trials, seed=7)
     sigma = thermal_populations(sys.basis_b.eigenvalues, beta)
-    want = 2 * lam * p.gamma ** 2 / (lam ** 2 + dc ** 2) * (sigma[0] * 3 - sigma[1] * 4)
+    fock3 = tuple(np.eye(sys.dim_a)[3])
+    want = einstein_rate(AtomFieldState(fock3, sigma_e=sigma[1], sigma_g=sigma[0]), lam, p)
     rel = abs(rate - want) / abs(want)
     ok = abs(rate - want) <= max(0.05 * abs(want), 3 * se)
     return CheckResult(5, "first-order absorption rate recovery", ok,

@@ -178,6 +178,19 @@ class TestMain:
             cli.main(["simulate", "--mode", "bogus"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [["verify", "--config", "x.cfg"], ["verify", "--seed", "3"],
+                                      ["steady-scan", "--seed", "3"], ["steady-scan", "--traj", "5"],
+                                      ["jcm-analytic", "--seed", "3"],
+                                      ["jcm-analytic", "--traj", "5"]])
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, monkeypatch,
+                                                           capsys, argv):
+        from qtherm import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "run_all", lambda n_traj=None, quiet=False: [])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 1
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("gamma == 0.05\n")

@@ -14,7 +14,7 @@ from qtherm.engine import (
     sample_interval,
     step_interval,
 )
-from qtherm.errors import ConfigError, PreconditionError
+from qtherm.errors import ConfigError, NumericError, PreconditionError
 from qtherm.models import JcmParams, build_jcm, thermal_state
 from qtherm.qcore import DensityMatrix, StateVector, shannon_entropy
 
@@ -331,6 +331,14 @@ class TestAveragedIntervalMap:
         amap = AveragedIntervalMap(sys, beta=1.0, lam=0.01)
         rho = amap.fixed_point()
         np.testing.assert_allclose(amap.apply(rho), rho, atol=1e-12)
+
+    def test_fixed_point_raises_at_iteration_cap(self, monkeypatch):
+        # an unconverged iterate is an error, not a returned state
+        from qtherm import engine
+
+        monkeypatch.setattr(engine, "FIXED_POINT_MAX_ITER", 3)
+        with pytest.raises(NumericError, match="not reached in 3 iterations"):
+            AveragedIntervalMap(build_jcm(DECAY_RWA), beta=1.0, lam=0.01).fixed_point()
 
 
 class TestAbsorptionRateMc:

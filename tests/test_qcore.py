@@ -15,6 +15,7 @@ from qtherm.qcore import (
     evolve,
     marginal,
     partial_trace,
+    propagate_grid,
     relative_entropy,
     superoperator,
     tensor_product,
@@ -258,6 +259,23 @@ def test_trace_distance_basic():
     b = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     assert abs(trace_distance(a, b) - 1.0) < 1e-14
     assert trace_distance(a, a) < 1e-14
+
+
+@pytest.mark.parametrize("spacing", ["geomspace", "linspace"])
+def test_propagate_grid_matches_expm_at_every_point(spacing):
+    # every step of a geomspace grid differs, so each takes a fresh expm; the
+    # steps of a linspace grid lie a rounding apart and reuse one matrix
+    from scipy.linalg import expm
+
+    sys = build_jcm(JcmParams(gamma=0.3, n_max=2))
+    gen = assemble_joint_weak_generator(decompose(sys, 0.5))
+    y0 = random_density(np.random.default_rng(4), sys.dim).mat.reshape(-1)
+    t0 = 0.7
+    grid = t0 + (np.geomspace(1e-2, 40.0, 60) if spacing == "geomspace"
+                 else np.linspace(0.0, 40.0, 60))
+    got = propagate_grid(gen, y0, t0, grid)
+    for t, y in zip(grid, got):
+        np.testing.assert_allclose(y, expm((t - t0) * gen) @ y0, rtol=0, atol=1e-12)
 
 
 class TestConnectedBlocks:
