@@ -15,11 +15,7 @@ from .qcore import (
     Operator,
     Propagator,
     StateVector,
-    diag_entropy,
-    evolve,
-    partial_trace,
     relative_entropy,
-    tensor_product,
     trace_distance,
     von_neumann_entropy,
 )

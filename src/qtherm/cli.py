@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from ._svg import line_chart
-from .engine import ProcessConfig, check_horizon, run_process
+from .engine import ProcessConfig, check_horizon, check_rate, run_process
 from .errors import ConfigError, NumericError, QthermError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
     assemble_reduced_generator, min_temp_predict, steady_state
@@ -183,6 +183,8 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
     params, sys = _build_system(cfg)
     os.makedirs(out_dir, exist_ok=True)
     beta = _beta_value(cfg)
+    if run_mode != "exact" and not np.isscalar(beta):
+        raise ConfigError(f"--mode {run_mode} takes one beta, got the schedule {cfg['beta']}")
     psi0 = _initial_state(cfg, sys.dim_a)
     if cfg["checkpoints"] < 0:
         raise ConfigError(f"checkpoints must be >= 0, got {cfg['checkpoints']}")
@@ -207,10 +209,8 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
         rec = run_process(pcfg, sys)
         emit("exact", rec.series, rec.truncation_suspect)
     if run_mode in ("weak", "fast", "both"):
-        # the averaged runs take one reservoir temperature: the first of a schedule
-        beta0 = beta if np.isscalar(beta) else beta[0]
-        inputs = (thermal_state(sys.h_b, beta0), psi0.projector())
-        opts = dict(horizon=cfg["horizon"], seed=cfg["seed"], checkpoint_times=grid, beta=beta0)
+        inputs = (thermal_state(sys.h_b, beta), psi0.projector())
+        opts = dict(horizon=cfg["horizon"], seed=cfg["seed"], checkpoint_times=grid, beta=beta)
         if run_mode == "fast":
             run = fast_interval_run(sys, cfg["lambda"], *inputs, **opts)
         else:
@@ -271,6 +271,11 @@ def cmd_steady_scan(cfg: dict, out_dir: str, quiet: bool) -> int:
 
 def cmd_jcm_analytic(cfg: dict, out_dir: str, quiet: bool) -> int:
     params, _ = _build_system(cfg)
+    check_rate(cfg["lambda"])
+    if not 0 <= cfg["t_max"] < math.inf:
+        raise ConfigError(f"t_max must be non-negative and finite, got {cfg['t_max']!r}")
+    if min(cfg["t_points"], cfg["n_levels"]) < 0:
+        raise ConfigError("t_points and n_levels must be non-negative")
     os.makedirs(out_dir, exist_ok=True)
     ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
     cols = {k: [] for k in ("n", "t", "re_a", "im_a", "re_b", "im_b",

@@ -47,13 +47,17 @@ def check_horizon(horizon: float) -> None:
         raise ConfigError(f"horizon must be non-negative and finite, got {horizon!r}")
 
 
-def check_schedule(lam: float, horizon: float, grid: np.ndarray) -> None:
+def check_schedule(lam: float, horizon: float, grid: np.ndarray,
+                   intervals: np.ndarray | None = None) -> None:
     """Reject a measurement rate or horizon that no interval schedule can honour,
-    and checkpoint times that are not finite or that decrease."""
+    checkpoint times that are not finite or that decrease, and explicit
+    interval lengths that are negative or NaN."""
     check_rate(lam)
     check_horizon(horizon)
     if not (np.isfinite(grid).all() and (np.diff(grid) >= 0).all()):
         raise ConfigError("checkpoint times must be finite and non-decreasing")
+    if intervals is not None and not (np.asarray(intervals, dtype=float) >= 0).all():
+        raise ConfigError("interval lengths must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class ProcessConfig:
             raise ConfigError("n_checkpoints must be >= 0")
         check_beta(self.beta)
         check_schedule(self.lam, self.horizon, [] if self.checkpoint_times is None
-                       else np.asarray(self.checkpoint_times, dtype=float))
+                       else np.asarray(self.checkpoint_times, dtype=float), self.intervals)
 
     def beta_for(self, k: int) -> float:
         if np.isscalar(self.beta):
@@ -349,13 +353,13 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
     walkers, records the checkpoints (j, on, tau) of ``grid`` as it iterates
     them (walkers ``on``, ``tau`` into their interval), measures the walkers
     whose interval ``completes`` by the horizon and returns their (Q, W,
-    W_meas, beta Q) rows.  The interval that crosses the horizon books no
-    ledger.
+    W_meas, beta Q) rows, booking beta Q as -dS_B, which is defined at every
+    beta.  The interval that crosses the horizon books no ledger.
 
     Returns all measurement times in order, the number of checkpoints every
     walker reached, and there the running ledger sums over walkers, (4, n).
     """
-    check_schedule(lam, horizon, grid)
+    check_schedule(lam, horizon, grid, intervals)
     clock = np.zeros(len(rngs))
     cp_next = np.zeros(len(rngs), dtype=int)
     times, terms = [np.empty(0)], [np.empty((0, 4))]
@@ -444,7 +448,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         ledgers.append(led)
         rho_a = prop.next_state(rho_a_end)
         snapshots.append(rho_a)
-        return (led.q, led.w, led.w_meas, led.beta * led.q)
+        return (led.q, led.w, led.w_meas, -led.dS_b)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     times, n_cp, sums = _walk(step, 0, [rng], lam, horizon, grid, intervals)
@@ -563,7 +567,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
         p = np.clip(p_m, 0.0, None)
         ds_b = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
         q = -ds_b / beta if beta > 0 else np.full(done.size, math.nan)
-        return np.column_stack((q, (ha_now[done] - ha_start) - q, -sys.gamma * hab, beta * q))
+        return np.column_stack((q, (ha_now[done] - ha_start) - q, -sys.gamma * hab, -ds_b))
 
     _, n_cp, sums = _walk(step, 2, rngs, cfg.lam, cfg.horizon, grid)
     mean_ha, mean_ha2, mean_hb, mean_hab = obs_sum[:, :n_cp] / n

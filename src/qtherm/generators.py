@@ -275,17 +275,6 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid) -> np.ndarra
     return va @ r @ va.conj().T
 
 
-def _beta_of_state(sys: JointSystem, pops_b: np.ndarray) -> float:
-    """Inverse temperature of reservoir populations in the energy basis."""
-    e_b = sys.basis_b.eigenvalues
-    pops = np.clip(pops_b, 1e-300, None)
-    if sys.dim_b != 2:
-        # fit: least squares of ln p against -beta e
-        d = np.polyfit(e_b, np.log(pops), 1)
-        return float(-d[0])
-    return float(-(math.log(pops[1]) - math.log(pops[0])) / (e_b[1] - e_b[0]))
-
-
 def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
     """Joint-space generator of the averaged second-order updates at rate lam."""
     # one averaged update per mean interval
@@ -385,8 +374,7 @@ class _LinearPropagator:
 
 def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
                       seed: int = 0, intervals: np.ndarray | None = None,
-                      checkpoint_times: np.ndarray | None = None,
-                      beta: float | None = None,
+                      checkpoint_times: np.ndarray | None = None, *, beta: float,
                       generator: np.ndarray | None = None) -> IntervalRun:
     """Run the averaged-propagator comparison protocol with full bookkeeping.
 
@@ -396,12 +384,11 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
     (or an explicitly supplied one).  Heat and work ledgers use the same
     reservoir-side definitions as the exact engine.  The reservoir input
     ``rho_b0`` must be diagonal in the energy basis of H_B (a
-    PreconditionError otherwise); it is carried as its populations.
+    PreconditionError otherwise); it is carried as its populations, and the
+    ledgers book its heat at the caller's ``beta``.
     """
     sys = spec.sys
     pops_b = diagonal_populations(rho_b0, sys.basis_b, "reservoir input")
-    if beta is None:
-        beta = _beta_of_state(sys, pops_b)
     prop = _LinearPropagator(assemble_joint_weak_generator(spec) if generator is None
                              else generator, zip(spec.frequencies, spec.v_ops))
     if checkpoint_times is None:
@@ -417,8 +404,8 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
 
 def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: float,
                       seed: int = 0, intervals: np.ndarray | None = None,
-                      checkpoint_times: np.ndarray | None = None,
-                      beta: float | None = None) -> IntervalRun:
+                      checkpoint_times: np.ndarray | None = None, *,
+                      beta: float) -> IntervalRun:
     """Interval protocol driven by the fast-measurement generator instead."""
     spec = decompose(sys, lam)
     return weak_interval_run(spec, rho_b0, rho_a0, horizon, seed=seed,

@@ -15,11 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, SizeLimitError
 from .qcore import Operator, DensityMatrix, Propagator
 
 # Population of the top Fock level above which a run is flagged truncation-suspect.
 TRUNCATION_LIMIT = 1e-6
+
+# Largest joint dimension 2 (n_max + 1) that JcmParams accepts: build_jcm and every CLI
+# command take their size from JcmParams, so none allocates an oversized system.
+MAX_JOINT_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,9 @@ class JcmParams:
             raise ConfigError("coupling strength must be non-negative and finite")
         if self.n_max < 1:
             raise ConfigError("n_max must be at least 1")
+        if (dim := 2 * (self.n_max + 1)) > MAX_JOINT_DIM:
+            raise SizeLimitError(f"joint dimension 2 (n_max + 1) = {dim} exceeds the maximum "
+                                 f"{MAX_JOINT_DIM}")
 
     @property
     def detuning(self) -> float:

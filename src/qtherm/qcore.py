@@ -14,10 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, PositivityError, PreconditionError, SizeLimitError
-
-# Largest joint dimension the dense representation will accept.
-MAX_JOINT_DIM = 4096
+from .errors import DimensionError, PositivityError, PreconditionError
 
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -108,11 +105,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Cached eigendecomposition of a Hermitian operator.
-
-    Evolution for any time reuses the decomposition, which is what makes
-    thousands of interval evolutions under one Hamiltonian cheap.
-    """
+    """Eigendecomposition of a Hermitian operator: an energy basis
+    (``JointSystem.basis_a``, ``basis_b``), and for the coupled Hamiltonian
+    the eigenframe in which ``engine._JointFrame`` evolves states."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -261,65 +256,6 @@ def diagonal_populations(rho, basis: Propagator, what: str) -> np.ndarray:
     return np.clip(pops.real, 0.0, None)
 
 
-def _kind_mat(x):
-    if isinstance(x, Operator):
-        return "op", x.mat
-    if isinstance(x, DensityMatrix):
-        return "dm", x.mat
-    if isinstance(x, StateVector):
-        return "sv", x.vec
-    raise TypeError(f"unsupported operand type {type(x).__name__}")
-
-
-def tensor_product(a, b):
-    """Kronecker product of two same-kind objects, A as the slow index."""
-    ka, ma = _kind_mat(a)
-    kb, mb = _kind_mat(b)
-    if ka != kb:
-        raise TypeError("tensor_product operands must be of the same kind")
-    dim = (ma.shape[0]) * (mb.shape[0])
-    if dim > MAX_JOINT_DIM:
-        raise SizeLimitError(f"joint dimension {dim} exceeds maximum {MAX_JOINT_DIM}")
-    out = np.kron(ma, mb)
-    if ka == "op":
-        return Operator(out, hermitian=a.hermitian and b.hermitian)
-    if ka == "dm":
-        return DensityMatrix(out)
-    return StateVector(out)
-
-
-def partial_trace(rho: Union[DensityMatrix, np.ndarray], dims: tuple[int, int], keep: str) -> DensityMatrix:
-    """Trace out one factor of a bipartite density matrix.
-
-    ``dims = (dA, dB)`` with A the slow Kronecker index; ``keep`` is "A" or "B".
-    """
-    m = as_matrix(rho)
-    da, db = dims
-    if m.shape != (da * db, da * db):
-        raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
-    return DensityMatrix(marginal(m, dims, keep))
-
-
-def evolve(state, prop: Propagator, t: float):
-    """Unitary evolution of a StateVector or DensityMatrix for time t >= 0."""
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    v = prop.eigenvectors
-    phase = np.exp(-1j * prop.eigenvalues * t)
-    if isinstance(state, StateVector):
-        if state.dim != prop.dim:
-            raise DimensionError("state and propagator dimensions differ")
-        return StateVector(v @ (phase * (v.conj().T @ state.vec)))
-    if isinstance(state, DensityMatrix):
-        if state.dim != prop.dim:
-            raise DimensionError("state and propagator dimensions differ")
-        rt = v.conj().T @ state.mat @ v
-        rt = rt * np.outer(phase, phase.conj())
-        out = v @ rt @ v.conj().T
-        return DensityMatrix(0.5 * (out + out.conj().T))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
 def _spectrum(rho, floor: float = -1e-8) -> np.ndarray:
     evals = np.linalg.eigvalsh(as_matrix(rho))
     if evals.min() < floor:
@@ -357,14 +293,6 @@ def relative_entropy(rho, sigma) -> float:
     term1 = -shannon_entropy(r_evals)
     term2 = float((diag_in_sigma[~null] * np.log(s_evals[~null])).sum())
     return term1 - term2
-
-
-def diag_entropy(rho, basis: Propagator) -> float:
-    """Shannon entropy of the populations of rho in the given eigenbasis."""
-    m = as_matrix(rho)
-    if m.shape[0] != basis.dim:
-        raise DimensionError("state and basis dimensions differ")
-    return shannon_entropy(np.clip(populations(m, basis.eigenvectors), 0.0, None))
 
 
 def trace_distance(rho, sigma) -> float:

@@ -116,14 +116,13 @@ def s_tot(s_a_series: Sequence[float], ledgers: Sequence[IntervalLedger]) -> np.
     """Total entropy production at each measurement time.
 
     S_tot(t_k) = S_A(t_k) - S_A(0) - sum_{j<=k} beta_j Q_j, with S_A sampled at
-    t_0 = 0 and after each of the len(ledgers) intervals.
+    t_0 = 0 and after each of the len(ledgers) intervals.  beta Q is summed as
+    -dS_B, which it equals wherever heat is defined, so S_tot is finite also at
+    beta = 0 and beta = inf.
     """
     if len(s_a_series) != len(ledgers) + 1:
         raise ValueError("need one S_A sample per measurement time, including t = 0")
-    for led in ledgers:
-        if not led.heat_defined:
-            raise ValueError("s_tot requires ledgers with finite nonzero beta")
-    bq = np.array([led.beta * led.q for led in ledgers])
+    bq = np.array([-led.dS_b for led in ledgers])
     out = np.empty(len(ledgers) + 1)
     out[0] = 0.0
     out[1:] = np.asarray(s_a_series[1:]) - s_a_series[0] - np.cumsum(bq)

@@ -217,6 +217,42 @@ class TestMain:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("mode", ["weak", "fast", "both"])
+    def test_averaged_modes_reject_beta_schedule(self, tmp_path, capsys, mode):
+        # the weak and fast runs take one reservoir temperature; only the exact run
+        # follows a schedule, so no CSV is written
+        cfgfile = tmp_path / "sched.cfg"
+        cfgfile.write_text("beta = 1.0,2.0\nn_max = 2\nhorizon = 20\ncheckpoints = 5\n")
+        code = cli.main(["simulate", "--mode", mode, "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("line", ["t_points = -1", "t_max = -5", "t_max = nan",
+                                      "lambda = -1", "lambda = nan", "lambda = inf",
+                                      "n_levels = -1"])
+    def test_jcm_analytic_bad_input_is_one_line_error(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(line + "\n")
+        code = cli.main(["jcm-analytic", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command,key", [("simulate", "n_max"), ("steady-scan", "scan_n_max"),
+                                             ("jcm-analytic", "n_max")])
+    def test_oversized_system_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
+                                                         command, key):
+        monkeypatch.setattr(cli, "build_jcm", lambda p: pytest.fail("oversized system built"))
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text(f"{key} = 5000\n")
+        code = cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                         "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1 and "joint dimension" in err, err
+
     def test_trajectory_without_checkpoints(self, tmp_path):
         cfgfile = tmp_path / "empty.cfg"
         cfgfile.write_text("mode = trajectory\ncheckpoints = 0\nn_traj = 2\n"

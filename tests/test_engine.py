@@ -15,8 +15,10 @@ from qtherm.engine import (
     step_interval,
 )
 from qtherm.errors import ConfigError, NumericError, PreconditionError
+from qtherm.generators import decompose, weak_interval_run
 from qtherm.models import JcmParams, build_jcm, thermal_state
 from qtherm.qcore import DensityMatrix, StateVector, shannon_entropy
+from qtherm.thermo import s_tot
 
 DECAY = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=12, rwa=False)
 DECAY_RWA = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=12, rwa=True)
@@ -145,6 +147,31 @@ class TestRunProcess:
         kwargs = {"lam": 0.01, "horizon": 10.0, "beta": 1.0, field: value}
         with pytest.raises(ConfigError):
             ProcessConfig(initial_state_a=fock(1, 3), **kwargs)
+
+    @pytest.mark.parametrize("intervals", [[-5.0, 10.0, 10.0], [math.nan, 1.0]])
+    def test_negative_or_nan_interval_rejected(self, intervals):
+        # a negative interval would run the process backwards and book its ledger
+        with pytest.raises(ConfigError, match="interval lengths"):
+            ProcessConfig(lam=0.01, beta=1.0, horizon=30.0, initial_state_a=fock(1, 3),
+                          intervals=np.array(intervals))
+
+    @pytest.mark.parametrize("beta", [math.inf, 0.0], ids=["zero_T", "infinite_T"])
+    @pytest.mark.parametrize("mode", ["density-matrix", "trajectory", "weak"])
+    def test_entropy_production_finite_at_extreme_beta(self, mode, beta):
+        # beta Q is booked as -dS_B: as a product it is inf * 0 at beta = inf,
+        # and Q itself is undefined at beta = 0
+        sys = build_jcm(JcmParams(n_max=4))
+        psi0 = fock(1, sys.dim_a)
+        if mode == "weak":
+            run = weak_interval_run(decompose(sys, 0.05), thermal_state(sys.h_b, beta),
+                                    psi0.projector(), horizon=100.0, seed=3, beta=beta)
+        else:
+            run = run_process(ProcessConfig(lam=0.05, beta=beta, horizon=100.0, seed=3,
+                                            mode=mode, n_traj=20, initial_state_a=psi0,
+                                            n_checkpoints=11), sys)
+        assert np.isfinite(run.series.s_tot).all() and run.series.s_tot[-1] != 0.0
+        if mode == "density-matrix":
+            assert np.isfinite(s_tot(run.s_a_series, run.ledgers)).all()
 
     def test_ensemble_matches_trajectories_stepped_by_hand(self):
         # each trajectory's stream is drawn in the order: interval length, input

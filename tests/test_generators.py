@@ -363,7 +363,8 @@ class TestLindbladPropagate:
         psi[0] = psi[1] = 1 / math.sqrt(2)
         rho0 = np.outer(psi, psi.conj())
         run = weak_interval_run(decompose(sys, lam=0.05), thermal_state(sys.h_b, 1.0), rho0,
-                                horizon=11.0, seed=2, checkpoint_times=np.array([0.0, 3.7, 11.0]))
+                                horizon=11.0, seed=2, checkpoint_times=np.array([0.0, 3.7, 11.0]),
+                                beta=1.0)
         assert len(run.checkpoint_rho_a) == 3
         for got in run.checkpoint_rho_a:
             np.testing.assert_allclose(got, rho0, atol=1e-10)
@@ -373,14 +374,14 @@ class TestLindbladPropagate:
         sys = build_jcm(JcmParams(n_max=2))
         with pytest.raises(PreconditionError):
             weak_interval_run(decompose(sys, 0.2), COHERENT_B, thermal_state(sys.h_a, 1.0),
-                              horizon=1.0, intervals=np.array([5.0]))
+                              horizon=1.0, intervals=np.array([5.0]), beta=1.0)
 
     @pytest.mark.parametrize("pops", [[2.0, 0.0], [1.3, -0.3]], ids=["trace2", "negative"])
     def test_interval_protocol_rejects_reservoir_that_is_not_a_state(self, pops):
         sys = build_jcm(JcmParams(n_max=3))
         with pytest.raises(PreconditionError, match="reservoir input"):
             weak_interval_run(decompose(sys, 0.2), np.diag(pops), thermal_state(sys.h_a, 1.0),
-                              horizon=1.0, intervals=np.array([5.0]))
+                              horizon=1.0, intervals=np.array([5.0]), beta=1.0)
 
     def test_interval_protocol_returns_near_positivity_floor(self):
         # the averaged generators are GKSL with a positive coefficient matrix,
@@ -408,7 +409,7 @@ class TestLindbladPropagate:
         rho0[1, 1] = 1.0
         rho_b = thermal_state(sys.h_b, 1.0)
         run = weak_interval_run(spec, rho_b, rho0, horizon=tau, intervals=np.array([tau]),
-                                checkpoint_times=np.linspace(0.0, tau, 5), generator=gen)
+                                checkpoint_times=np.linspace(0.0, tau, 5), beta=1.0, generator=gen)
         assert len(run.ledgers) == 1 and len(run.checkpoint_times) == 5
         assert -1e-5 < run.min_eig < -1e-6
 
@@ -429,7 +430,7 @@ class TestLindbladPropagate:
         rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
         with pytest.raises(ConfigError):
             weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, horizon=math.inf,
-                              intervals=np.array([1.0]))
+                              intervals=np.array([1.0]), beta=1.0)
 
     @pytest.mark.parametrize("times", [[0.0, 6.0, 2.0, 4.0], [0.0, 2.0, math.nan, 6.0]])
     def test_interval_protocol_rejects_bad_grid(self, times):
@@ -439,14 +440,23 @@ class TestLindbladPropagate:
         rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
         with pytest.raises(ConfigError):
             weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, horizon=8.0,
-                              checkpoint_times=np.array(times))
+                              checkpoint_times=np.array(times), beta=1.0)
+
+    @pytest.mark.parametrize("intervals", [[-5.0, 10.0, 10.0], [math.nan, 1.0]])
+    def test_interval_protocol_rejects_negative_or_nan_interval(self, intervals):
+        sys = build_jcm(JcmParams(n_max=2))
+        rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
+        with pytest.raises(ConfigError, match="interval lengths"):
+            weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, horizon=30.0,
+                              intervals=np.array(intervals), beta=1.0)
 
     @pytest.mark.parametrize("lam,horizon", [(0.2, math.inf), (math.nan, 10.0)])
     def test_fast_protocol_rejects_non_finite(self, lam, horizon):
         sys = build_jcm(JcmParams(n_max=2))
         rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
         with pytest.raises(ConfigError):
-            fast_interval_run(sys, lam, rho_b, rho_a, horizon=horizon, intervals=np.array([1.0]))
+            fast_interval_run(sys, lam, rho_b, rho_a, horizon=horizon, intervals=np.array([1.0]),
+                              beta=1.0)
 
     def test_interval_protocol_runs_at_small_lam(self):
         sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi,
@@ -456,7 +466,7 @@ class TestLindbladPropagate:
         rho0 = np.zeros((sys.dim_a, sys.dim_a), complex)
         rho0[1, 1] = 1.0
         run = weak_interval_run(spec, thermal_state(sys.h_b, 1.0), rho0,
-                                horizon=40 / lam, seed=3)
+                                horizon=40 / lam, seed=3, beta=1.0)
         assert len(run.ledgers) > 5
         assert run.min_eig > -1e-5
         gibbs = thermal_state(sys.h_a, 1.0).mat
@@ -561,7 +571,7 @@ class TestLinearPropagator:
         rho_a = np.zeros((sys.dim_a, sys.dim_a))
         rho_a[1, 1] = 1.0
         run = weak_interval_run(decompose(sys, 1e-2), thermal_state(sys.h_b, 1.0), rho_a,
-                                horizon=300.0, seed=5)
+                                horizon=300.0, seed=5, beta=1.0)
         assert (run.meta["propagator_blocks"], run.meta["largest_block"]) == (n_blocks, largest)
         assert (run.meta["decomposed_blocks"], run.meta["expm_blocks"]) == (decomposed, 0)
 
@@ -577,7 +587,7 @@ class TestLinearPropagator:
                                   gamma=cfg["gamma"], n_max=cfg["n_max"], rwa=cfg["rwa"]))
         args = (thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0))
         opts = dict(horizon=1.0, intervals=np.array([1.0]),
-                    checkpoint_times=np.array([0.0, 1.0]))
+                    checkpoint_times=np.array([0.0, 1.0]), beta=1.0)
         run = (weak_interval_run(decompose(sys, lam), *args, **opts) if mode == "weak"
                else fast_interval_run(sys, lam, *args, **opts))
         assert run.meta["expm_blocks"] == 0

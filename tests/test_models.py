@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qtherm.errors import SizeLimitError
 from qtherm.models import (JcmParams, build_jcm, destroy, thermal_populations, thermal_state,
                            validate_coupling)
 from qtherm.qcore import Operator, populations
@@ -56,6 +57,13 @@ class TestBuildJcm:
         top_e = p.n_max * 2 + 1
         col = sys.h_ab.mat[:, top_e]
         assert np.abs(col).max() == 0.0
+
+
+    def test_size_limit(self):
+        # the joint dimension 2 (n_max + 1) is checked on the parameters, before any array
+        JcmParams(n_max=2047)        # 4096, the largest accepted
+        with pytest.raises(SizeLimitError, match="4098"):
+            JcmParams(n_max=2048)
 
 
 class TestThermalState:

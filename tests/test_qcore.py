@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
 
-from qtherm.errors import DimensionError, PositivityError, SizeLimitError
+from qtherm.engine import _JointFrame
+from qtherm.errors import PositivityError
 from qtherm.generators import (assemble_joint_fast_generator, assemble_joint_weak_generator,
                                decompose)
-from qtherm.models import JcmParams, build_jcm
+from qtherm.models import JcmParams, JointSystem, build_jcm
 from qtherm.qcore import (
     DensityMatrix,
     Operator,
     Propagator,
     StateVector,
     connected_blocks,
-    diag_entropy,
-    evolve,
     marginal,
-    partial_trace,
+    populations,
     propagate_grid,
     relative_entropy,
+    shannon_entropy,
     superoperator,
-    tensor_product,
     trace_distance,
     von_neumann_entropy,
 )
@@ -30,6 +29,19 @@ def random_density(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     r = m @ m.conj().T
     return DensityMatrix(r / np.trace(r).real)
+
+
+def random_frame(rng, da, db):
+    """Eigenframe of a random coupled system, drawn as verify's Klein check draws one."""
+    def herm(d):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return (m + m.conj().T) / 2
+
+    return _JointFrame(JointSystem(dim_a=da, dim_b=db,
+                                   h_a=Operator(herm(da), hermitian=True),
+                                   h_b=Operator(herm(db), hermitian=True),
+                                   h_ab=Operator(herm(da * db), hermitian=True),
+                                   gamma=float(rng.uniform(0.05, 0.5))))
 
 
 def brute_force_partial_trace(rho, da, db, keep):
@@ -68,54 +80,32 @@ class TestTypes:
             op.mat[0, 0] = 2.0
 
 
-class TestTensorProduct:
-    def test_identity(self):
-        ia, ib = Operator(np.eye(3)), Operator(np.eye(2))
-        np.testing.assert_allclose(tensor_product(ia, ib).mat, np.eye(6))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(1)
-        rho = tensor_product(random_density(rng, 3), random_density(rng, 2))
-        assert abs(np.trace(rho.mat) - 1.0) < 1e-12
-
-    def test_sigma_z_spectrum(self):
-        big = tensor_product(Operator(SIGMA_Z, hermitian=True), Operator(np.eye(2)))
-        # oracle: direct 4x4 eigensolve
-        evals = np.linalg.eigvalsh(big.mat)
-        np.testing.assert_allclose(evals, [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
-
-    def test_size_limit(self):
-        big = Operator(np.eye(70))
-        with pytest.raises(SizeLimitError):
-            tensor_product(big, big)
-
-
 class TestPartialTrace:
     def test_product_state_recovery(self):
         rng = np.random.default_rng(2)
         rho_a, rho_b = random_density(rng, 3), random_density(rng, 2)
-        joint = tensor_product(rho_a, rho_b)
-        np.testing.assert_allclose(partial_trace(joint, (3, 2), "A").mat, rho_a.mat, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, (3, 2), "B").mat, rho_b.mat, atol=1e-12)
+        joint = np.kron(rho_a.mat, rho_b.mat)
+        np.testing.assert_allclose(marginal(joint, (3, 2), "A"), rho_a.mat, atol=1e-12)
+        np.testing.assert_allclose(marginal(joint, (3, 2), "B"), rho_b.mat, atol=1e-12)
 
     def test_bell_state(self):
         bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        reduced = partial_trace(bell.projector(), (2, 2), "A")
-        np.testing.assert_allclose(reduced.mat, np.eye(2) / 2, atol=1e-14)
+        reduced = marginal(bell.projector().mat, (2, 2), "A")
+        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
     @pytest.mark.parametrize("keep", ["A", "B"])
     def test_against_brute_force(self, keep):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 6)
-        got = partial_trace(rho, (3, 2), keep).mat
+        got = marginal(rho.mat, (3, 2), keep)
         want = brute_force_partial_trace(rho.mat, 3, 2, keep)
         np.testing.assert_allclose(got, want, atol=1e-13)
         assert abs(np.trace(got) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(DimensionError):
-            partial_trace(random_density(rng, 6), (4, 2), "A")
+        with pytest.raises(ValueError):
+            marginal(random_density(rng, 6).mat, (4, 2), "A")
 
     @pytest.mark.parametrize("keep", ["A", "B"])
     def test_marginal_of_a_stack(self, keep):
@@ -136,34 +126,32 @@ def test_superoperator_is_row_major():
 
 
 class TestEvolve:
+    """The engine's exact propagator: ``apply`` for rho, ``to_frame`` and
+    ``evolve_rows`` for state vectors."""
+
     def setup_method(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        self.h = Operator((m + m.conj().T) / 2, hermitian=True)
-        self.prop = Propagator.from_operator(self.h)
+        self.frame = random_frame(np.random.default_rng(5), 2, 2)
 
     def test_zero_time_is_identity(self):
-        psi = StateVector(np.array([1, 0, 0, 0], dtype=complex))
-        np.testing.assert_allclose(evolve(psi, self.prop, 0.0).vec, psi.vec, atol=1e-14)
+        psi = np.array([1, 0, 0, 0], dtype=complex)
+        out = self.frame.evolve_rows(self.frame.to_frame(psi[None]), np.array([0.0]))
+        np.testing.assert_allclose(out[0], psi, atol=1e-14)
+        rho = random_density(np.random.default_rng(7), 4).mat
+        np.testing.assert_allclose(self.frame.apply(rho, 0.0), rho, atol=1e-14)
 
     def test_eigenstate_stationary(self):
-        v = self.prop.eigenvectors[:, 0]
-        rho = DensityMatrix(np.outer(v, v.conj()))
-        out = evolve(rho, self.prop, 3.7)
-        np.testing.assert_allclose(out.mat, rho.mat, atol=1e-12)
+        v = self.frame.w[:, 0]
+        rho = np.outer(v, v.conj())
+        np.testing.assert_allclose(self.frame.apply(rho, 3.7), rho, atol=1e-12)
+        out = self.frame.evolve_rows(self.frame.to_frame(v[None]), np.array([3.7]))
+        assert abs(abs(np.vdot(v, out[0])) - 1.0) < 1e-12
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(6)
-        rho = random_density(rng, 4)
-        out = evolve(rho, self.prop, 11.3)
-        assert abs(np.trace(out.mat) - 1.0) < 1e-10
-        assert np.abs(out.mat - out.mat.conj().T).max() < 1e-10
-        assert np.linalg.eigvalsh(out.mat).min() > -1e-9
-
-    def test_negative_time_rejected(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            evolve(random_density(rng, 4), self.prop, -1.0)
+        out = self.frame.apply(random_density(rng, 4).mat, 11.3)
+        assert abs(np.trace(out) - 1.0) < 1e-10
+        assert np.abs(out - out.conj().T).max() < 1e-10
+        assert np.linalg.eigvalsh(out).min() > -1e-9
 
 
 class TestEntropies:
@@ -177,16 +165,14 @@ class TestEntropies:
     def test_additivity_on_products(self):
         rng = np.random.default_rng(8)
         rho_a, rho_b = random_density(rng, 3), random_density(rng, 4)
-        joint = tensor_product(rho_a, rho_b)
-        s = von_neumann_entropy(joint)
+        s = von_neumann_entropy(np.kron(rho_a.mat, rho_b.mat))
         assert abs(s - von_neumann_entropy(rho_a) - von_neumann_entropy(rho_b)) < 1e-10
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(9)
         rho = random_density(rng, 4)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        prop = Propagator.from_operator(Operator((m + m.conj().T) / 2))
-        assert abs(von_neumann_entropy(evolve(rho, prop, 2.1)) - von_neumann_entropy(rho)) < 1e-10
+        out = random_frame(rng, 2, 2).apply(rho.mat, 2.1)
+        assert abs(von_neumann_entropy(out) - von_neumann_entropy(rho)) < 1e-10
 
 
 class TestRelativeEntropy:
@@ -222,36 +208,39 @@ class TestRelativeEntropy:
 
 
 class TestDiagEntropy:
+    """Entropy of the populations in an energy basis, taken as the ledger takes B's."""
+
+    basis = Propagator.from_operator(Operator(SIGMA_Z, hermitian=True))
+
+    def entropy(self, rho):
+        return shannon_entropy(populations(rho.mat, self.basis.eigenvectors))
+
     def test_diagonal_state_matches_von_neumann(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        basis = Propagator.from_operator(Operator(SIGMA_Z, hermitian=True))
-        assert abs(diag_entropy(rho, basis) - von_neumann_entropy(rho)) < 1e-12
+        assert abs(self.entropy(rho) - von_neumann_entropy(rho)) < 1e-12
 
     def test_superposition_in_energy_basis(self):
         plus = StateVector(np.array([1, 1]) / np.sqrt(2))
-        basis = Propagator.from_operator(Operator(SIGMA_Z, hermitian=True))
-        assert abs(diag_entropy(plus.projector(), basis) - np.log(2)) < 1e-12
+        assert abs(self.entropy(plus.projector()) - np.log(2)) < 1e-12
 
     def test_dominates_von_neumann(self):
         rng = np.random.default_rng(13)
-        basis = Propagator.from_operator(Operator(SIGMA_Z, hermitian=True))
         for _ in range(25):
             rho = random_density(rng, 2)
-            assert diag_entropy(rho, basis) >= von_neumann_entropy(rho) - 1e-10
+            assert self.entropy(rho) >= von_neumann_entropy(rho) - 1e-10
 
 
 def test_resonant_exchange_transfers_excitation():
     # |n-1, e> evolves to |n, g> (up to phase) after half a Rabi cycle
-    from qtherm.models import JcmParams, build_jcm
-
     p = JcmParams(omega_a=2 * np.pi, omega_b=2 * np.pi, gamma=0.05, n_max=4, rwa=True)
     sys = build_jcm(p)
+    frame = _JointFrame(sys)
     for n in (1, 3):
         psi0 = np.zeros(sys.dim, dtype=complex)
         psi0[(n - 1) * 2 + 1] = 1.0
         t_pi = np.pi / (2 * p.gamma * np.sqrt(n))
-        out = evolve(StateVector(psi0), sys.propagator, t_pi)
-        assert abs(abs(out.vec[n * 2 + 0]) ** 2 - 1.0) < 1e-10
+        out = frame.evolve_rows(frame.to_frame(psi0[None]), np.array([t_pi]))[0]
+        assert abs(abs(out[n * 2 + 0]) ** 2 - 1.0) < 1e-10
 
 
 def test_trace_distance_basic():
