@@ -21,7 +21,7 @@ from ._svg import line_chart
 from .engine import ProcessConfig, check_horizon, check_rate, run_process
 from .errors import ConfigError, NumericError, QthermError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
-    assemble_reduced_generator, min_temp_predict, steady_state
+    assemble_reduced_generator, min_temp_predict, outside_fast_regime, steady_state
 from .analytic import amplitudes, mean_b2_poisson
 from .errors import DegenerateSteadyStateError
 from .models import JcmParams, build_jcm, thermal_state
@@ -189,6 +189,12 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
     if cfg["checkpoints"] < 0:
         raise ConfigError(f"checkpoints must be >= 0, got {cfg['checkpoints']}")
     check_horizon(cfg["horizon"])
+    if run_mode == "fast":
+        check_rate(cfg["lambda"])
+        if outside_fast_regime(sys, cfg["lambda"]):
+            raise ConfigError(f"--mode fast is an expansion in gamma/lambda and needs "
+                              f"lambda >= 10 gamma, got lambda = {cfg['lambda']!r}, "
+                              f"gamma = {sys.gamma!r}")
     grid = np.linspace(0.0, cfg["horizon"], cfg["checkpoints"])
     header = _header(cfg, "simulate") + [f"run_mode = {run_mode}"]
     made = []

@@ -245,9 +245,13 @@ class _JointFrame:
         """Eigenframe coefficients of joint state-vector rows."""
         return psi @ self.w.conj()
 
+    def phases(self, tau: np.ndarray) -> np.ndarray:
+        """exp(-i e tau[i]) of the coupled eigenvalues e, one row per time."""
+        return np.exp(-1j * np.multiply.outer(tau, self.e))
+
     def evolve_rows(self, c: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Lab-frame state vectors of coefficient rows ``c``, row i evolved for tau[i]."""
-        return (np.exp(-1j * np.multiply.outer(tau, self.e)) * c) @ self.w.T
+        return (self.phases(tau) * c) @ self.w.T
 
 
 def _measure(frame: _JointFrame, v_b: np.ndarray, c0: np.ndarray, t: np.ndarray,
@@ -349,12 +353,13 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
     Step k takes each walker whose clock is before ``horizon`` through its
     interval k: walker i draws the length from ``rngs[i]`` (or takes
     ``intervals[k]``), then ``uniforms`` uniforms for the batch's own draws.
-    ``step(k, live, u, t_k, checkpoints, completes)`` evolves the live
-    walkers, records the checkpoints (j, on, tau) of ``grid`` as it iterates
-    them (walkers ``on``, ``tau`` into their interval), measures the walkers
-    whose interval ``completes`` by the horizon and returns their (Q, W,
-    W_meas, beta Q) rows, booking beta Q as -dS_B, which is defined at every
-    beta.  The interval that crosses the horizon books no ledger.
+    ``step(k, live, u, t_start, t_k, checkpoints, completes)`` evolves the
+    live walkers from their clocks ``t_start``, records the checkpoints
+    (j, on, tau) of ``grid`` as it iterates them (walkers ``on``, ``tau``
+    into their interval), measures the walkers whose interval ``completes``
+    by the horizon and returns their (Q, W, W_meas, beta Q) rows, booking
+    beta Q as -dS_B, which is defined at every beta.  The interval that
+    crosses the horizon books no ledger.
 
     Returns all measurement times in order, the number of checkpoints every
     walker reached, and there the running ledger sums over walkers, (4, n).
@@ -382,7 +387,7 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
         checkpoints = ((j, on, np.minimum(np.maximum(grid[j] - t_start[on], 0.0), t_k[on]))
                        for j in range(first.min(), stop.max())
                        if (on := (first <= j) & (j < stop)).any())
-        terms.append(np.reshape(step(k, live, u, t_k, checkpoints, completes), (-1, 4)))
+        terms.append(np.reshape(step(k, live, u, t_start, t_k, checkpoints, completes), (-1, 4)))
         times.append(t_end[completes])
         cp_next[live] = stop
         clock[live] = t_end
@@ -419,7 +424,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     snapshots = [rho_a]
     born_max = min_eig = 0.0
 
-    def step(k, live, u, t_k, checkpoints, completes):
+    def step(k, live, u, t_start, t_k, checkpoints, completes):
         nonlocal rho_a, born_max, min_eig
         beta_k, pops_b0 = reservoir(k)
         joint0 = np.kron(rho_a, (v_b * pops_b0) @ v_b.conj().T)
@@ -467,7 +472,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         checkpoint_hab=series.mean_hab,
         checkpoint_hb=series.mean_hb,
         min_eig=min_eig,
-        meta={"lam": lam, "horizon": horizon},
+        meta={"lam": lam, "horizon": horizon, "top_fock_max": float(top.max(initial=0.0))},
         series=series,
         truncation_suspect=bool((top > TRUNCATION_LIMIT).any()),
         born_max_deviation=born_max,
@@ -507,16 +512,34 @@ def _run_density_matrix(cfg: ProcessConfig, sys: JointSystem) -> TrajectoryRecor
         s_a_series=np.array([von_neumann_entropy(r) for r in snapshots]))
 
 
+def _row_observable(op: np.ndarray, side: str, dims: tuple[int, int]):
+    """f(psi, p) = <psi|O|psi> for each joint state-vector row psi, p = |psi|^2, with
+    O = op (x) 1 (``side`` "A") or 1 (x) op ("B"): a weighted sum of p when op is
+    diagonal in the storage basis, the quadratic form otherwise."""
+    pad = (op, np.eye(dims[1])) if side == "A" else (np.eye(dims[0]), op)
+    if np.any(op - np.diag(np.diagonal(op))):
+        joint = np.kron(*pad)
+        return lambda psi, p: _expect(psi, joint)
+    w = np.kron(*(np.diagonal(m).real for m in pad))
+    return lambda psi, p: p @ w
+
+
 def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSummary:
     """``_walk`` on a batch of n_traj pure-state trajectories, one row of psi_a each.
 
     Interval k couples each live trajectory's psi_A to a reservoir level drawn
-    from the thermal populations at beta_k, held as (n, d) coefficients in the
-    coupled eigenframe, so that evolving the trajectories to a checkpoint is
-    one matrix product.  Checkpoint observables are summed over trajectories.
-    Each trajectory draws from its own stream, in the order: its initial
-    eigenstate (mixed start only), then per interval the length, the input
-    level and the outcome.
+    from the thermal populations at beta_k, held as (n, d) coefficients c0 in
+    the coupled eigenframe.  At checkpoint j a trajectory's coefficients
+    c0 exp(-i e (grid[j] - t_start)) are a per-run phase table exp(-i e
+    grid[j]) times c0 exp(+i e t_start), taken once per interval, so no
+    exponential is paid per checkpoint; the phase is then exact to about
+    eps |e| t in the absolute time t rather than eps |e| tau.  A checkpoint
+    whose tau ``_walk`` clipped to the interval length is evolved by that
+    tau.  Observables diagonal in the storage basis are weighted sums of
+    |psi|^2 (``_row_observable``).  Checkpoint observables are summed over
+    trajectories.  Each trajectory draws from its own stream, in the order:
+    its initial eigenstate (mixed start only), then per interval the length,
+    the input level and the outcome.
     """
     n = cfg.n_traj
     rngs = [_traj_rng(cfg.seed, i) for i in range(n)]
@@ -531,32 +554,24 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     dims = (sys.dim_a, sys.dim_b)
     v_b = sys.basis_b.eigenvectors
     v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
-    # <H_A> and the top-level population as joint-space operators
-    ha_joint = np.kron(sys.h_a.mat, np.eye(sys.dim_b))
-    top_joint = np.kron(np.outer(v_top, v_top.conj()), np.eye(sys.dim_b))
+    observables = (_row_observable(sys.h_a.mat, "A", dims), _row_observable(sys.h_b.mat, "B", dims),
+                   _row_observable(np.outer(v_top, v_top.conj()), "A", dims))
     ha_now = _expect(psi_a, sys.h_a.mat)
     grid = cfg.grid()
+    phase = frame.phases(grid)
+    hab_adj = frame.hab.conj().T
     rho_sum = np.zeros((len(grid), sys.dim_a, sys.dim_a), complex)
     obs_sum = np.zeros((4, len(grid)))             # <H_A>, <H_A>^2, <H_B>, gamma <H_AB>
-    born_max = 0.0
-    truncation = False
+    born_max = top_max = 0.0
+    n_pairs = 0
 
-    def step(k, live, u, t_k, checkpoints, completes):
-        nonlocal born_max, truncation
+    def step(k, live, u, t_start, t_k, checkpoints, completes):
+        nonlocal born_max, top_max, n_pairs
         beta = cfg.beta_for(k)
         pops = thermal_populations(sys.basis_b.eigenvalues, beta)
-        joint0 = psi_a[live][:, :, None] * v_b.T[_draw_index(pops, u[:, 0])][:, None, :]
-        c0 = frame.to_frame(joint0.reshape(live.size, -1))
-        for j, on, tau in checkpoints:
-            psi = frame.evolve_rows(c0[on], tau)
-            joint = psi.T @ psi.conj()             # sum over trajectories of |psi><psi|
-            ha = _expect(psi, ha_joint)
-            rho_sum[j] += marginal(joint, dims, "A")
-            obs_sum[:, j] += (ha.sum(), (ha * ha).sum(),
-                              np.trace(sys.h_b.mat @ marginal(joint, dims, "B")).real,
-                              sys.gamma * np.trace(frame.hab @ joint).real)
-            truncation = truncation or _expect(psi, top_joint).max() > TRUNCATION_LIMIT
-
+        level = _draw_index(pops, u[:, 0])
+        c0 = frame.to_frame((psi_a[live][:, :, None] * v_b.T[level][:, None, :])
+                            .reshape(live.size, -1))
         done = live[completes]
         psi_a[done], hab, p_m, _ = _measure(frame, v_b, c0[completes], t_k[completes],
                                             u[completes, 1])
@@ -567,7 +582,23 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
         p = np.clip(p_m, 0.0, None)
         ds_b = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
         q = -ds_b / beta if beta > 0 else np.full(done.size, math.nan)
-        return np.column_stack((q, (ha_now[done] - ha_start) - q, -sys.gamma * hab, -ds_b))
+        terms = np.column_stack((q, (ha_now[done] - ha_start) - q, -sys.gamma * hab, -ds_b))
+
+        # the checkpoints come last, so that the measurement's temporaries are freed first
+        c_ref = c0 * frame.phases(-t_start)         # the coefficients moved back to t = 0
+        for j, on, tau in checkpoints:
+            coef = phase[j] * c_ref[on]
+            clipped = tau != grid[j] - t_start[on]
+            coef[clipped] = frame.phases(tau[clipped]) * c0[on][clipped]
+            psi = coef @ frame.w.T
+            pop = np.abs(psi) ** 2
+            ha, hb, top = (f(psi, pop) for f in observables)
+            joint = psi.T @ psi.conj()             # sum over trajectories of |psi><psi|
+            rho_sum[j] += marginal(joint, dims, "A")
+            obs_sum[:, j] += (ha.sum(), (ha * ha).sum(), hb.sum(),
+                              sys.gamma * np.vdot(hab_adj, joint).real)   # Tr(H_AB joint)
+            top_max, n_pairs = max(top_max, top.max()), n_pairs + ha.size
+        return terms
 
     _, n_cp, sums = _walk(step, 2, rngs, cfg.lam, cfg.horizon, grid)
     mean_ha, mean_ha2, mean_hb, mean_hab = obs_sum[:, :n_cp] / n
@@ -580,9 +611,10 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
         n_traj=n,
         series=series,
         mean_rho_a=mean_rho,
-        truncation_suspect=truncation,
+        truncation_suspect=bool(top_max > TRUNCATION_LIMIT),
         born_max_deviation=born_max,
-        meta={"lam": cfg.lam, "horizon": cfg.horizon, "seed": cfg.seed},
+        meta={"lam": cfg.lam, "horizon": cfg.horizon, "seed": cfg.seed,
+              "top_fock_max": float(top_max), "checkpoint_pairs": n_pairs},
     )
 
 

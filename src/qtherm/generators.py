@@ -406,8 +406,10 @@ def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: flo
                       seed: int = 0, intervals: np.ndarray | None = None,
                       checkpoint_times: np.ndarray | None = None, *,
                       beta: float) -> IntervalRun:
-    """Interval protocol driven by the fast-measurement generator instead."""
+    """Interval protocol driven by the fast-measurement generator instead; warns,
+    as ``fast_map`` does, when lam < 10 gamma."""
     spec = decompose(sys, lam)
+    _warn_outside_fast_regime(sys, lam)
     return weak_interval_run(spec, rho_b0, rho_a0, horizon, seed=seed,
                              intervals=intervals, checkpoint_times=checkpoint_times,
                              beta=beta, generator=assemble_joint_fast_generator(sys, lam))
@@ -434,6 +436,16 @@ def _fast_increment(sys: JointSystem, rho: np.ndarray, lam: float) -> np.ndarray
     return out + (g * g / lam ** 2) * _fast_dissipator(hab, rho)
 
 
+def outside_fast_regime(sys: JointSystem, lam: float) -> bool:
+    """Whether the rate lam is below the fast expansion's range, lam >= 10 gamma."""
+    return sys.gamma > 0 and lam < 10 * sys.gamma
+
+
+def _warn_outside_fast_regime(sys: JointSystem, lam: float) -> None:
+    if outside_fast_regime(sys, lam):
+        warnings.warn("fast-measurement expansion used with lam < 10 gamma", stacklevel=3)
+
+
 def fast_map(sys: JointSystem, rho_ab0, lam: float) -> np.ndarray:
     """Expected interval change in the fast-measurement expansion.
 
@@ -443,10 +455,7 @@ def fast_map(sys: JointSystem, rho_ab0, lam: float) -> np.ndarray:
     emitted otherwise.  A rate that is not positive and finite is a ConfigError.
     """
     check_rate(lam)
-    g = sys.gamma
-    if g > 0 and lam < 10 * g:
-        warnings.warn("fast-measurement expansion used with lam < 10 gamma",
-                      stacklevel=2)
+    _warn_outside_fast_regime(sys, lam)
     return _fast_increment(sys, as_matrix(rho_ab0), lam)
 
 

@@ -14,13 +14,17 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, PositivityError, PreconditionError
+from .errors import DimensionError, PositivityError, PreconditionError, SizeLimitError
 
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGMIN_TOL = 1e-10
 UNITARY_TOL = 1e-10
+
+# Largest d^2 x d^2 complex array that ``superoperator`` builds; its caller holds a
+# few of them at once.  A joint space of 62 (n_max = 30) needs 0.22 GiB.
+MAX_SUPEROP_BYTES = 2 ** 29
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -167,8 +171,14 @@ def superoperator(fn, d: int) -> np.ndarray:
     """Row-major matrix S of a linear map on d x d matrices: S vec(rho) = vec(fn(rho)).
 
     ``fn`` is applied once, to the stack of the d^2 matrix units, and must map
-    a stack of matrices to the stack of their images.
+    a stack of matrices to the stack of their images.  A SizeLimitError is
+    raised, before anything is allocated, when one d^2 x d^2 complex array
+    would exceed MAX_SUPEROP_BYTES.
     """
+    if (nbytes := 16 * d ** 4) > MAX_SUPEROP_BYTES:
+        raise SizeLimitError(f"a dense superoperator on a {d}-dimensional space needs "
+                             f"{nbytes / 2 ** 30:.1f} GiB per array, more than the "
+                             f"{MAX_SUPEROP_BYTES / 2 ** 30:.1f} GiB limit")
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     return fn(units).reshape(d * d, d * d).T
 

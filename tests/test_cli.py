@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -228,6 +229,34 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_fast_mode_outside_its_regime_is_one_line_error(self, tmp_path, capsys):
+        # the fast run is an expansion in gamma/lambda; lambda = 8 gamma is outside
+        # its regime, so no CSV is written
+        cfgfile = tmp_path / "slow.cfg"
+        cfgfile.write_text("lambda = 0.4\ngamma = 0.05\nn_max = 2\nhorizon = 20\ncheckpoints = 5\n")
+        code = cli.main(["simulate", "--mode", "fast", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert "10 gamma" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_weak_mode_refuses_oversized_superoperator(self, tmp_path):
+        # n_max = 100 passes the joint-size guard (d = 202), but a dense d^2 x d^2
+        # generator would need 24.8 GiB; the child's address space is capped at
+        # 3 GiB so that a missing guard fails with MemoryError, not by allocating
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text("n_max = 100\nhorizon = 10\ncheckpoints = 3\n")
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        cap = 3 * 2 ** 30
+        res = subprocess.run(
+            [sys.executable, "-m", "qtherm.cli", "simulate", "--mode", "weak", "--config",
+             str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.count("\n") == 1 and "24.8 GiB" in res.stderr, res.stderr
 
     @pytest.mark.parametrize("line", ["t_points = -1", "t_max = -5", "t_max = nan",
                                       "lambda = -1", "lambda = nan", "lambda = inf",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from qtherm.engine import (
 )
 from qtherm.errors import ConfigError, NumericError, PreconditionError
 from qtherm.generators import decompose, weak_interval_run
-from qtherm.models import JcmParams, build_jcm, thermal_state
-from qtherm.qcore import DensityMatrix, StateVector, shannon_entropy
+from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_state
+from qtherm.qcore import DensityMatrix, Operator, StateVector, shannon_entropy
 from qtherm.thermo import s_tot
 
 DECAY = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=12, rwa=False)
@@ -205,6 +206,82 @@ class TestRunProcess:
         got = [ens.series.q_cum[-1], ens.series.w_cum[-1], ens.series.wmeas_cum[-1]]
         np.testing.assert_allclose(got, total / 3, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("rotated, lam, horizon",
+                             [(False, 0.2, 40.0), (True, 0.2, 40.0), (False, 2e-4, 2e5)])
+    def test_checkpoints_match_trajectories_stepped_by_hand(self, rotated, lam, horizon):
+        # Each trajectory is stepped one interval at a time through step_interval,
+        # and every checkpoint is evaluated from an explicit exp(-i e tau).  The
+        # grid is non-uniform and holds trajectory 0's first measurement time, and
+        # the next float after it, which the walk books to that interval with tau
+        # clipped to the interval length.  The rotated H_A (and H_AB with it) is
+        # not diagonal in the storage basis, so neither is the top-level projector.
+        # The ensemble takes a pair's phase e (t - t_start) from e t and e t_start,
+        # so it agrees with exp(-i e tau) to about eps |e| t in absolute time t.
+        sys = build_jcm(JcmParams(n_max=4))
+        if rotated:
+            z = np.random.default_rng(5).normal(size=(2, sys.dim_a, sys.dim_a))
+            u, _ = np.linalg.qr(z[0] + 1j * z[1])
+            uj = np.kron(u, np.eye(sys.dim_b))
+            sys = JointSystem(sys.dim_a, sys.dim_b, Operator(u @ sys.h_a.mat @ u.conj().T),
+                              sys.h_b, Operator(uj @ sys.h_ab.mat @ uj.conj().T), sys.gamma)
+        betas, seed, n = [1.0, 0.5, 2.0], 3, 4
+        rho0 = thermal_state(sys.h_a, 0.3).mat
+        rng = _traj_rng(seed, 0)
+        rng.random()
+        t1 = sample_interval(rng, lam)
+        grid = np.sort(np.concatenate(([0.0, t1, np.nextafter(t1, np.inf)],
+                                       np.geomspace(0.3, horizon, 9))))
+        cfg = ProcessConfig(lam=lam, beta=betas, horizon=horizon, seed=seed, mode="trajectory",
+                            n_traj=n, initial_state_a=DensityMatrix(rho0), checkpoint_times=grid)
+        ens = run_process(cfg, sys)
+
+        e, w = sys.propagator.eigenvalues, sys.propagator.eigenvectors
+        v_b = sys.basis_b.eigenvectors
+        v_top = sys.basis_a.eigenvectors[:, -1]
+        evals, evecs = np.linalg.eigh(rho0)
+        p0 = np.clip(evals, 0.0, None) / np.clip(evals, 0.0, None).sum()
+        obs = np.zeros((n, len(grid), 4))              # <H_A>, <H_B>, gamma <H_AB>, top
+        rho = np.zeros((n, len(grid), sys.dim_a, sys.dim_a), complex)
+        for i in range(n):
+            rng = _traj_rng(seed, i)
+            psi = StateVector(evecs[:, np.searchsorted(np.cumsum(p0), rng.random() * p0.sum())])
+            t_cum, k, j = 0.0, 0, 0
+            while j < len(grid):
+                t_k = sample_interval(rng, lam)
+                beta = betas[min(k, len(betas) - 1)]
+                pops = np.diag(thermal_state(sys.h_b, beta).mat).real
+                level = int(np.searchsorted(np.cumsum(pops), rng.random() * pops.sum()))
+                end = min(t_cum + t_k, horizon)
+                joint0 = np.kron(psi.vec, v_b[:, level])
+                while j < len(grid) and grid[j] <= end + 1e-12:
+                    tau = min(grid[j] - t_cum, t_k)
+                    amp = (w @ (np.exp(-1j * e * tau) * (w.conj().T @ joint0)))
+                    m = amp.reshape(sys.dim_a, sys.dim_b)
+                    rho[i, j] = m @ m.conj().T
+                    obs[i, j] = (np.trace(sys.h_a.mat @ rho[i, j]).real,
+                                 np.trace(sys.h_b.mat @ m.T @ m.conj()).real,
+                                 sys.gamma * np.vdot(amp, sys.h_ab.mat @ amp).real,
+                                 np.sum(np.abs(v_top.conj() @ m) ** 2))
+                    j += 1
+                psi = step_interval(psi, level, sys, t_k, rng).state_a
+                t_cum, k = t_cum + t_k, k + 1
+
+        atol = max(1e-12, np.finfo(float).eps * np.abs(e).max() * horizon)
+        s = ens.series
+        ha = obs[:, :, 0]
+        se = np.sqrt(np.maximum((ha ** 2).mean(0) - ha.mean(0) ** 2, 0.0) / (n - 1))
+        for got, want in ((s.mean_ha, ha.mean(0)), (s.se_ha, se), (s.mean_hb, obs[:, :, 1].mean(0)),
+                          (s.mean_hab, obs[:, :, 2].mean(0)), (ens.mean_rho_a, rho.mean(0))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        assert ens.meta["checkpoint_pairs"] == n * len(grid)
+        # alone, trajectory 0 reads the same pre-measurement state at t1 and just after it
+        alone = run_process(replace(cfg, n_traj=1), sys)
+        j = int(np.searchsorted(grid, t1))
+        assert alone.series.mean_ha[j] == alone.series.mean_ha[j + 1]
+        np.testing.assert_array_equal(alone.mean_rho_a[j], alone.mean_rho_a[j + 1])
+        np.testing.assert_allclose(ens.meta["top_fock_max"], obs[:, :, 3].max(), rtol=1e-12,
+                                   atol=1e-15)
+
     def test_trajectory_empty_grid_gives_empty_series(self):
         sys = build_jcm(JcmParams(n_max=3))
         cfg = ProcessConfig(lam=0.05, beta=1.0, horizon=20.0, seed=1, mode="trajectory",
@@ -272,6 +349,9 @@ class TestRunProcess:
                             initial_state_a=fock(1, sys.dim_a), n_checkpoints=25)
         rec = run_process(cfg, sys)
         assert rec.truncation_suspect
+        # the largest top-level population of every state the run reports
+        states = np.concatenate((rec.checkpoint_rho_a, rec.rho_a_snapshots[1:]))
+        assert rec.meta["top_fock_max"] == states[:, -1, -1].real.max() > 1e-6
 
     def test_beta_schedule_list(self):
         sys = build_jcm(DECAY)

@@ -458,6 +458,14 @@ class TestLindbladPropagate:
             fast_interval_run(sys, lam, rho_b, rho_a, horizon=horizon, intervals=np.array([1.0]),
                               beta=1.0)
 
+    def test_fast_protocol_warns_outside_its_regime(self):
+        # as fast_map does: the expansion in gamma/lambda needs lambda >= 10 gamma
+        sys = build_jcm(JcmParams(n_max=2))
+        rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
+        with pytest.warns(UserWarning, match="lam < 10 gamma"):
+            fast_interval_run(sys, 0.4, rho_b, rho_a, horizon=1.0, intervals=np.array([1.0]),
+                              beta=1.0)
+
     def test_interval_protocol_runs_at_small_lam(self):
         sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi,
                                   gamma=0.05, n_max=8, rwa=False))
