@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NumericError
-from .models import JcmParams
+from .models import JcmParams, check_rate
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,14 @@ def mean_b2_poisson(n: int, lam: float, params: JcmParams) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if lam <= 0:
-        raise ValueError("measurement rate must be positive")
+    check_rate(lam)
     base = lam * lam + params.detuning ** 2
     return 0.5 * (1.0 - base / (base + 4.0 * n * params.gamma ** 2))
 
 
 def mean_b2_first_order(n: int, lam: float, params: JcmParams) -> float:
     """Shared weak-coupling / fast-measurement limit 2 n gamma^2/(lam^2+Delta_c^2)."""
+    check_rate(lam)
     return 2.0 * n * params.gamma ** 2 / (lam * lam + params.detuning ** 2)
 
 
@@ -130,8 +130,7 @@ def einstein_rate(state: AtomFieldState, lam: float, params: JcmParams) -> float
 
     (2 lam gamma^2 / (lam^2 + Delta_c^2)) (sigma_g <n> - sigma_e <n+1>).
     """
-    if lam <= 0:
-        raise ValueError("measurement rate must be positive")
+    check_rate(lam)
     pref = 2.0 * lam * params.gamma ** 2 / (lam * lam + params.detuning ** 2)
     return pref * (state.sigma_g * state.mean_n - state.sigma_e * (state.mean_n + 1.0))
 

@@ -18,13 +18,13 @@ import numpy as np
 
 from . import verify as verify_mod
 from ._svg import line_chart
-from .engine import ProcessConfig, check_horizon, check_rate, run_process
+from .engine import ProcessConfig, check_horizon, run_process
 from .errors import ConfigError, NumericError, QthermError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
     assemble_reduced_generator, min_temp_predict, outside_fast_regime, steady_state
 from .analytic import amplitudes, mean_b2_poisson
 from .errors import DegenerateSteadyStateError
-from .models import JcmParams, build_jcm, thermal_state
+from .models import TRUNCATION_LIMIT, JcmParams, build_jcm, check_rate, thermal_state
 from .qcore import StateVector
 
 TWO_PI = 2 * math.pi
@@ -199,13 +199,13 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
     header = _header(cfg, "simulate") + [f"run_mode = {run_mode}"]
     made = []
 
-    def emit(tag: str, series, suspect: bool):
+    def emit(tag: str, run):
         path = os.path.join(out_dir, f"timeseries_{tag}.csv")
-        write_csv(path, header + [f"series = {tag}"], _series_columns(series))
-        made.append((tag, path, series))
-        if suspect:
-            print(f"warning: {tag} run is truncation-suspect "
-                  f"(top level population exceeded 1e-6)", file=_sys.stderr)
+        write_csv(path, header + [f"series = {tag}"], _series_columns(run.series))
+        made.append((tag, path, run.series))
+        if run.truncation_suspect:
+            print(f"warning: {tag} run is truncation-suspect (top level population "
+                  f"{run.meta['top_fock_max']:.3g} > {TRUNCATION_LIMIT:g})", file=_sys.stderr)
 
     if run_mode in ("exact", "both"):
         pcfg = ProcessConfig(lam=cfg["lambda"], beta=beta, horizon=cfg["horizon"],
@@ -213,7 +213,7 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
                              n_traj=cfg["n_traj"], initial_state_a=psi0,
                              checkpoint_times=grid)
         rec = run_process(pcfg, sys)
-        emit("exact", rec.series, rec.truncation_suspect)
+        emit("exact", rec)
     if run_mode in ("weak", "fast", "both"):
         inputs = (thermal_state(sys.h_b, beta), psi0.projector())
         opts = dict(horizon=cfg["horizon"], seed=cfg["seed"], checkpoint_times=grid, beta=beta)
@@ -221,7 +221,7 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
             run = fast_interval_run(sys, cfg["lambda"], *inputs, **opts)
         else:
             run = weak_interval_run(decompose(sys, cfg["lambda"]), *inputs, **opts)
-        emit("fast" if run_mode == "fast" else "weak", run.series, run.truncation_suspect)
+        emit("fast" if run_mode == "fast" else "weak", run)
 
     svg_path = os.path.join(out_dir, "simulate.svg")
     curves = []

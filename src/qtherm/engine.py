@@ -24,7 +24,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, NumericError, PreconditionError
-from .models import JointSystem, TRUNCATION_LIMIT, check_beta, thermal_populations, thermal_state
+from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
+                     thermal_state)
 from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
                     hermitian_part, marginal, populations, propagate_grid, superoperator,
                     von_neumann_entropy)
@@ -33,12 +34,6 @@ from .thermo import IntervalLedger, ledger_for_interval
 BORN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-14          # max |change| of rho_A between iterates at convergence
 FIXED_POINT_MAX_ITER = 100000
-
-
-def check_rate(lam: float) -> None:
-    """Reject a measurement rate that is not positive and finite."""
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ConfigError(f"measurement rate must be positive and finite, got {lam!r}")
 
 
 def check_horizon(horizon: float) -> None:
@@ -180,8 +175,7 @@ class TrajectoryRecord(IntervalRun):
 
 def sample_interval(rng: np.random.Generator, lam: float) -> float:
     """Exponential waiting time with mean 1/lam."""
-    if lam <= 0:
-        raise ValueError("measurement rate must be positive")
+    check_rate(lam)
     return float(rng.exponential(1.0 / lam))
 
 
@@ -713,10 +707,13 @@ def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: f
     """Monte Carlo estimate of the reservoir excitation rate lam<x>.
 
     Each trial runs a single interval of the exact process from the same
-    initial cavity state with a fresh thermal reservoir sample, and scores the
-    level change of the measured qubit (+1 absorption, -1 emission).  Returns
-    (rate, rate_se).
+    initial cavity state with a fresh thermal reservoir sample.  It scores the
+    expected level change of the measured qubit (+1 absorption, -1 emission)
+    given the sampled input level and interval length, sum_m p_m m - level,
+    in place of a sampled outcome: the same mean without the outcome noise
+    (Rao-Blackwellisation).  Returns (rate, rate_se).
     """
+    check_rate(lam)
     frame = _JointFrame(sys)
     db = sys.dim_b
     v_b = sys.basis_b.eigenvectors
@@ -732,9 +729,7 @@ def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: f
         m = min(chunk, n_trials - done)
         levels = _draw_index(pops_in, rng.random(m))
         ts = rng.exponential(1.0 / lam, size=m)
-        us = rng.random(m)
-        psi = frame.evolve_rows(c0[levels], ts)
-        x = _draw_index(_born(psi, v_b)[1], us) - levels
+        x = _born(frame.evolve_rows(c0[levels], ts), v_b)[1] @ np.arange(db) - levels
         x_sum += x.sum()
         x2_sum += (x * x).sum()
         done += m

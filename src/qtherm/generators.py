@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import IntervalRun, check_horizon, check_rate, run_intervals
+from .engine import IntervalRun, check_horizon, run_intervals
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
-from .models import JointSystem, thermal_populations
+from .models import JointSystem, check_rate, thermal_populations
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
                     hermitian_part, marginal, populations, propagate_grid, superoperator)
 
@@ -43,10 +43,10 @@ class GeneratorSpec:
     v_ops: tuple[np.ndarray, ...]
     s_coef: np.ndarray
     a_coef: np.ndarray
-    gamma: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", self.sys.gamma)
+    @property
+    def gamma(self) -> float:
+        return self.sys.gamma
 
     @property
     def n_sectors(self) -> int:
@@ -54,18 +54,18 @@ class GeneratorSpec:
 
     def h_tilde(self) -> np.ndarray:
         """Averaged first-order coupling sum_w V_w / (lam - i w)."""
-        out = np.zeros((self.sys.dim, self.sys.dim), dtype=complex)
-        for w, v in zip(self.frequencies, self.v_ops):
-            out = out + v / (self.lam - 1j * w)
-        return out
+        return sum((v / (self.lam - 1j * w) for w, v in zip(self.frequencies, self.v_ops)),
+                   start=np.zeros((self.sys.dim, self.sys.dim), dtype=complex))
 
 
 def decompose(sys: JointSystem, lam: float) -> GeneratorSpec:
     """Split H_AB into frequency sectors of the uncoupled Hamiltonian.
 
-    Frequencies closer than 1e-9 * max|omega| are binned together; binning is
-    symmetric so that V(-w) = V(w)^+ holds exactly.  A rate that is not
-    positive and finite is a ConfigError.
+    The distinct |omega_ij| are cut into clusters where consecutive values
+    differ by more than 1e-9 * max|omega|.  A sector is a (cluster, sign)
+    pair at +-(cluster mean), and cluster 0 is the one sector at omega = 0,
+    so the sectors partition H_AB: sum_w V_w = H_AB and V(-w) = V(w)^+.
+    A rate that is not positive and finite is a ConfigError.
     """
     check_rate(lam)
     e_a = sys.basis_a.eigenvalues
@@ -75,51 +75,29 @@ def decompose(sys: JointSystem, lam: float) -> GeneratorSpec:
     hab_eig = w0.conj().T @ sys.h_ab.mat @ w0
     omega = e0[:, None] - e0[None, :]
 
-    scale = float(np.abs(omega).max()) if omega.size else 0.0
+    scale = float(np.abs(omega).max())
     tol = 1e-9 * scale if scale > 0 else 1e-12
+    mags, inverse = np.unique(np.abs(omega), return_inverse=True)
+    starts = np.flatnonzero(np.diff(mags) > tol) + 1      # where clusters 1, 2, ... begin
+    reps = [0.0] + [seg.mean() for seg in np.split(mags, starts)[1:]]
+    cluster = np.searchsorted(starts, inverse.reshape(omega.shape), side="right")
+    sector = np.sign(omega).astype(int) * cluster          # +-cluster; 0 is omega = 0
 
-    # cluster |omega| so sectors come in symmetric +-pairs
-    mags = np.sort(np.unique(np.abs(omega).ravel()))
-    reps: list[float] = []
-    group: list[float] = []
-    for v in mags:
-        if group and v - group[-1] > tol:
-            reps.append(float(np.mean(group)))
-            group = []
-        group.append(v)
-    if group:
-        reps.append(float(np.mean(group)))
-    reps = [0.0 if r < tol else r for r in reps]
+    floor = 1e-14 * max(np.abs(hab_eig).max(), 1.0)       # a sector this weak carries nothing
+    kept = [k for k in np.unique(sector).tolist() if np.abs(hab_eig[sector == k]).max() > floor]
+    freqs = [np.sign(k) * reps[abs(k)] for k in kept]      # ascending k, ascending frequency
+    v_ops = tuple(w0 @ np.where(sector == k, hab_eig, 0.0) @ w0.conj().T for k in kept)
 
-    freqs: list[float] = []
-    mats: list[np.ndarray] = []
-    for r in reps:
-        members = [r] if r == 0.0 else [r, -r]
-        for w in members:
-            if w == 0.0:
-                mask = np.abs(omega) <= tol
-            else:
-                mask = (np.abs(np.abs(omega) - r) <= tol) & ((omega > 0) == (w > 0))
-            block = np.where(mask, hab_eig, 0.0)
-            if np.abs(block).max() <= 1e-14 * max(np.abs(hab_eig).max(), 1.0):
-                continue
-            freqs.append(w)
-            mats.append(w0 @ block @ w0.conj().T)
-
-    order = np.argsort(freqs)
-    freqs_arr = np.array([freqs[i] for i in order])
-    mats_tup = tuple(mats[i] for i in order)
-
-    n = len(freqs_arr)
+    n = len(freqs)
     s_coef = np.empty((n, n), complex)
     a_coef = np.empty((n, n), complex)
-    for i, w in enumerate(freqs_arr):
-        for j, wp in enumerate(freqs_arr):
+    for i, w in enumerate(freqs):
+        for j, wp in enumerate(freqs):
             d = (lam - 1j * w) * (lam + 1j * wp) * (lam - 1j * (w - wp))
             s_coef[i, j] = (2 * lam - 1j * (w - wp)) / d
             a_coef[i, j] = (w + wp) / d
-    return GeneratorSpec(sys=sys, lam=lam, frequencies=freqs_arr, v_ops=mats_tup,
-                         s_coef=s_coef, a_coef=a_coef)
+    return GeneratorSpec(sys=sys, lam=lam, frequencies=np.array(freqs, dtype=float),
+                         v_ops=v_ops, s_coef=s_coef, a_coef=a_coef)
 
 
 def _check_product(rho: np.ndarray, da: int, db: int) -> None:
@@ -482,8 +460,9 @@ def min_temp_predict(lam: float, omega: float) -> float:
     p1/p0 -> (lam/2w)^2 / ((lam/2w)^2 + 1); the matching effective inverse
     temperature is -ln(p1/p0)/omega.
     """
-    if lam <= 0 or omega <= 0:
-        raise ValueError("lam and omega must be positive")
+    check_rate(lam)
+    if not omega > 0:
+        raise ConfigError(f"omega must be positive, got {omega!r}")
     u = (lam / (2.0 * omega)) ** 2
     return u / (u + 1.0)
 
@@ -501,6 +480,7 @@ def four_state_rate(lam: float, omega: float, gamma: float,
               [ (lam/2w)^2 (p0 - p1) + sigma_e p0 - sigma_g p1 ]
     steady p1/p0 = ((lam/2w)^2 + sigma_e) / ((lam/2w)^2 + sigma_g).
     """
+    check_rate(lam)
     if min(sigma_e, sigma_g, p0, p1) < 0:
         raise ValueError("probabilities must be non-negative")
     u = (lam / (2.0 * omega)) ** 2
@@ -513,5 +493,6 @@ def four_state_rate(lam: float, omega: float, gamma: float,
 def simultaneous_excitation_mean(lam: float, omega: float, gamma: float,
                                  sigma_e: float, sigma_g: float, n_mean: float) -> float:
     """Average number of simultaneous cavity+qubit excitations per interval."""
+    check_rate(lam)
     return 2.0 * gamma ** 2 / (lam ** 2 + (2.0 * omega) ** 2) * (
         sigma_g * (n_mean + 1.0) - sigma_e * n_mean)

@@ -138,6 +138,12 @@ def build_jcm(p: JcmParams) -> JointSystem:
     )
 
 
+def check_rate(lam: float) -> None:
+    """Reject a measurement rate that is not positive and finite."""
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ConfigError(f"measurement rate must be positive and finite, got {lam!r}")
+
+
 def check_beta(beta) -> None:
     """Reject inverse temperatures that are negative or NaN (inf is the ground state)."""
     if not (np.asarray(beta) >= 0).all():

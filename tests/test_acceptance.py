@@ -32,7 +32,7 @@ def test_c04_trajectory_density_matrix_consistency():
 
 
 def test_c05_einstein_rate_recovery():
-    _report(verify.check_einstein_rate(4_000_000))
+    _report(verify.check_einstein_rate(10_000))
 
 
 def test_c06_weak_exact_steady_state_agreement():

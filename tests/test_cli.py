@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from qtherm import cli
+from qtherm.engine import ProcessConfig, run_process
 from qtherm.errors import ConfigError
+from qtherm.models import TRUNCATION_LIMIT, JcmParams, build_jcm
+from qtherm.qcore import StateVector
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -281,6 +284,24 @@ class TestMain:
                          "--quiet"])
         err = capsys.readouterr().err
         assert code == 3 and err.count("\n") == 1 and "joint dimension" in err, err
+
+    def test_truncation_warning_states_its_margin(self, tmp_path, capsys):
+        # the golden truncation-suspect density-matrix point, through the CLI
+        cfgfile = tmp_path / "tight.cfg"
+        cfgfile.write_text("n_max = 2\ngamma = 0.4\nlambda = 0.05\nbeta = 0.2\n"
+                           "horizon = 200\nseed = 1\ncheckpoints = 25\n")
+        params = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.4, n_max=2)
+        system = build_jcm(params)
+        run = run_process(ProcessConfig(lam=0.05, beta=0.2, horizon=200.0, seed=1,
+                                        initial_state_a=StateVector(np.eye(3)[1]),
+                                        n_checkpoints=25), system)
+        assert run.truncation_suspect
+        code = cli.main(["simulate", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        top = run.meta["top_fock_max"]
+        assert code == 0 and err == (f"warning: exact run is truncation-suspect (top level "
+                                     f"population {top:.3g} > {TRUNCATION_LIMIT:g})\n"), err
 
     def test_trajectory_without_checkpoints(self, tmp_path):
         cfgfile = tmp_path / "empty.cfg"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from qtherm.analytic import mean_b2_poisson
@@ -34,17 +35,28 @@ RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max
 RESONANT_RWA = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=True)
 
 
-def random_system(rng, da, db, gamma=0.2):
-    def herm(d):
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return (m + m.conj().T) / 2
+def random_hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return Operator((m + m.conj().T) / 2, hermitian=True)
 
+
+def random_system(rng, da, db, gamma=0.2):
     return JointSystem(
         dim_a=da, dim_b=db,
-        h_a=Operator(herm(da), hermitian=True),
-        h_b=Operator(herm(db), hermitian=True),
-        h_ab=Operator(herm(da * db), hermitian=True),
+        h_a=random_hermitian(rng, da),
+        h_b=random_hermitian(rng, db),
+        h_ab=random_hermitian(rng, da * db),
         gamma=gamma,
+    )
+
+
+def chain_system(levels_a, levels_b, h_ab, gamma=0.2):
+    """A system with diagonal H_A and H_B at the given levels and coupling ``h_ab``."""
+    return JointSystem(
+        dim_a=len(levels_a), dim_b=len(levels_b),
+        h_a=Operator(np.diag(np.asarray(levels_a, dtype=complex)), hermitian=True),
+        h_b=Operator(np.diag(np.asarray(levels_b, dtype=complex)), hermitian=True),
+        h_ab=h_ab, gamma=gamma,
     )
 
 
@@ -103,6 +115,38 @@ class TestDecompose:
         spec = decompose(sys, lam=0.01)
         np.testing.assert_allclose(sorted(spec.frequencies),
                                    [-4 * math.pi, 0.0, 4 * math.pi], atol=1e-8)
+
+    def test_near_degenerate_chain_keeps_every_element(self):
+        # |omega| near 1 steps by 6e-10 < tol = 1e-9 * max|omega|, over a span of 3.6e-9
+        hab = random_hermitian(np.random.default_rng(0), 6)
+        sys = chain_system([0.0, 1.0, 1.0 + 6e-10], [0.0, 1.2e-9], hab)
+        spec = decompose(sys, lam=0.5)
+        assert list(spec.frequencies) == [-spec.frequencies[-1], 0.0, spec.frequencies[-1]]
+        np.testing.assert_allclose(sum(spec.v_ops), hab.mat, rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(gaps_a=st.lists(st.booleans(), min_size=1, max_size=3),
+           gaps_b=st.lists(st.booleans(), min_size=1, max_size=2),
+           coarse=st.lists(st.floats(0.2, 2.0), min_size=5, max_size=5),
+           fine=st.lists(st.floats(0.1, 0.9), min_size=5, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sectors_partition_coupling(self, gaps_a, gaps_b, coarse, fine, seed):
+        # A's first gap is coarse; every other gap is coarse (True) or a chain step
+        # of 0.1-0.9 tol, tol = 1e-9 * max|omega| = 1e-9 * (span of A + span of B)
+        kinds = [True] + gaps_a + gaps_b
+        tol = 1e-9 * sum(c for c, k in zip(coarse, kinds) if k)
+        steps = [c if k else f * tol for c, f, k in zip(coarse, fine, kinds)]
+        na = len(gaps_a) + 1
+        levels_a = np.cumsum([0.0] + steps[:na])
+        levels_b = np.cumsum([0.0] + steps[na:])
+        d = len(levels_a) * len(levels_b)
+        hab = random_hermitian(np.random.default_rng(seed), d)
+        spec = decompose(chain_system(levels_a, levels_b, hab), lam=0.3)
+        f, v = spec.frequencies, spec.v_ops
+        assert np.abs(sum(v) - hab.mat).max() <= 1e-12 * np.abs(hab.mat).max()
+        assert (np.diff(f) > 0).all() and np.array_equal(f, -f[::-1])
+        for vw, vm in zip(v, v[::-1]):
+            assert np.array_equal(vm, vw.conj().T)
 
     def test_zero_coupling_empty(self):
         sys = build_jcm(JcmParams(gamma=0.0, n_max=2))

@@ -3,10 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from qtherm.errors import SizeLimitError
+from qtherm import analytic, engine, generators
+from qtherm.errors import ConfigError, SizeLimitError
 from qtherm.models import (JcmParams, build_jcm, destroy, thermal_populations, thermal_state,
                            validate_coupling)
-from qtherm.qcore import Operator, populations
+from qtherm.qcore import Operator, StateVector, populations
+
+# the closed forms and samplers that take a measurement rate, each at one valid state point
+_P = JcmParams(n_max=2)
+_STATE = analytic.AtomFieldState((0.0, 1.0, 0.0), sigma_e=0.2, sigma_g=0.8)
+RATE_FORMS = {
+    "mean_b2_poisson": lambda lam: analytic.mean_b2_poisson(1, lam, _P),
+    "mean_b2_first_order": lambda lam: analytic.mean_b2_first_order(1, lam, _P),
+    "einstein_rate": lambda lam: analytic.einstein_rate(_STATE, lam, _P),
+    "min_temp_predict": lambda lam: generators.min_temp_predict(lam, 2 * math.pi),
+    "four_state_rate": lambda lam: generators.four_state_rate(lam, 2 * math.pi, 0.05,
+                                                              0.2, 0.8, 0.9, 0.1),
+    "simultaneous_excitation_mean": lambda lam: generators.simultaneous_excitation_mean(
+        lam, 2 * math.pi, 0.05, 0.2, 0.8, 1.0),
+    "sample_interval": lambda lam: engine.sample_interval(np.random.default_rng(0), lam),
+    "absorption_rate_mc": lambda lam: engine.absorption_rate_mc(
+        build_jcm(_P), StateVector(np.eye(3)[1]), 1.0, lam, n_trials=10, seed=0),
+}
 
 
 def number_op(dim):
@@ -141,3 +159,16 @@ class TestValidateCoupling:
             for c in range(da):
                 want[a, c] = sum(big[a * db + b, c * db + b] for b in range(db))
         assert np.abs(want).max() < 1e-12
+
+
+class TestCheckRate:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("form", sorted(RATE_FORMS))
+    def test_closed_forms_reject_bad_rate(self, form, lam):
+        with pytest.raises(ConfigError, match="measurement rate"):
+            RATE_FORMS[form](lam)
+
+    @pytest.mark.parametrize("omega", [math.nan, 0.0, -1.0])
+    def test_min_temp_predict_rejects_bad_omega(self, omega):
+        with pytest.raises(ConfigError):
+            generators.min_temp_predict(0.5, omega)
