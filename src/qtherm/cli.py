@@ -108,7 +108,7 @@ def config_sha256(cfg: dict) -> str:
 
 
 def _beta_value(cfg: dict):
-    parts = [float(p) for p in str(cfg["beta"]).split(",") if p.strip()]
+    parts = _float_list(str(cfg["beta"]), "beta")
     if not parts:
         raise ConfigError("beta must contain at least one value")
     return parts[0] if len(parts) == 1 else parts

@@ -34,6 +34,7 @@ from .thermo import IntervalLedger, ledger_for_interval
 BORN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-14          # max |change| of rho_A between iterates at convergence
 FIXED_POINT_MAX_ITER = 100000
+ABSORPTION_CHUNK = 20000         # absorption_rate_mc trials drawn and scored per batch
 
 
 def check_horizon(horizon: float) -> None:
@@ -77,6 +78,8 @@ class ProcessConfig:
             raise ConfigError("n_traj must be >= 1")
         if self.n_checkpoints < 0:
             raise ConfigError("n_checkpoints must be >= 0")
+        if self.mode == "trajectory" and self.intervals is not None:
+            raise ConfigError("an explicit interval schedule runs in density-matrix mode only")
         check_beta(self.beta)
         check_schedule(self.lam, self.horizon, [] if self.checkpoint_times is None
                        else np.asarray(self.checkpoint_times, dtype=float), self.intervals)
@@ -703,7 +706,7 @@ def ensemble_average_series(sys: JointSystem, beta: float, lam: float,
 
 
 def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: float,
-                       n_trials: int, seed: int, chunk: int = 20000):
+                       n_trials: int, seed: int):
     """Monte Carlo estimate of the reservoir excitation rate lam<x>.
 
     Each trial runs a single interval of the exact process from the same
@@ -722,17 +725,14 @@ def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: f
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     pops_in = thermal_populations(sys.basis_b.eigenvalues, beta)
     c0 = frame.to_frame(np.array([np.kron(psi_a.vec, v_b[:, b]) for b in range(db)]))
-    x_sum = 0.0
-    x2_sum = 0.0
-    done = 0
-    while done < n_trials:
-        m = min(chunk, n_trials - done)
+    x_sum = x2_sum = 0.0
+    for done in range(0, n_trials, ABSORPTION_CHUNK):
+        m = min(ABSORPTION_CHUNK, n_trials - done)
         levels = _draw_index(pops_in, rng.random(m))
         ts = rng.exponential(1.0 / lam, size=m)
         x = _born(frame.evolve_rows(c0[levels], ts), v_b)[1] @ np.arange(db) - levels
         x_sum += x.sum()
         x2_sum += (x * x).sum()
-        done += m
     mean = x_sum / n_trials
     var = max(x2_sum / n_trials - mean ** 2, 0.0)
     se = math.sqrt(var / n_trials)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -100,11 +101,28 @@ def decompose(sys: JointSystem, lam: float) -> GeneratorSpec:
                          v_ops=v_ops, s_coef=s_coef, a_coef=a_coef)
 
 
-def _check_product(rho: np.ndarray, da: int, db: int) -> None:
-    rho_a = marginal(rho, (da, db), "A")
-    rho_b = marginal(rho, (da, db), "B")
-    if np.abs(rho - np.kron(rho_a, rho_b)).max() > 1e-8:
-        raise PreconditionError("input must be a product state rho_A (x) rho_B")
+def _gksl(parts: tuple, rho: np.ndarray) -> np.ndarray:
+    # L rho + rho R + sum_j W_j rho V_j^+ for parts (L, R, [(W_j, V_j)]), on a matrix or a stack
+    left, right, pairs = parts
+    out = left @ rho + rho @ right
+    for w, v in pairs:
+        out += w @ rho @ v.conj().T
+    return out
+
+
+def _dissipator_parts(spec: GeneratorSpec) -> tuple:
+    # dissipator_apply's GKSL parts (X, X^+, [(W_j, V_j)])
+    v = np.array(spec.v_ops, dtype=complex).reshape(-1, spec.sys.dim, spec.sys.dim)
+    w = np.einsum("ij,ikl->jkl", spec.s_coef, v)
+    x = np.einsum("ij,jlk,ilm->km", 0.5j * spec.a_coef - 0.5 * spec.s_coef, v.conj(), v)
+    return x, x.conj().T, list(zip(w, v))
+
+
+def _weak_parts(spec: GeneratorSpec, rate: float) -> tuple:
+    # rate (-i gamma [H_tilde, rho] + gamma^2 L'[rho]) as GKSL parts
+    x, x_dag, pairs = _dissipator_parts(spec)
+    c, h = rate * spec.gamma ** 2, (1j * rate * spec.gamma) * spec.h_tilde()
+    return c * x - h, c * x_dag + h, [(c * w, v) for w, v in pairs]
 
 
 def dissipator_apply(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
@@ -113,21 +131,7 @@ def dissipator_apply(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     In GKSL form, sum_j W_j rho V_j^+ + X rho + rho X^+ with
     W_j = sum_i s_ij V_i and X = sum_ij (-s_ij / 2 + i a_ij / 2) V_j^+ V_i.
     """
-    d = spec.sys.dim
-    v = np.array(spec.v_ops, dtype=complex).reshape(-1, d, d)
-    w = np.einsum("ij,ikl->jkl", spec.s_coef, v)
-    x = np.einsum("ij,jlk,ilm->km", 0.5j * spec.a_coef - 0.5 * spec.s_coef, v.conj(), v)
-    out = x @ rho + rho @ x.conj().T
-    for vj, wj in zip(v, w):
-        out = out + wj @ rho @ vj.conj().T
-    return out
-
-
-def _weak_increment(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    # -i gamma [H_tilde, rho] + gamma^2 L'[rho], on a matrix or a stack of them
-    g = spec.gamma
-    ht = spec.h_tilde()
-    return -1j * g * (ht @ rho - rho @ ht) + g * g * dissipator_apply(spec, rho)
+    return _gksl(_dissipator_parts(spec), rho)
 
 
 def weak_map(spec: GeneratorSpec, rho_ab0) -> np.ndarray:
@@ -138,8 +142,10 @@ def weak_map(spec: GeneratorSpec, rho_ab0) -> np.ndarray:
     product state (the post-measurement form).
     """
     rho = as_matrix(rho_ab0)
-    _check_product(rho, spec.sys.dim_a, spec.sys.dim_b)
-    return _weak_increment(spec, rho)
+    dims = (spec.sys.dim_a, spec.sys.dim_b)
+    if np.abs(rho - np.kron(marginal(rho, dims, "A"), marginal(rho, dims, "B"))).max() > 1e-8:
+        raise PreconditionError("input must be a product state rho_A (x) rho_B")
+    return _gksl(_weak_parts(spec, 1.0), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +262,12 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid) -> np.ndarra
 def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
     """Joint-space generator of the averaged second-order updates at rate lam."""
     # one averaged update per mean interval
-    return superoperator(lambda rho: spec.lam * _weak_increment(spec, rho), spec.sys.dim)
+    return superoperator(partial(_gksl, _weak_parts(spec, spec.lam)), spec.sys.dim)
 
 
 def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
     """Joint-space generator of the fast-measurement expansion at rate lam."""
-    return superoperator(lambda rho: lam * _fast_increment(sys, rho, lam), sys.dim)
+    return superoperator(partial(_gksl, _fast_parts(sys, lam, lam)), sys.dim)
 
 
 class _LinearPropagator:
@@ -335,10 +341,7 @@ class _LinearPropagator:
         return hermitian_part(out.reshape(self.dim, self.dim))
 
     def hab_expect(self, joint: np.ndarray, tau: float) -> float:
-        tot = 0.0 + 0.0j
-        for w, v in self.sectors:
-            tot += np.exp(1j * w * tau) * np.trace(joint @ v)
-        return float(tot.real)
+        return float(sum(np.exp(1j * w * tau) * np.trace(joint @ v) for w, v in self.sectors).real)
 
     def check_positivity(self, joint: np.ndarray) -> float:
         ev_min = float(np.linalg.eigvalsh(joint).min())
@@ -397,21 +400,14 @@ def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: flo
 # Fast measurement limit
 
 
-def _fast_dissipator(hab: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # -[H_AB, [H_AB, rho]] = 2 H_AB rho H_AB - {H_AB^2, rho}
-    hab2 = hab @ hab
-    return 2.0 * hab @ rho @ hab - hab2 @ rho - rho @ hab2
-
-
-def _fast_increment(sys: JointSystem, rho: np.ndarray, lam: float) -> np.ndarray:
-    # the fast-measurement expansion through O(gamma^2/lam^2), on a matrix or a stack
-    g = sys.gamma
-    hab = sys.h_ab.mat
-    h0 = sys.uncoupled_h
-    nested = h0 @ hab - hab @ h0
-    out = (-1j * g / lam) * (hab @ rho - rho @ hab)
-    out = out + (g / lam ** 2) * (nested @ rho - rho @ nested)
-    return out + (g * g / lam ** 2) * _fast_dissipator(hab, rho)
+def _fast_parts(sys: JointSystem, lam: float, rate: float) -> tuple:
+    # rate times the fast-measurement expansion through O(gamma^2/lam^2) as GKSL parts:
+    # -i[K, rho] - c[H_AB, [H_AB, rho]] with K = (gamma/lam) H_AB + i (gamma/lam^2) [H_0, H_AB]
+    g, h, h0 = sys.gamma, sys.h_ab.mat, sys.uncoupled_h
+    k = (g / lam) * h + (1j * g / lam ** 2) * (h0 @ h - h @ h0)
+    c = rate * (g / lam) ** 2
+    h2 = c * (h @ h)
+    return (-1j * rate) * k - h2, (1j * rate) * k - h2, [(2.0 * c * h, h)]
 
 
 def outside_fast_regime(sys: JointSystem, lam: float) -> bool:
@@ -434,7 +430,7 @@ def fast_map(sys: JointSystem, rho_ab0, lam: float) -> np.ndarray:
     """
     check_rate(lam)
     _warn_outside_fast_regime(sys, lam)
-    return _fast_increment(sys, as_matrix(rho_ab0), lam)
+    return _gksl(_fast_parts(sys, lam, 1.0), as_matrix(rho_ab0))
 
 
 def fast_map_reduced(sys: JointSystem, rho_a, rho_b_pops: np.ndarray, lam: float) -> np.ndarray:
@@ -446,7 +442,8 @@ def fast_map_reduced(sys: JointSystem, rho_a, rho_b_pops: np.ndarray, lam: float
     v_b = sys.basis_b.eigenvectors
     rho_b = (v_b * np.asarray(rho_b_pops, dtype=float)) @ v_b.conj().T
     joint = np.kron(as_matrix(rho_a), rho_b)
-    diss = _fast_dissipator(sys.h_ab.mat, joint)
+    h = sys.h_ab.mat
+    diss = _gksl((-(h @ h), -(h @ h), [(2.0 * h, h)]), joint)
     return (sys.gamma ** 2 / lam) * marginal(diss, (sys.dim_a, sys.dim_b), "A")
 
 
@@ -461,8 +458,7 @@ def min_temp_predict(lam: float, omega: float) -> float:
     temperature is -ln(p1/p0)/omega.
     """
     check_rate(lam)
-    if not omega > 0:
-        raise ConfigError(f"omega must be positive, got {omega!r}")
+    check_rate(omega, "omega")
     u = (lam / (2.0 * omega)) ** 2
     return u / (u + 1.0)
 
@@ -481,6 +477,7 @@ def four_state_rate(lam: float, omega: float, gamma: float,
     steady p1/p0 = ((lam/2w)^2 + sigma_e) / ((lam/2w)^2 + sigma_g).
     """
     check_rate(lam)
+    check_rate(omega, "omega")
     if min(sigma_e, sigma_g, p0, p1) < 0:
         raise ValueError("probabilities must be non-negative")
     u = (lam / (2.0 * omega)) ** 2
@@ -494,5 +491,6 @@ def simultaneous_excitation_mean(lam: float, omega: float, gamma: float,
                                  sigma_e: float, sigma_g: float, n_mean: float) -> float:
     """Average number of simultaneous cavity+qubit excitations per interval."""
     check_rate(lam)
+    check_rate(omega, "omega")
     return 2.0 * gamma ** 2 / (lam ** 2 + (2.0 * omega) ** 2) * (
         sigma_g * (n_mean + 1.0) - sigma_e * n_mean)

@@ -138,10 +138,10 @@ def build_jcm(p: JcmParams) -> JointSystem:
     )
 
 
-def check_rate(lam: float) -> None:
-    """Reject a measurement rate that is not positive and finite."""
+def check_rate(lam: float, what: str = "measurement rate") -> None:
+    """Reject a rate (or the quantity named ``what``) that is not positive and finite."""
     if not (lam > 0 and math.isfinite(lam)):
-        raise ConfigError(f"measurement rate must be positive and finite, got {lam!r}")
+        raise ConfigError(f"{what} must be positive and finite, got {lam!r}")
 
 
 def check_beta(beta) -> None:

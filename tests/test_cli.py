@@ -210,8 +210,8 @@ class TestMain:
         assert code == 1
 
     @pytest.mark.parametrize("line", ["gamma = -1", "gamma = nan", "omega_a = nan",
-                                      "beta = -1", "n_max = 0", "checkpoints = -3",
-                                      "horizon = inf"])
+                                      "beta = -1", "beta = abc", "beta = 1.0,abc",
+                                      "n_max = 0", "checkpoints = -3", "horizon = inf"])
     def test_bad_model_input_is_one_line_error(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(line + "\n")

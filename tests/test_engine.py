@@ -156,6 +156,13 @@ class TestRunProcess:
             ProcessConfig(lam=0.01, beta=1.0, horizon=30.0, initial_state_a=fock(1, 3),
                           intervals=np.array(intervals))
 
+    def test_trajectory_mode_rejects_interval_schedule(self):
+        # the trajectory ensemble draws each trajectory's own intervals, so a
+        # schedule would be ignored without a word
+        with pytest.raises(ConfigError, match="density-matrix mode only"):
+            ProcessConfig(lam=0.01, beta=1.0, horizon=30.0, mode="trajectory", n_traj=4,
+                          initial_state_a=fock(1, 3), intervals=np.array([5.0, 5.0]))
+
     @pytest.mark.parametrize("beta", [math.inf, 0.0], ids=["zero_T", "infinite_T"])
     @pytest.mark.parametrize("mode", ["density-matrix", "trajectory", "weak"])
     def test_entropy_production_finite_at_extreme_beta(self, mode, beta):

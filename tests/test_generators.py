@@ -10,6 +10,8 @@ from qtherm.engine import AveragedIntervalMap
 from qtherm.errors import ConfigError, DegenerateSteadyStateError, PreconditionError
 from qtherm.generators import (
     _LinearPropagator,
+    _fast_parts,
+    _weak_parts,
     assemble_joint_fast_generator,
     assemble_joint_weak_generator,
     assemble_reduced_generator,
@@ -792,6 +794,30 @@ class TestSuperoperatorsMatchMaps:
         pops = populations(rho_b, sys.basis_b.eigenvectors)
         want = lam * marginal(fast_map(sys, rho, lam), (sys.dim_a, sys.dim_b), "A")
         np.testing.assert_allclose(fast_map_reduced(sys, rho_a, pops, lam), want, atol=1e-15)
+
+
+class TestGkslVectorisation:
+    """Row-major, rho -> L rho + rho R + sum_j W_j rho V_j^+ has the matrix
+    kron(L, 1) + kron(1, R^T) + sum_j kron(W_j, conj V_j); tie each joint
+    superoperator to that form of its own parts."""
+
+    @pytest.mark.parametrize("n_max", [2, 6])
+    @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
+    @pytest.mark.parametrize("kind", ["weak", "fast"])
+    def test_joint_generator_is_kron_of_its_parts(self, kind, rwa, n_max):
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                  gamma=0.1, n_max=n_max, rwa=rwa))
+        if kind == "weak":
+            spec = decompose(sys, 0.2)
+            gen, parts = assemble_joint_weak_generator(spec), _weak_parts(spec, 0.2)
+        else:
+            gen, parts = assemble_joint_fast_generator(sys, 5.0), _fast_parts(sys, 5.0, 5.0)
+        left, right, pairs = parts
+        one = np.eye(sys.dim)
+        want = np.kron(left, one) + np.kron(one, right.T)
+        for w, v in pairs:
+            want += np.kron(w, v.conj())
+        np.testing.assert_allclose(gen, want, rtol=0, atol=1e-15)
 
 
 class TestSteadyStateSolver:

@@ -168,7 +168,16 @@ class TestCheckRate:
         with pytest.raises(ConfigError, match="measurement rate"):
             RATE_FORMS[form](lam)
 
-    @pytest.mark.parametrize("omega", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("omega", [math.nan, 0.0, -1.0, math.inf])
     def test_min_temp_predict_rejects_bad_omega(self, omega):
         with pytest.raises(ConfigError):
             generators.min_temp_predict(0.5, omega)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("form", ["four_state_rate", "simultaneous_excitation_mean"])
+    def test_four_state_forms_reject_bad_omega(self, form, omega):
+        # each would return NaN or -inf, or divide by zero, at such an omega
+        args = {"four_state_rate": (0.05, 0.2, 0.8, 0.9, 0.1),
+                "simultaneous_excitation_mean": (0.05, 0.2, 0.8, 1.0)}[form]
+        with pytest.raises(ConfigError, match="omega must be positive and finite"):
+            getattr(generators, form)(0.5, omega, *args)
