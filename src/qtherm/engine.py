@@ -29,7 +29,7 @@ from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, ther
 from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
                     hermitian_part, marginal, populations, propagate_grid, superoperator,
                     von_neumann_entropy)
-from .thermo import IntervalLedger, ledger_for_interval
+from .thermo import IntervalLedger, book_intervals, ledger_for_interval
 
 BORN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-14          # max |change| of rho_A between iterates at convergence
@@ -549,7 +549,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
         psi_a = evecs.T[_draw_index(p / p.sum(), np.array([rng.random() for rng in rngs]))]
     frame = _JointFrame(sys)
     dims = (sys.dim_a, sys.dim_b)
-    v_b = sys.basis_b.eigenvectors
+    v_b, e_b = sys.basis_b.eigenvectors, sys.basis_b.eigenvalues
     v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
     observables = (_row_observable(sys.h_a.mat, "A", dims), _row_observable(sys.h_b.mat, "B", dims),
                    _row_observable(np.outer(v_top, v_top.conj()), "A", dims))
@@ -565,8 +565,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     def step(k, live, u, t_start, t_k, checkpoints, completes):
         nonlocal born_max, top_max, n_pairs
         beta = cfg.beta_for(k)
-        pops = thermal_populations(sys.basis_b.eigenvalues, beta)
-        level = _draw_index(pops, u[:, 0])
+        level = _draw_index(thermal_populations(e_b, beta), u[:, 0])
         c0 = frame.to_frame((psi_a[live][:, :, None] * v_b.T[level][:, None, :])
                             .reshape(live.size, -1))
         done = live[completes]
@@ -574,12 +573,13 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
                                             u[completes, 1])
         born_max = max(born_max, float(np.abs(p_m.sum(axis=1) - 1.0).max(initial=0.0)))
         ha_start, ha_now[done] = ha_now[done], _expect(psi_a[done], sys.h_a.mat)
-        # outcome-averaged reservoir bookkeeping; A-side energies conditioned
-        # on the sampled outcome (ensemble averages match density-matrix mode)
-        p = np.clip(p_m, 0.0, None)
-        ds_b = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
-        q = -ds_b / beta if beta > 0 else np.full(done.size, math.nan)
-        terms = np.column_stack((q, (ha_now[done] - ha_start) - q, -sys.gamma * hab, -ds_b))
+        # the reservoir booked from its input level to the outcome-averaged
+        # populations, A's energy conditioned on the sampled outcome (the
+        # ensemble averages match density-matrix mode)
+        _, ds_b, q, _, w, _ = book_intervals(np.eye(sys.dim_b)[level[completes]],
+                                             np.clip(p_m, 0.0, None), e_b, beta,
+                                             ha_now[done] - ha_start).T
+        terms = np.column_stack((q, w, -sys.gamma * hab, -ds_b))
 
         # the checkpoints come last, so that the measurement's temporaries are freed first
         c_ref = c0 * frame.phases(-t_start)         # the coefficients moved back to t = 0

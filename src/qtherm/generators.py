@@ -266,7 +266,11 @@ def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
 
 
 def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
-    """Joint-space generator of the fast-measurement expansion at rate lam."""
+    """Joint-space generator of the fast-measurement expansion at rate lam.
+
+    A rate that is not positive and finite is a ConfigError.
+    """
+    check_rate(lam)
     return superoperator(partial(_gksl, _fast_parts(sys, lam, lam)), sys.dim)
 
 
@@ -438,7 +442,9 @@ def fast_map_reduced(sys: JointSystem, rho_a, rho_b_pops: np.ndarray, lam: float
 
     (gamma^2/lam) Tr_B[2 H_AB rho H_AB - {H_AB^2, rho}] at rho = rho_A (x) rho_B,
     with rho_B diagonal in the B energy basis with populations ``rho_b_pops``.
+    A rate that is not positive and finite is a ConfigError.
     """
+    check_rate(lam)
     v_b = sys.basis_b.eigenvectors
     rho_b = (v_b * np.asarray(rho_b_pops, dtype=float)) @ v_b.conj().T
     joint = np.kron(as_matrix(rho_a), rho_b)

@@ -10,7 +10,7 @@ the coupling operator, so perturbative orders and the measurement back-action
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +67,6 @@ class JointSystem:
     h_b: Operator
     h_ab: Operator
     gamma: float
-    params: JcmParams | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.h_a.dim != self.dim_a or self.h_b.dim != self.dim_b:
@@ -134,7 +133,6 @@ def build_jcm(p: JcmParams) -> JointSystem:
         h_b=Operator(h_b, hermitian=True),
         h_ab=Operator(h_ab, hermitian=True),
         gamma=p.gamma,
-        params=p,
     )
 
 

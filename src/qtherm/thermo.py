@@ -4,19 +4,20 @@ Sign convention: every quantity is energy added *to* the system side under
 consideration.  Heat is defined from the entropy change of the measured
 reservoir, Q = -dS_B/beta, with the reservoir entropy always evaluated in its
 energy eigenbasis; work follows from W = dH_A - Q.  The measurement
-back-action -gamma<H_AB> is booked as work, never as heat.
+back-action -gamma<H_AB> is booked as work, never as heat.  ``book_intervals``
+is the one place these are computed, for every mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .qcore import as_matrix, shannon_entropy, trace_distance, von_neumann_entropy
+from .qcore import as_matrix, trace_distance, von_neumann_entropy
 from .models import JointSystem
 
 # Trace-distance threshold under which two states of A count as a cyclic return.
@@ -54,10 +55,11 @@ class IntervalLedger:
     def heat_defined(self) -> bool:
         return self.beta > 0 and not math.isnan(self.q)
 
-    @property
-    def cyclic_r_contribution(self) -> float:
-        """Free-energy gain of the reservoir reset: dH_b - dS_b/beta = -w_therm."""
-        return self.r - self.dH_a
+
+def _columns(ledgers: Sequence[IntervalLedger]) -> dict[str, np.ndarray]:
+    """The ledgers as one array per IntervalLedger field."""
+    return {f.name: np.array([getattr(led, f.name) for led in ledgers], dtype=float)
+            for f in fields(IntervalLedger)}
 
 
 def _reservoir_populations(pops, sys: JointSystem, what: str) -> np.ndarray:
@@ -66,6 +68,35 @@ def _reservoir_populations(pops, sys: JointSystem, what: str) -> np.ndarray:
         raise DimensionError(f"{what} must be the {sys.dim_b} populations of B "
                              f"in its energy basis, got shape {shape}")
     return np.asarray(pops, dtype=float)
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis (0 ln 0 := 0)."""
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+
+
+def book_intervals(pops_start: np.ndarray, pops_end: np.ndarray, e_b: np.ndarray,
+                   beta: float, dh_a) -> np.ndarray:
+    """The reservoir-side ledger of intervals: dH_b, dS_b, Q, W_therm, W and R
+    on the last axis.
+
+    ``pops_start`` and ``pops_end`` are B's populations over its energies
+    ``e_b`` before and after one interval, or one row per interval, and
+    ``dh_a`` is A's energy change.  Q = -dS_b/beta, W_therm = -dH_b - Q,
+    W = W_therm + dH_a + dH_b (= dH_a - Q) and R = dH_a + dH_b + Q.  With
+    beta = 0 the heat is undefined and those four are NaN; with beta = inf,
+    Q = 0.
+    """
+    dh_b = ((pops_end - pops_start) * e_b).sum(axis=-1)
+    ds_b = _entropy(pops_end) - _entropy(pops_start)
+    if beta == 0:
+        q = np.full_like(ds_b, math.nan)
+    elif math.isinf(beta):
+        q = np.zeros_like(ds_b)
+    else:
+        q = -ds_b / beta
+    w_therm = -dh_b - q
+    return np.array((dh_b, ds_b, q, w_therm, w_therm + dh_a + dh_b, dh_a + dh_b + q)).T
 
 
 def ledger_for_interval(
@@ -78,36 +109,21 @@ def ledger_for_interval(
     beta: float,
     positivity_floor: float = -1e-8,
 ) -> IntervalLedger:
-    """Account one interval from its boundary marginals.
+    """Account one interval from its boundary marginals (``book_intervals``).
 
     The measured reservoir is its populations in the energy basis of H_B
     (``sys.basis_b``; the measurement dephases it), and its entropy is their
-    Shannon entropy.  With beta = 0 the heat is undefined and the
-    heat-bearing fields are NaN.
+    Shannon entropy.
     """
     pb0 = _reservoir_populations(pops_b_start, sys, "pops_b_start")
     pb1 = _reservoir_populations(pops_b_end, sys, "pops_b_end")
-    e_b = sys.basis_b.eigenvalues
     dh_a = float(np.trace(sys.h_a.mat @ (as_matrix(rho_a_end) - as_matrix(rho_a_start))).real)
-    dh_b = float(((pb1 - pb0) * e_b).sum())
+    dh_b, ds_b, q, w_therm, w, r = book_intervals(
+        pb0, pb1, sys.basis_b.eigenvalues, beta, dh_a).tolist()
     ds_a = (von_neumann_entropy(rho_a_end, positivity_floor)
             - von_neumann_entropy(rho_a_start, positivity_floor))
-    ds_b = shannon_entropy(pb1) - shannon_entropy(pb0)
-    w_meas = -sys.gamma * h_ab_expect_pre_meas
-
-    if beta == 0:
-        q = w_therm = w = r = math.nan
-    elif math.isinf(beta):
-        q, w_therm = 0.0, -dh_b
-        w = w_therm + dh_a + dh_b
-        r = dh_a + dh_b
-    else:
-        q = -ds_b / beta
-        w_therm = -dh_b + ds_b / beta
-        w = w_therm + dh_a + dh_b
-        r = dh_a + dh_b - ds_b / beta
     return IntervalLedger(
-        dH_a=dh_a, dH_b=dh_b, w_meas=w_meas, dS_a=ds_a, dS_b=ds_b,
+        dH_a=dh_a, dH_b=dh_b, w_meas=-sys.gamma * h_ab_expect_pre_meas, dS_a=ds_a, dS_b=ds_b,
         q=q, w_therm=w_therm, w=w, r=r, beta=beta,
     )
 
@@ -122,11 +138,8 @@ def s_tot(s_a_series: Sequence[float], ledgers: Sequence[IntervalLedger]) -> np.
     """
     if len(s_a_series) != len(ledgers) + 1:
         raise ValueError("need one S_A sample per measurement time, including t = 0")
-    bq = np.array([-led.dS_b for led in ledgers])
-    out = np.empty(len(ledgers) + 1)
-    out[0] = 0.0
-    out[1:] = np.asarray(s_a_series[1:]) - s_a_series[0] - np.cumsum(bq)
-    return out
+    ds_b = _columns(ledgers)["dS_b"]
+    return np.concatenate(([0.0], np.asarray(s_a_series[1:]) - s_a_series[0] + np.cumsum(ds_b)))
 
 
 def approx_heat_small_change(pops_b_start, pops_b_end, sys: JointSystem) -> tuple[float, float]:
@@ -212,6 +225,13 @@ def find_cyclic_windows(rho_a_snapshots: Sequence, tol: float = CYCLE_TOL) -> li
     return out
 
 
+def _windows(q: np.ndarray, r: np.ndarray, rho_a_snapshots: Sequence) -> list[CyclicWindow]:
+    """The cyclic windows of ``rho_a_snapshots`` with their sums of the heat
+    column ``q`` and of R, each summed in interval order."""
+    return [CyclicWindow(i, j, dist, float(sum(q[i:j])), float(sum(r[i:j])))
+            for i, j, dist in find_cyclic_windows(rho_a_snapshots)]
+
+
 def second_law_suite(
     ledgers: Sequence[IntervalLedger],
     rho_a_snapshots: Sequence | None = None,
@@ -219,50 +239,27 @@ def second_law_suite(
     """Check the second-law structure of an exact run with a thermal reservoir.
 
     Per interval: dS_a + dS_b >= 0, the Klein positivity of the cyclic
-    contribution dH_b - dS_b/beta (where heat is defined), and the
+    contribution dH_b - dS_b/beta = R - dH_a (where heat is defined), and the
     back-action identity w_meas = dH_a + dH_b.  Over every cyclic window of
     the ``rho_a_snapshots`` of A, sum(Q) <= 0.
     """
-    ent_viol, klein_viol, back_viol = [], [], []
-    min_ent, min_klein, max_wth, max_back = math.inf, math.inf, -math.inf, 0.0
-    for k, led in enumerate(ledgers):
-        ent = led.dS_a + led.dS_b
-        min_ent = min(min_ent, ent)
-        if ent < -ENTROPY_TOL:
-            ent_viol.append(k)
-        if led.heat_defined:
-            contrib = led.cyclic_r_contribution
-            min_klein = min(min_klein, contrib)
-            max_wth = max(max_wth, led.w_therm)
-            if contrib < -KLEIN_TOL:
-                klein_viol.append(k)
-        resid = abs(led.w_meas - (led.dH_a + led.dH_b))
-        max_back = max(max_back, resid)
-        if resid > BACKACTION_TOL:
-            back_viol.append(k)
-
-    windows: list[CyclicWindow] = []
-    q_viol: list[int] = []
-    if rho_a_snapshots is not None:
-        for i, j, dist in find_cyclic_windows(rho_a_snapshots):
-            q_sum = sum(led.q for led in ledgers[i:j])
-            r_sum = sum(led.r for led in ledgers[i:j])
-            windows.append(CyclicWindow(i, j, dist, q_sum, r_sum))
-            if q_sum > CYCLE_Q_TOL:
-                q_viol.append(len(windows) - 1)
-
-    n = len(ledgers)
+    c = _columns(ledgers)
+    ent = c["dS_a"] + c["dS_b"]
+    heat = np.array([led.heat_defined for led in ledgers], dtype=bool)
+    contrib = (c["r"] - c["dH_a"])[heat]
+    resid = np.abs(c["w_meas"] - (c["dH_a"] + c["dH_b"]))
+    windows = [] if rho_a_snapshots is None else _windows(c["q"], c["r"], rho_a_snapshots)
     return SecondLawReport(
-        n_intervals=n,
-        min_entropy_production=min_ent if n else 0.0,
-        min_cyclic_r_contribution=min_klein if min_klein != math.inf else 0.0,
-        max_w_therm=max_wth if max_wth != -math.inf else 0.0,
-        max_backaction_residual=max_back,
-        entropy_violations=tuple(ent_viol),
-        klein_violations=tuple(klein_viol),
-        backaction_violations=tuple(back_viol),
+        n_intervals=len(ledgers),
+        min_entropy_production=float(ent.min()) if ent.size else 0.0,
+        min_cyclic_r_contribution=float(contrib.min()) if contrib.size else 0.0,
+        max_w_therm=float(c["w_therm"][heat].max()) if heat.any() else 0.0,
+        max_backaction_residual=float(resid.max(initial=0.0)),
+        entropy_violations=tuple(np.flatnonzero(ent < -ENTROPY_TOL).tolist()),
+        klein_violations=tuple(np.flatnonzero(heat)[contrib < -KLEIN_TOL].tolist()),
+        backaction_violations=tuple(np.flatnonzero(resid > BACKACTION_TOL).tolist()),
         windows=tuple(windows),
-        cyclic_q_violations=tuple(q_viol),
+        cyclic_q_violations=tuple(k for k, w in enumerate(windows) if w.q_sum > CYCLE_Q_TOL),
     )
 
 
@@ -277,9 +274,5 @@ def backaction_as_heat_windows(
     reservoir inputs -- i.e. net heat *absorbed* over a cycle, a second-law
     violation.  Returns the windows so callers can exhibit sum(Q') > 0.
     """
-    out = []
-    for i, j, dist in find_cyclic_windows(rho_a_snapshots):
-        q_mod = sum(led.q + led.w_meas for led in ledgers[i:j])
-        r_sum = sum(led.r for led in ledgers[i:j])
-        out.append(CyclicWindow(i, j, dist, q_mod, r_sum))
-    return out
+    c = _columns(ledgers)
+    return _windows(c["q"] + c["w_meas"], c["r"], rho_a_snapshots)

@@ -167,7 +167,8 @@ class TestRunProcess:
     @pytest.mark.parametrize("mode", ["density-matrix", "trajectory", "weak"])
     def test_entropy_production_finite_at_extreme_beta(self, mode, beta):
         # beta Q is booked as -dS_B: as a product it is inf * 0 at beta = inf,
-        # and Q itself is undefined at beta = 0
+        # and Q itself is undefined at beta = 0.  Every mode books Q through
+        # thermo, so at beta = inf it is +0.0, never -dS_B / inf = -0.0
         sys = build_jcm(JcmParams(n_max=4))
         psi0 = fock(1, sys.dim_a)
         if mode == "weak":
@@ -178,6 +179,8 @@ class TestRunProcess:
                                             mode=mode, n_traj=20, initial_state_a=psi0,
                                             n_checkpoints=11), sys)
         assert np.isfinite(run.series.s_tot).all() and run.series.s_tot[-1] != 0.0
+        if beta == math.inf:
+            assert (run.series.q_cum == 0.0).all() and not np.signbit(run.series.q_cum).any()
         if mode == "density-matrix":
             assert np.isfinite(s_tot(run.s_a_series, run.ledgers)).all()
 

@@ -24,6 +24,10 @@ RATE_FORMS = {
     "sample_interval": lambda lam: engine.sample_interval(np.random.default_rng(0), lam),
     "absorption_rate_mc": lambda lam: engine.absorption_rate_mc(
         build_jcm(_P), StateVector(np.eye(3)[1]), 1.0, lam, n_trials=10, seed=0),
+    "fast_map_reduced": lambda lam: generators.fast_map_reduced(
+        build_jcm(_P), np.diag([0.0, 1.0, 0.0]), np.array([0.8, 0.2]), lam),
+    "assemble_joint_fast_generator": lambda lam: generators.assemble_joint_fast_generator(
+        build_jcm(_P), lam),
 }
 
 

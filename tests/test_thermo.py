@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtherm.engine import ProcessConfig, run_process, step_interval
 from qtherm.errors import DimensionError
 from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_populations, thermal_state
-from qtherm.qcore import DensityMatrix, Operator, StateVector, relative_entropy
+from qtherm.qcore import DensityMatrix, Operator, StateVector, relative_entropy, shannon_entropy
 from qtherm.thermo import (
+    IntervalLedger,
     approx_heat_small_change,
     backaction_as_heat_windows,
+    book_intervals,
     find_cyclic_windows,
     ledger_for_interval,
     s_tot,
@@ -125,6 +128,77 @@ class TestLedger:
                                 0.0, sys, 1.0)
 
 
+class TestBookIntervals:
+    @pytest.mark.parametrize("beta", [0.7, math.inf, 0.0])
+    def test_one_hot_rows_match_the_ledger(self, beta):
+        # the trajectory step books its completed rows from one-hot start
+        # populations; each row is the ledger of that interval
+        rng = np.random.default_rng(31)
+        sys = random_system(rng, 2, 3)
+        levels = rng.integers(0, 3, size=8)
+        p1 = rng.dirichlet(np.ones(3), size=8)
+        p1[0] = np.eye(3)[1]                   # an outcome that is certain
+        dh_a = rng.normal(size=8)
+        rows = book_intervals(np.eye(3)[levels], p1, sys.basis_b.eigenvalues, beta, dh_a)
+        assert rows.shape == (8, 6)
+        rho = random_density(rng, 2)
+        for k in range(8):
+            led = ledger_for_interval(rho, rho, np.eye(3)[levels[k]], p1[k], 0.0, sys, beta)
+            np.testing.assert_array_equal(rows[k, :2], [led.dH_b, led.dS_b])
+            np.testing.assert_array_equal(rows[k, 2], led.q)
+            assert rows[k, 1] == shannon_entropy(p1[k])
+        if beta == math.inf:
+            assert (rows[:, 2] == 0.0).all() and not np.signbit(rows[:, 2]).any()
+        elif beta > 0:
+            np.testing.assert_array_equal(rows[:, 4], rows[:, 3] + dh_a + rows[:, 0])
+            np.testing.assert_allclose(rows[:, 4], dh_a - rows[:, 2], rtol=0, atol=1e-15)
+        else:
+            assert np.isnan(rows[:, 2:]).all()
+
+
+def coupling_without_level_shift(rng, sys_b, da):
+    """A random H_AB that cannot shift B's levels: its blocks <b|H_AB|b> on A,
+    b an energy eigenstate of B, are zero, so <H_AB> vanishes on rho_A (x)
+    rho_B for every rho_B diagonal in B's energy basis."""
+    db = sys_b.shape[0]
+    m = rng.normal(size=(da * db,) * 2) + 1j * rng.normal(size=(da * db,) * 2)
+    h = ((m + m.conj().T) / 2).reshape(da, db, da, db)
+    for b in range(db):
+        h[:, b, :, b] = 0.0
+    u = np.kron(np.eye(da), np.linalg.eigh(sys_b)[1])
+    return u @ h.reshape(da * db, da * db) @ u.conj().T
+
+
+class TestLedgerInvariants:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(da=st.integers(2, 4), db=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+           beta=st.floats(0.1, 5.0),
+           intervals=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4))
+    def test_every_interval_keeps_the_invariants(self, da, db, seed, beta, intervals):
+        rng = np.random.default_rng(seed)
+        base = random_system(rng, da, db)
+        sys = JointSystem(dim_a=da, dim_b=db, h_a=base.h_a, h_b=base.h_b,
+                          h_ab=Operator(coupling_without_level_shift(rng, base.h_b.mat, da),
+                                        hermitian=True),
+                          gamma=base.gamma)
+        cfg = ProcessConfig(lam=1.0, beta=beta, horizon=sum(intervals) + 1.0, seed=seed,
+                            initial_state_a=random_density(rng, da), n_checkpoints=2,
+                            intervals=np.array(intervals))
+        rec = run_process(cfg, sys)
+        assert len(rec.ledgers) == len(intervals)
+        assert rec.born_max_deviation <= 1e-10
+        for led in rec.ledgers:
+            assert abs(led.dH_a - (led.q + led.w)) <= 1e-12                # first law
+            assert led.dS_a + led.dS_b >= -1e-9                            # entropy production
+            assert led.r - led.dH_a >= -1e-9                               # Klein positivity
+            assert abs(led.w_meas - (led.dH_a + led.dH_b)) <= 1e-9         # back-action
+        for rho in rec.rho_a_snapshots:
+            assert abs(np.trace(rho) - 1.0) <= 1e-10
+            assert np.abs(rho - rho.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh(rho).min() >= -1e-10
+        assert second_law_suite(rec.ledgers, rec.rho_a_snapshots).ok
+
+
 class TestApproxHeat:
     def test_zero_change(self):
         sys = build_jcm(DECAY)
@@ -233,6 +307,30 @@ class TestSecondLawSuite:
         sys, rec = run_decay(horizon=1e9, intervals=intervals)
         windows = backaction_as_heat_windows(rec.ledgers, rec.rho_a_snapshots)
         assert windows and max(w.q_sum for w in windows) > 1e-10
+
+    def test_columns_match_a_per_ledger_loop(self):
+        # random ledgers with every kind of violation, some at beta = 0 (heat
+        # undefined), against the suite's definitions applied one ledger at a time
+        rng = np.random.default_rng(17)
+        ledgers = []
+        for _ in range(60):
+            x = rng.normal(scale=1e-8, size=9)
+            beta = float(rng.choice([0.0, 0.5, math.inf]))
+            ledgers.append(IntervalLedger(*x[:5], math.nan if beta == 0 else x[5], *x[6:],
+                                          beta=beta))
+        report = second_law_suite(ledgers)
+        ent = [l.dS_a + l.dS_b for l in ledgers]
+        heat = [k for k, l in enumerate(ledgers) if l.heat_defined]
+        contrib = {k: ledgers[k].r - ledgers[k].dH_a for k in heat}
+        resid = [abs(l.w_meas - (l.dH_a + l.dH_b)) for l in ledgers]
+        assert report.min_entropy_production == min(ent)
+        assert report.min_cyclic_r_contribution == min(contrib.values())
+        assert report.max_w_therm == max(ledgers[k].w_therm for k in heat)
+        assert report.max_backaction_residual == max(resid)
+        assert report.entropy_violations == tuple(k for k, e in enumerate(ent) if e < -1e-9)
+        assert report.klein_violations == tuple(k for k in heat if contrib[k] < -1e-9)
+        assert report.backaction_violations == tuple(k for k, r in enumerate(resid) if r > 1e-9)
+        assert 0 < len(report.klein_violations) < len(heat) < len(ledgers)
 
     def test_w_meas_sign_flip_detected(self):
         sys, rec = run_decay(horizon=500.0, seed=22)
