@@ -27,14 +27,15 @@ from .errors import ConfigError, NumericError, PreconditionError
 from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
                      thermal_state)
 from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
-                    hermitian_part, marginal, populations, propagate_grid, superoperator,
-                    von_neumann_entropy)
+                    hermitian_part, marginal, populations, propagate_grid, shannon_entropy,
+                    spectrum, superoperator, von_neumann_entropy)
 from .thermo import IntervalLedger, book_intervals, ledger_for_interval
 
 BORN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-14          # max |change| of rho_A between iterates at convergence
 FIXED_POINT_MAX_ITER = 100000
 ABSORPTION_CHUNK = 20000         # absorption_rate_mc trials drawn and scored per batch
+STACK_BYTES = 2 ** 22            # joint matrices run_intervals evolves per propagator call
 
 
 def check_horizon(horizon: float) -> None:
@@ -224,13 +225,15 @@ class _JointFrame:
         self.e, self.w = prop.eigenvalues, prop.eigenvectors
         self.hab = sys.h_ab.mat
 
-    def apply(self, joint0: np.ndarray, tau: float) -> np.ndarray:
+    def apply(self, joint0: np.ndarray, taus) -> np.ndarray:
+        """The stack of joint0 evolved for each time in ``taus``."""
         jt = self.w.conj().T @ joint0 @ self.w
-        ph = np.exp(-1j * self.e * tau)
-        return self.w @ (jt * np.outer(ph, ph.conj())) @ self.w.conj().T
+        ph = self.phases(np.asarray(taus, dtype=float))
+        return self.w @ (jt * (ph[:, :, None] * ph.conj()[:, None, :])) @ self.w.conj().T
 
-    def hab_expect(self, joint: np.ndarray, tau: float) -> float:
-        return float(np.trace(self.hab @ joint).real)
+    def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
+        """<H_AB> of each matrix of the stack ``joint``."""
+        return np.trace(self.hab @ joint, axis1=-2, axis2=-1).real
 
     def check_positivity(self, joint: np.ndarray) -> float:
         return 0.0
@@ -264,18 +267,6 @@ def _measure(frame: _JointFrame, v_b: np.ndarray, c0: np.ndarray, t: np.ndarray,
     m = _draw_index(p_m, u)
     post = amp[np.arange(m.size), :, m]
     return post / np.linalg.norm(post, axis=1)[:, None], _expect(psi_t, frame.hab), p_m, m
-
-
-def _end_interval(prop, sys: JointSystem, joint_t: np.ndarray, tau: float):
-    """Outcome-averaged measurement of B at the end of an interval.
-
-    Returns the Hermitian state of A, the (unclipped) B populations in the
-    energy basis and <H_AB> just before the measurement, gamma excluded.
-    """
-    dims = (sys.dim_a, sys.dim_b)
-    rho_a = hermitian_part(marginal(joint_t, dims, "A"))
-    pops_b = populations(marginal(joint_t, dims, "B"), sys.basis_b.eigenvectors)
-    return rho_a, pops_b, prop.hab_expect(joint_t, tau)
 
 
 def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
@@ -322,13 +313,14 @@ def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
 
     rho_b = as_matrix(reservoir_in)
     diagonal_populations(rho_b, sys.basis_b, "reservoir input")
-    joint_t = frame.apply(np.kron(as_matrix(state_a), rho_b), t)
-    rho_a_end, pops_b, h_ab_expect = _end_interval(frame, sys, joint_t, t)
+    joint_t = frame.apply(np.kron(as_matrix(state_a), rho_b), [t])
+    dims = (sys.dim_a, sys.dim_b)
+    pops_b = populations(marginal(joint_t[0], dims, "B"), v_b)
     return IntervalStep(
-        state_a=DensityMatrix(rho_a_end),
+        state_a=DensityMatrix(hermitian_part(marginal(joint_t[0], dims, "A"))),
         reservoir_populations=np.clip(pops_b, 0.0, None),
         outcome=None,
-        h_ab_expect=h_ab_expect,
+        h_ab_expect=float(frame.hab_expect(joint_t, [t])[0]),
         born_deviation=abs(pops_b.sum() - 1.0),
     )
 
@@ -408,9 +400,14 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     (beta_k, populations of B in ``sys.basis_b``) and evolves the product
     with ``prop`` for the next scheduled time: ``intervals`` if given, else
     exponential draws at rate ``lam`` from ``seed``.  ``prop`` supplies
-    apply(joint0, tau), hab_expect(joint, tau) (gamma excluded),
+    apply(joint0, taus) -> the stack of joint states at the times ``taus``,
+    hab_expect(stack, taus) -> their <H_AB> (gamma excluded),
     check_positivity(joint) -> lowest eigenvalue checked, next_state(rho_A),
     and the entropy floors ``positivity_floor`` and ``checkpoint_floor``.
+
+    Each interval's checkpoints and its end are evolved as one stack of
+    times, in calls of at most STACK_BYTES of joint matrices, so a small
+    joint space takes one call per interval and a large one a call per time.
     """
     grid = np.asarray(grid, dtype=float)
     dims = (sys.dim_a, sys.dim_b)
@@ -420,29 +417,41 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     ledgers: list[IntervalLedger] = []
     snapshots = [rho_a]
     born_max = min_eig = 0.0
+    chunk = max(1, STACK_BYTES // (16 * sys.dim ** 2))
 
     def step(k, live, u, t_start, t_k, checkpoints, completes):
         nonlocal rho_a, born_max, min_eig
         beta_k, pops_b0 = reservoir(k)
         joint0 = np.kron(rho_a, (v_b * pops_b0) @ v_b.conj().T)
+        js, taus = [], []
         for j, _, tau in checkpoints:
-            tau = float(tau[0])
-            joint = prop.apply(joint0, tau)
-            rho_cp = hermitian_part(marginal(joint, dims, "A"))
-            cp_rho[j] = rho_cp
-            cp_obs[:, j] = (
-                float(np.trace(sys.h_a.mat @ rho_cp).real),
-                float(np.trace(sys.h_b.mat @ marginal(joint, dims, "B")).real),
-                sys.gamma * prop.hab_expect(joint, tau),
-                von_neumann_entropy(rho_cp, prop.checkpoint_floor),
-            )
+            js.append(j)
+            taus.append(float(tau[0]))
+        if completes[0]:
+            taus.append(float(t_k[0]))                # the interval's end comes last
+        if not taus:
+            return ()
+        taus = np.array(taus)
+        for lo in range(0, taus.size, chunk):
+            joint = prop.apply(joint0, taus[lo:lo + chunk])
+            rho = hermitian_part(marginal(joint, dims, "A"))
+            rho_b = marginal(joint, dims, "B")
+            hab = prop.hab_expect(joint, taus[lo:lo + chunk])
+            cp = js[lo:lo + chunk]                    # the checkpoints among these times
+            if n := len(cp):
+                cp_rho[cp] = rho[:n]
+                cp_obs[:, cp] = (
+                    np.trace(sys.h_a.mat @ rho[:n], axis1=-2, axis2=-1).real,
+                    np.trace(sys.h_b.mat @ rho_b[:n], axis1=-2, axis2=-1).real,
+                    sys.gamma * hab[:n],
+                    [shannon_entropy(p) for p in spectrum(rho[:n], prop.checkpoint_floor)],
+                )
         if not completes[0]:
             return ()
 
-        t_k = float(t_k[0])
-        joint_t = prop.apply(joint0, t_k)
-        min_eig = min(min_eig, prop.check_positivity(joint_t))
-        rho_a_end, pops_b, h_ab_expect = _end_interval(prop, sys, joint_t, t_k)
+        # the last stack ends at the interval's end; a copy, so no snapshot keeps the stack
+        min_eig = min(min_eig, prop.check_positivity(joint[-1]))
+        rho_a_end, pops_b, h_ab_expect = rho[-1].copy(), populations(rho_b[-1], v_b), hab[-1]
         born_max = max(born_max, abs(pops_b.sum() - 1.0))
         led = ledger_for_interval(rho_a, rho_a_end, pops_b0, np.clip(pops_b, 0.0, None),
                                   h_ab_expect, sys, beta_k,
@@ -558,7 +567,11 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     phase = frame.phases(grid)
     hab_adj = frame.hab.conj().T
     rho_sum = np.zeros((len(grid), sys.dim_a, sys.dim_a), complex)
-    obs_sum = np.zeros((4, len(grid)))             # <H_A>, <H_A>^2, <H_B>, gamma <H_AB>
+    # <H_A>, <H_B>, gamma <H_AB>, and x - x_ref and its square for x = <H_A>, where
+    # x_ref is the first value booked at the checkpoint: the spread is summed
+    # without the cancellation of E[x^2] - E[x]^2
+    obs_sum = np.zeros((5, len(grid)))
+    ha_ref = np.full(len(grid), np.nan)
     born_max = top_max = 0.0
     n_pairs = 0
 
@@ -592,14 +605,18 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
             ha, hb, top = (f(psi, pop) for f in observables)
             joint = psi.T @ psi.conj()             # sum over trajectories of |psi><psi|
             rho_sum[j] += marginal(joint, dims, "A")
-            obs_sum[:, j] += (ha.sum(), (ha * ha).sum(), hb.sum(),
-                              sys.gamma * np.vdot(hab_adj, joint).real)   # Tr(H_AB joint)
+            if np.isnan(ha_ref[j]):
+                ha_ref[j] = ha[0]
+            dev = ha - ha_ref[j]
+            obs_sum[:, j] += (ha.sum(), hb.sum(),
+                              sys.gamma * np.vdot(hab_adj, joint).real,   # Tr(H_AB joint)
+                              dev.sum(), (dev * dev).sum())
             top_max, n_pairs = max(top_max, top.max()), n_pairs + ha.size
         return terms
 
     _, n_cp, sums = _walk(step, 2, rngs, cfg.lam, cfg.horizon, grid)
-    mean_ha, mean_ha2, mean_hb, mean_hab = obs_sum[:, :n_cp] / n
-    var = np.maximum(mean_ha2 - mean_ha ** 2, 0.0)
+    mean_ha, mean_hb, mean_hab, mean_dev, mean_dev2 = obs_sum[:, :n_cp] / n
+    var = np.maximum(mean_dev2 - mean_dev ** 2, 0.0)
     mean_rho = rho_sum[:n_cp] / n
     s_a = np.array([von_neumann_entropy(hermitian_part(r)) for r in mean_rho])
     series = _checkpoint_series(grid[:n_cp], mean_ha, mean_hb, mean_hab, s_a,

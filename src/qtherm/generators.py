@@ -19,15 +19,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .engine import IntervalRun, check_horizon, run_intervals
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, check_rate, thermal_populations
-from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
-                    hermitian_part, marginal, populations, propagate_grid, superoperator)
+from .qcore import (Operator, DensityMatrix, as_matrix, check_superop_size, connected_blocks,
+                    diagonal_populations, hermitian_part, marginal, populations, propagate_grid,
+                    superoperator)
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,17 @@ def _gksl(parts: tuple, rho: np.ndarray) -> np.ndarray:
     out = left @ rho + rho @ right
     for w, v in pairs:
         out += w @ rho @ v.conj().T
+    return out
+
+
+def _gksl_matrix(parts: tuple) -> np.ndarray:
+    # row-major matrix of _gksl(parts, .), its terms added in _gksl's order:
+    # kron(L, 1) + kron(1, R^T) + sum_j kron(W_j, conj V_j)
+    left, right, pairs = parts
+    eye = np.eye(len(left))
+    out = np.kron(left, eye) + np.kron(eye, right.T)
+    for w, v in pairs:
+        out += np.kron(w, v.conj())
     return out
 
 
@@ -260,18 +271,19 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid) -> np.ndarra
 
 
 def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
-    """Joint-space generator of the averaged second-order updates at rate lam."""
-    # one averaged update per mean interval
-    return superoperator(partial(_gksl, _weak_parts(spec, spec.lam)), spec.sys.dim)
+    """Joint-space generator of the averaged second-order updates at rate lam
+    (one averaged update per mean interval), built from its GKSL parts after
+    the ``qcore.MAX_SUPEROP_BYTES`` check."""
+    check_superop_size(spec.sys.dim)
+    return _gksl_matrix(_weak_parts(spec, spec.lam))
 
 
 def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
-    """Joint-space generator of the fast-measurement expansion at rate lam.
-
-    A rate that is not positive and finite is a ConfigError.
-    """
+    """Joint-space generator of the fast-measurement expansion at rate lam, built
+    as the weak one is.  A rate that is not positive and finite is a ConfigError."""
     check_rate(lam)
-    return superoperator(partial(_gksl, _fast_parts(sys, lam, lam)), sys.dim)
+    check_superop_size(sys.dim)
+    return _gksl_matrix(_fast_parts(sys, lam, lam))
 
 
 class _LinearPropagator:
@@ -285,8 +297,10 @@ class _LinearPropagator:
     result.  Each interval starts from rho_A (x) rho_B with B dephased, so
     from a parity-symmetric start (a Fock state) the ket/bra cross-parity
     blocks never get weight.  A block whose eigenvectors are too
-    ill-conditioned to invert (cond >= 1e10, a defective block) is propagated
-    with a dense ``expm`` of that block alone, listed in ``expm_blocks``.
+    ill-conditioned to invert (1-norm condition number >= 1e10, or singular: a
+    defective block) is propagated with a dense ``expm`` of that block alone,
+    listed in ``expm_blocks``.  Once a block is decomposed, evolving a state
+    to a whole vector of times costs one matrix product per block.
 
     As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
@@ -303,8 +317,12 @@ class _LinearPropagator:
     checkpoint_floor = -1e-4         # S_A at the checkpoints
 
     def __init__(self, gen: np.ndarray, sectors):
-        self.sectors = tuple(sectors)
+        sectors = tuple(sectors)
         self.dim = int(round(math.sqrt(gen.shape[0])))
+        self.frequencies = np.array([w for w, _ in sectors], dtype=float)
+        # rows vec(V_omega^T), so that Tr(joint V_omega) over a stack is one matrix product
+        self._v_t = np.array([v.T for _, v in sectors], dtype=complex).reshape(
+            len(sectors), self.dim ** 2)
         self.blocks = connected_blocks(gen != 0)
         self._gen = gen
         self._label = np.empty(gen.shape[0], dtype=int)         # block number of each index
@@ -322,30 +340,41 @@ class _LinearPropagator:
         idx = self.blocks[k]
         g = self._gen[np.ix_(idx, idx)]
         evals, vr = np.linalg.eig(g)
-        if np.linalg.cond(vr) < 1e10:
-            return evals, vr, np.linalg.inv(vr)
+        try:
+            vr_inv = np.linalg.inv(vr)
+            # the 1-norm condition number, from the inverse that is needed anyway
+            if np.linalg.norm(vr, 1) * np.linalg.norm(vr_inv, 1) < 1e10:
+                return evals, vr, vr_inv
+        except np.linalg.LinAlgError:
+            pass                     # vr is singular
         self.expm_blocks.append((idx, g))
         return (g,)
 
-    def apply(self, theta: np.ndarray, t: float) -> np.ndarray:
+    def apply(self, theta: np.ndarray, taus) -> np.ndarray:
+        """The stack of exp(tau G) theta, Hermitian d x d, one per time in ``taus``."""
+        taus = np.asarray(taus, dtype=float)
         x = theta.reshape(-1)
-        out = np.zeros(x.shape, dtype=complex)
+        out = np.zeros((x.size, taus.size), dtype=complex)
         for k in np.unique(self._label[x != 0]).tolist():
             if self._parts[k] is None:
                 self._parts[k] = self._decompose(k)
             idx, parts = self.blocks[k], self._parts[k]
             if len(parts) == 3:
                 evals, vr, vr_inv = parts
-                out[idx] = vr @ ((vr_inv @ x[idx]) * np.exp(evals * t))
-            else:
-                # imported here, as scipy costs ~0.3 s and ~45 MB in every run that needs no expm
-                from scipy.linalg import expm
+                out[idx] = vr @ ((vr_inv @ x[idx])[:, None] * np.exp(evals[:, None] * taus))
+                continue
+            # imported here, as scipy costs ~0.3 s and ~45 MB in every run that needs no expm
+            from scipy.linalg import expm
 
-                out[idx] = expm(parts[0] * t) @ x[idx]
-        return hermitian_part(out.reshape(self.dim, self.dim))
+            for i, t in enumerate(taus.tolist()):
+                out[idx, i] = expm(parts[0] * t) @ x[idx]
+        return hermitian_part(out.T.reshape(taus.size, self.dim, self.dim))
 
-    def hab_expect(self, joint: np.ndarray, tau: float) -> float:
-        return float(sum(np.exp(1j * w * tau) * np.trace(joint @ v) for w, v in self.sectors).real)
+    def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
+        """<H_AB> of each matrix of the stack ``joint`` at its time in ``taus``:
+        sum over sectors of exp(i omega tau) Tr(joint V_omega)."""
+        traces = joint.reshape(len(joint), -1) @ self._v_t.T
+        return (np.exp(1j * np.multiply.outer(taus, self.frequencies)) * traces).sum(axis=1).real
 
     def check_positivity(self, joint: np.ndarray) -> float:
         ev_min = float(np.linalg.eigvalsh(joint).min())

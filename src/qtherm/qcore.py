@@ -167,6 +167,14 @@ def marginal(joint: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     raise ValueError("keep must be 'A' or 'B'")
 
 
+def check_superop_size(d: int) -> None:
+    """SizeLimitError when one d^2 x d^2 complex array would exceed MAX_SUPEROP_BYTES."""
+    if (nbytes := 16 * d ** 4) > MAX_SUPEROP_BYTES:
+        raise SizeLimitError(f"a dense superoperator on a {d}-dimensional space needs "
+                             f"{nbytes / 2 ** 30:.1f} GiB per array, more than the "
+                             f"{MAX_SUPEROP_BYTES / 2 ** 30:.1f} GiB limit")
+
+
 def superoperator(fn, d: int) -> np.ndarray:
     """Row-major matrix S of a linear map on d x d matrices: S vec(rho) = vec(fn(rho)).
 
@@ -175,10 +183,7 @@ def superoperator(fn, d: int) -> np.ndarray:
     raised, before anything is allocated, when one d^2 x d^2 complex array
     would exceed MAX_SUPEROP_BYTES.
     """
-    if (nbytes := 16 * d ** 4) > MAX_SUPEROP_BYTES:
-        raise SizeLimitError(f"a dense superoperator on a {d}-dimensional space needs "
-                             f"{nbytes / 2 ** 30:.1f} GiB per array, more than the "
-                             f"{MAX_SUPEROP_BYTES / 2 ** 30:.1f} GiB limit")
+    check_superop_size(d)
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     return fn(units).reshape(d * d, d * d).T
 
@@ -266,7 +271,9 @@ def diagonal_populations(rho, basis: Propagator, what: str) -> np.ndarray:
     return np.clip(pops.real, 0.0, None)
 
 
-def _spectrum(rho, floor: float = -1e-8) -> np.ndarray:
+def spectrum(rho, floor: float = -1e-8) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or one row per matrix of a stack, clipped
+    at 0; an eigenvalue below ``floor`` raises PositivityError."""
     evals = np.linalg.eigvalsh(as_matrix(rho))
     if evals.min() < floor:
         raise PositivityError(f"eigenvalue {evals.min():.3e} below positivity floor {floor}")
@@ -282,7 +289,7 @@ def shannon_entropy(p: np.ndarray) -> float:
 
 def von_neumann_entropy(rho, floor: float = -1e-8) -> float:
     """S = -Tr rho ln rho, in nats; eigenvalues below ``floor`` raise."""
-    return shannon_entropy(_spectrum(rho, floor))
+    return shannon_entropy(spectrum(rho, floor))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -299,7 +306,7 @@ def relative_entropy(rho, sigma) -> float:
     diag_in_sigma = populations(rm, s_vecs)
     if null.any() and diag_in_sigma[null].sum() > 1e-10:
         return math.inf
-    r_evals = _spectrum(rm)
+    r_evals = spectrum(rm)
     term1 = -shannon_entropy(r_evals)
     term2 = float((diag_in_sigma[~null] * np.log(s_evals[~null])).sum())
     return term1 - term2

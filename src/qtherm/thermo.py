@@ -205,14 +205,18 @@ def find_cyclic_windows(rho_a_snapshots: Sequence, tol: float = CYCLE_TOL) -> li
 
     Snapshots are the states of A at measurement times (len = n_intervals + 1);
     the window covers intervals i .. j-1.  Only the earliest non-overlapping
-    windows are returned to keep the list short.
+    windows are returned to keep the list short.  The trace distance is at
+    least half the Frobenius distance, which is taken from i to every later
+    snapshot at once, so the trace distance is computed only where that bound
+    (with a rounding margin) lets it fall below ``tol``.
     """
-    mats = [as_matrix(r) for r in rho_a_snapshots]
+    mats = np.array([as_matrix(r) for r in rho_a_snapshots])
     out = []
     i = 0
     while i < len(mats) - 1:
+        half_frob = 0.5 * np.linalg.norm(mats[i + 1:] - mats[i], axis=(1, 2))
         hit = None
-        for j in range(i + 1, len(mats)):
+        for j in (i + 1 + np.flatnonzero(half_frob < tol * (1 + 1e-9))).tolist():
             d = trace_distance(mats[i], mats[j])
             if d < tol:
                 hit = (i, j, d)

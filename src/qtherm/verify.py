@@ -106,11 +106,12 @@ def check_block_oracle() -> CheckResult:
                 psi0[start] = 1.0
                 rho0 = np.outer(psi0, psi0)
                 rows = frame.evolve_rows(frame.to_frame(psi0[None]), ts)   # psi(t), one row per t
-                for t, psi in zip(ts, rows):
+                rhos = frame.apply(rho0, ts)                                   # rho(t), one per t
+                for t, psi, rho in zip(ts, rows, rhos):
                     amp = amplitudes(n, float(t), p)
                     want = want_of(amp.a_n, amp.b_n)
                     from_rows = np.outer(psi, psi.conj())[block]
-                    from_rho = frame.apply(rho0, float(t))[block]
+                    from_rho = rho[block]
                     worst = max(worst, float(np.abs(from_rows - want).max()),
                                 float(np.abs(from_rho - want).max()))
     return CheckResult(1, "closed-form block oracle", worst < 1e-9,

@@ -292,6 +292,22 @@ class TestRunProcess:
         np.testing.assert_allclose(ens.meta["top_fock_max"], obs[:, :, 3].max(), rtol=1e-12,
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("beta", [math.inf, 0.2])
+    def test_trajectory_spread_at_a_shared_start_is_rounding(self, beta):
+        # every trajectory starts from one pure state of A.  At beta = inf each draws
+        # B's ground level, so all share one <H_A> at t = 0 and its standard error
+        # is exactly 0; at beta = 0.2 the levels differ and the t = 0 values only by
+        # rounding (the spread was once read from E[x^2] - E[x]^2, about 1e-8)
+        sys = build_jcm(DECAY)
+        cfg = ProcessConfig(lam=0.01, beta=beta, horizon=50.0, seed=9, mode="trajectory",
+                            n_traj=200, initial_state_a=fock(1, sys.dim_a), n_checkpoints=6)
+        s = run_process(cfg, sys).series
+        if math.isinf(beta):
+            assert s.se_ha[0] == 0.0
+        else:
+            assert 0.0 <= s.se_ha[0] < 1e-14 * s.mean_ha[0]
+        assert (s.se_ha[1:] > 1e-6).all()
+
     def test_trajectory_empty_grid_gives_empty_series(self):
         sys = build_jcm(JcmParams(n_max=3))
         cfg = ProcessConfig(lam=0.05, beta=1.0, horizon=20.0, seed=1, mode="trajectory",
@@ -306,6 +322,36 @@ class TestRunProcess:
                             initial_state_a=fock(1, sys.dim_a))
         rec = run_process(cfg, sys)
         assert len(rec.ledgers) == 0 and len(rec.times) == 0
+
+    def test_one_time_per_propagator_call_changes_nothing(self, monkeypatch):
+        # with the byte budget cut to one joint matrix per call, every checkpoint and
+        # interval end is evolved alone: the exact run writes the same arrays bit for
+        # bit, the weak run the same to rounding
+        from qtherm import engine
+
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.1, n_max=4))
+        cfg = ProcessConfig(lam=0.05, beta=1.0, horizon=200.0, seed=3,
+                            initial_state_a=fock(1, sys.dim_a), n_checkpoints=61)
+        rho_a = fock(1, sys.dim_a).projector().mat
+
+        def runs():
+            return (run_process(cfg, sys),
+                    weak_interval_run(decompose(sys, 0.05), thermal_state(sys.h_b, 1.0), rho_a,
+                                      horizon=200.0, seed=3, beta=1.0))
+
+        stacked = runs()
+        monkeypatch.setattr(engine, "STACK_BYTES", 1)
+        alone = runs()
+        assert len(stacked[0].ledgers) > 3
+        fields = ("times", "checkpoint_rho_a", "checkpoint_hab", "checkpoint_hb",
+                  "rho_a_snapshots")
+        for f in fields:
+            np.testing.assert_array_equal(getattr(alone[0], f), getattr(stacked[0], f), err_msg=f)
+        np.testing.assert_array_equal(alone[0].series.s_a, stacked[0].series.s_a)
+        for f in fields:
+            want = getattr(stacked[1], f)
+            np.testing.assert_allclose(getattr(alone[1], f), want, rtol=0,
+                                       atol=1e-13 * np.abs(want).max(), err_msg=f)
 
     def test_seed_determinism(self):
         sys = build_jcm(DECAY)

@@ -537,7 +537,7 @@ class TestLindbladPropagate:
 
 class TestLinearPropagator:
     def test_defective_generator_falls_back_to_dense_expm(self):
-        # a Jordan block has no eigenbasis: cond(vr) ~ 1e291 sends block {0, 1},
+        # a Jordan block has no eigenbasis: an ill-conditioned or singular vr sends block {0, 1},
         # and only it, to expm; indices 2 and 3 are 1x1 blocks of their own
         g = np.zeros((4, 4))
         g[0, 1] = 1.0
@@ -547,8 +547,12 @@ class TestLinearPropagator:
         t = 0.7
         # g is nilpotent, so exp(t g) = 1 + t g exactly
         want = ((np.eye(4) + t * g) @ theta.reshape(-1)).reshape(2, 2)
-        np.testing.assert_allclose(prop.apply(theta, t), 0.5 * (want + want.conj().T),
+        np.testing.assert_allclose(prop.apply(theta, [t])[0], 0.5 * (want + want.conj().T),
                                    atol=1e-15)
+        # the expm block evolves a vector of times one time at a time
+        taus = [0.0, t, 2.0]
+        np.testing.assert_array_equal(prop.apply(theta, taus),
+                                      [prop.apply(theta, [tau])[0] for tau in taus])
         # theta has weight in all three blocks, so the first apply decomposed them all
         assert [idx.tolist() for idx, _ in prop.expm_blocks] == [[0, 1]]
 
@@ -573,10 +577,33 @@ class TestLinearPropagator:
         rho = random_density(np.random.default_rng(7), sys.dim)
         for t in (0.1 / lam, 1.0 / lam, 10.0 / lam):
             want = (expm(t * gen) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
-            np.testing.assert_allclose(prop.apply(rho, t), want,
+            np.testing.assert_allclose(prop.apply(rho, [t])[0], want,
                                        atol=1e-12 * np.abs(want).max())
         # rho has full support, so every block was decomposed, none by expm
         assert prop.decomposed.all() and not prop.expm_blocks
+
+    @pytest.mark.parametrize("kind", ["weak", "fast"])
+    def test_vector_of_times_stacks_single_times(self, kind):
+        # one call over a vector of times is the stack of one-time calls, to
+        # rounding (one matrix product per block instead of one per time)
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                  gamma=0.1, n_max=3))
+        lam = 0.2 if kind == "weak" else 5.0
+        spec = decompose(sys, lam)
+        gen = (assemble_joint_weak_generator(spec) if kind == "weak"
+               else assemble_joint_fast_generator(sys, lam))
+        prop = _LinearPropagator(gen, zip(spec.frequencies, spec.v_ops))
+        rho = random_density(np.random.default_rng(13), sys.dim)
+        taus = np.array([0.0, 0.1, 1.0, 1.0, 10.0]) / lam
+        got = prop.apply(rho, taus)
+        assert got.shape == (len(taus), sys.dim, sys.dim)
+        want = np.array([prop.apply(rho, [t])[0] for t in taus])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        # <H_AB> in the rotating frame of H_0: Tr(e^{i H_0 tau} H_AB e^{-i H_0 tau} joint)
+        ev, vec = np.linalg.eigh(sys.uncoupled_h)
+        for h, t, joint in zip(prop.hab_expect(got, taus), taus, got):
+            u = (vec * np.exp(1j * ev * t)) @ vec.conj().T
+            assert abs(h - np.trace(u @ sys.h_ab.mat @ u.conj().T @ joint).real) < 1e-12
 
     @pytest.mark.parametrize("kind", ["weak", "fast"])
     def test_unreached_blocks_are_not_decomposed(self, kind):
@@ -599,7 +626,7 @@ class TestLinearPropagator:
         unreached = ~np.isin(label, reached)
 
         def check(rho, t):
-            got = prop.apply(rho, t)
+            got = prop.apply(rho, [t])[0]
             want = (expm(t * gen) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
             np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
             return got.reshape(-1)
@@ -649,7 +676,7 @@ class TestLinearPropagator:
         gen = (assemble_joint_weak_generator(decompose(sys, lam)) if mode == "weak"
                else assemble_joint_fast_generator(sys, lam))
         prop = _LinearPropagator(gen, ())
-        prop.apply(random_density(np.random.default_rng(3), sys.dim), 1.0)
+        prop.apply(random_density(np.random.default_rng(3), sys.dim), [1.0])
         assert prop.decomposed.all() and not prop.expm_blocks
 
 

@@ -137,18 +137,30 @@ class TestEvolve:
         out = self.frame.evolve_rows(self.frame.to_frame(psi[None]), np.array([0.0]))
         np.testing.assert_allclose(out[0], psi, atol=1e-14)
         rho = random_density(np.random.default_rng(7), 4).mat
-        np.testing.assert_allclose(self.frame.apply(rho, 0.0), rho, atol=1e-14)
+        np.testing.assert_allclose(self.frame.apply(rho, [0.0])[0], rho, atol=1e-14)
 
     def test_eigenstate_stationary(self):
         v = self.frame.w[:, 0]
         rho = np.outer(v, v.conj())
-        np.testing.assert_allclose(self.frame.apply(rho, 3.7), rho, atol=1e-12)
+        np.testing.assert_allclose(self.frame.apply(rho, [3.7])[0], rho, atol=1e-12)
         out = self.frame.evolve_rows(self.frame.to_frame(v[None]), np.array([3.7]))
         assert abs(abs(np.vdot(v, out[0])) - 1.0) < 1e-12
 
+    def test_vector_of_times_stacks_single_times(self):
+        # one call over a vector of times is the stack of one-time calls, bit for bit
+        rho = random_density(np.random.default_rng(8), 4).mat
+        taus = np.array([0.0, 0.3, 2.5, 2.5, 17.0])
+        got = self.frame.apply(rho, taus)
+        assert got.shape == (len(taus), 4, 4)
+        want = np.array([self.frame.apply(rho, [t])[0] for t in taus])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(self.frame.hab_expect(got, taus),
+                                      [self.frame.hab_expect(w[None], [t])[0]
+                                       for w, t in zip(want, taus)])
+
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(6)
-        out = self.frame.apply(random_density(rng, 4).mat, 11.3)
+        out = self.frame.apply(random_density(rng, 4).mat, [11.3])[0]
         assert abs(np.trace(out) - 1.0) < 1e-10
         assert np.abs(out - out.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(out).min() > -1e-9
@@ -171,7 +183,7 @@ class TestEntropies:
     def test_unitary_invariance(self):
         rng = np.random.default_rng(9)
         rho = random_density(rng, 4)
-        out = random_frame(rng, 2, 2).apply(rho.mat, 2.1)
+        out = random_frame(rng, 2, 2).apply(rho.mat, [2.1])[0]
         assert abs(von_neumann_entropy(out) - von_neumann_entropy(rho)) < 1e-10
 
 

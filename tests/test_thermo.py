@@ -346,3 +346,39 @@ def test_find_cyclic_windows_tolerance():
     b = np.diag([0.4, 0.6]).astype(complex)
     wins = find_cyclic_windows([a, b, a, b], tol=1e-6)
     assert wins and wins[0][:2] == (0, 2)
+
+
+def brute_force_windows(snapshots, tol):
+    # the earliest non-overlapping returns, one trace distance per pair
+    out, i = [], 0
+    while i < len(snapshots) - 1:
+        for j in range(i + 1, len(snapshots)):
+            d = 0.5 * np.abs(np.linalg.eigvalsh(snapshots[i] - snapshots[j])).sum()
+            if d < tol:
+                out.append((i, j, d))
+                i = j
+                break
+        else:
+            i += 1
+    return out
+
+
+@pytest.mark.parametrize("kind", ["random", "periodic", "near_tol"])
+def test_find_cyclic_windows_matches_brute_force(kind):
+    # the Frobenius prefilter only skips pairs that cannot be returns: windows and
+    # distances equal the pairwise search on random states, on a 7-periodic
+    # sequence with noise, and on returns whose distances straddle tol
+    rng = np.random.default_rng(31)
+    states = [random_density(rng, 4).mat for _ in range(7)]
+    if kind == "random":
+        snaps, tol = [random_density(rng, 4).mat for _ in range(60)], 0.3
+    else:
+        scale = 1e-6 if kind == "periodic" else 1.1e-6
+        snaps, tol = [], 1e-6
+        for k in range(60):
+            noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            noise = scale * (noise + noise.conj().T) / 8
+            snaps.append(states[k % 7] + noise - np.trace(noise) * np.eye(4) / 4)
+    got = find_cyclic_windows(snaps, tol=tol)
+    assert got == brute_force_windows(snaps, tol)
+    assert got
