@@ -23,9 +23,9 @@ from .models import (JcmParams, JointSystem, build_jcm, thermal_populations, the
                      validate_coupling)
 from .engine import (
     EnsembleSummary,
+    IntervalRun,
     MeasurementOutcome,
     ProcessConfig,
-    TrajectoryRecord,
     run_process,
     sample_interval,
     step_interval,

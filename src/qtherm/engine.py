@@ -146,7 +146,7 @@ class EnsembleSummary:
 
 @dataclass
 class IntervalRun:
-    """What the interval walk records for a batch of one, whichever propagator.
+    """What the interval walk records for a batch of one: the exact, weak or fast run.
 
     States are in the propagator's frame: the lab frame for the exact run, the
     rotating frame of the uncoupled Hamiltonian for the averaged runs, where
@@ -156,7 +156,9 @@ class IntervalRun:
 
     times: np.ndarray                          # measurement times t_1..t_K
     ledgers: list[IntervalLedger]
-    rho_a_snapshots: np.ndarray                # (K+1, dim_a, dim_a), after each interval
+    rho_a_snapshots: np.ndarray                # (K+1, dim_a, dim_a): at t = 0, after each interval
+    pops_a: np.ndarray                         # (K+1, dim_a) their energy-basis populations, >= 0
+    s_a_series: np.ndarray                     # (K+1,) their von Neumann entropies
     checkpoint_times: np.ndarray
     checkpoint_rho_a: np.ndarray               # (n_checkpoints, dim_a, dim_a)
     checkpoint_hab: np.ndarray                 # gamma <H_AB>
@@ -166,15 +168,6 @@ class IntervalRun:
     series: CheckpointSeries
     truncation_suspect: bool
     born_max_deviation: float
-
-
-@dataclass
-class TrajectoryRecord(IntervalRun):
-    """The exact density-matrix run (trajectory mode returns EnsembleSummary)."""
-
-    seed: int
-    pops_a: np.ndarray                         # (K+1, dim_a) A populations, energy basis
-    s_a_series: np.ndarray                     # (K+1,) von Neumann entropy of A
 
 
 def sample_interval(rng: np.random.Generator, lam: float) -> float:
@@ -325,9 +318,11 @@ def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
     )
 
 
-def _checkpoint_series(grid, ha, hb, hab, s_a, se_ha, n_traj: int, sums) -> CheckpointSeries:
+def _checkpoint_series(grid, ha, hb, hab, s_a, s_a0, se_ha, n_traj: int, sums) -> CheckpointSeries:
+    # S_tot counts from t = 0: S_A(0) is the first checkpoint's S_A if the grid starts
+    # there (one before t = 0 reads the state at t = 0), else the run's own S_A(0), s_a0
     q_cum, w_cum, wm_cum, bq_cum = sums
-    s0 = s_a[0] if len(s_a) else 0.0
+    s0 = s_a[0] if len(s_a) and grid[0] <= 0 else s_a0
     return CheckpointSeries(
         t=np.asarray(grid, dtype=float), mean_ha=ha, mean_hb=hb, mean_hab=hab,
         q_cum=q_cum, w_cum=w_cum, wmeas_cum=wm_cum, s_a=s_a,
@@ -403,7 +398,8 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     apply(joint0, taus) -> the stack of joint states at the times ``taus``,
     hab_expect(stack, taus) -> their <H_AB> (gamma excluded),
     check_positivity(joint) -> lowest eigenvalue checked, next_state(rho_A),
-    and the entropy floors ``positivity_floor`` and ``checkpoint_floor``.
+    and the S_A eigenvalue floors ``positivity_floor`` (the ledgers and
+    ``s_a_series``) and ``checkpoint_floor``.
 
     Each interval's checkpoints and its end are evolved as one stack of
     times, in calls of at most STACK_BYTES of joint matrices, so a small
@@ -463,24 +459,30 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     times, n_cp, sums = _walk(step, 0, [rng], lam, horizon, grid, intervals)
-    series = _checkpoint_series(grid[:n_cp], *cp_obs[:, :n_cp], np.zeros(n_cp), 1, sums)
     snapshots = np.array(snapshots)
-    # every state of A the run reported: at the checkpoints and after each interval
-    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
-    states = np.concatenate((cp_rho[:n_cp], snapshots[1:]))
-    top = np.einsum("a,kab,b->k", v_top.conj(), states, v_top).real
+    v_a = sys.basis_a.eigenvectors
+    s_a_series = np.array([von_neumann_entropy(r, prop.positivity_floor) for r in snapshots])
+    series = _checkpoint_series(grid[:n_cp], *cp_obs[:, :n_cp], s_a_series[0], np.zeros(n_cp), 1,
+                                sums)
+    # the largest top-level population of every state of A the run reports, read in
+    # place from the checkpoints and from the states after each interval
+    v_top = v_a[:, np.argmax(sys.basis_a.eigenvalues)]
+    top = max(np.einsum("a,kab,b->k", v_top.conj(), states, v_top).real.max(initial=0.0)
+              for states in (cp_rho[:n_cp], snapshots[1:]))
     return IntervalRun(
         times=times,
         ledgers=ledgers,
         rho_a_snapshots=snapshots,
+        pops_a=np.array([np.clip(populations(r, v_a), 0.0, None) for r in snapshots]),
+        s_a_series=s_a_series,
         checkpoint_times=series.t,
         checkpoint_rho_a=cp_rho[:n_cp],
         checkpoint_hab=series.mean_hab,
         checkpoint_hb=series.mean_hb,
         min_eig=min_eig,
-        meta={"lam": lam, "horizon": horizon, "top_fock_max": float(top.max(initial=0.0))},
+        meta={"lam": lam, "horizon": horizon, "seed": seed, "top_fock_max": float(top)},
         series=series,
-        truncation_suspect=bool((top > TRUNCATION_LIMIT).any()),
+        truncation_suspect=bool(top > TRUNCATION_LIMIT),
         born_max_deviation=born_max,
     )
 
@@ -488,19 +490,15 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
 def run_process(cfg: ProcessConfig, sys: JointSystem):
     """Run the full repeated measurement process.
 
-    Density-matrix mode returns a TrajectoryRecord with per-interval ledgers;
-    trajectory mode returns an EnsembleSummary reduced over cfg.n_traj
-    realizations (per-trajectory streams are split from the master seed by
-    trajectory index).
+    Density-matrix mode returns ``run_intervals``' IntervalRun with
+    per-interval ledgers; trajectory mode returns an EnsembleSummary reduced
+    over cfg.n_traj realizations (per-trajectory streams are split from the
+    master seed by trajectory index).
     """
     if cfg.initial_state_a is None:
         raise ConfigError("initial_state_a is required")
-    if cfg.mode == "density-matrix":
-        return _run_density_matrix(cfg, sys)
-    return _run_trajectory_ensemble(cfg, sys)
-
-
-def _run_density_matrix(cfg: ProcessConfig, sys: JointSystem) -> TrajectoryRecord:
+    if cfg.mode == "trajectory":
+        return _run_trajectory_ensemble(cfg, sys)
     state = cfg.initial_state_a
     rho_a = state.projector().mat if isinstance(state, StateVector) else as_matrix(state)
 
@@ -508,14 +506,8 @@ def _run_density_matrix(cfg: ProcessConfig, sys: JointSystem) -> TrajectoryRecor
         beta_k = cfg.beta_for(k)
         return beta_k, thermal_populations(sys.basis_b.eigenvalues, beta_k)
 
-    run = run_intervals(_JointFrame(sys), sys, rho_a, reservoir, cfg.horizon, cfg.grid(),
-                        cfg.lam, cfg.seed, cfg.intervals)
-    snapshots = run.rho_a_snapshots
-    v_a = sys.basis_a.eigenvectors
-    return TrajectoryRecord(
-        **vars(run), seed=cfg.seed,
-        pops_a=np.array([np.clip(populations(r, v_a), 0.0, None) for r in snapshots]),
-        s_a_series=np.array([von_neumann_entropy(r) for r in snapshots]))
+    return run_intervals(_JointFrame(sys), sys, rho_a, reservoir, cfg.horizon, cfg.grid(),
+                         cfg.lam, cfg.seed, cfg.intervals)
 
 
 def _row_observable(op: np.ndarray, side: str, dims: tuple[int, int]):
@@ -551,11 +543,13 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     rngs = [_traj_rng(cfg.seed, i) for i in range(n)]
     state = cfg.initial_state_a
     if isinstance(state, StateVector):
-        psi_a = np.tile(state.vec, (n, 1))
+        psi_a, s_a0 = np.tile(state.vec, (n, 1)), 0.0
     else:
         evals, evecs = np.linalg.eigh(as_matrix(state))
         p = np.clip(evals, 0.0, None)
-        psi_a = evecs.T[_draw_index(p / p.sum(), np.array([rng.random() for rng in rngs]))]
+        drawn = _draw_index(p / p.sum(), np.array([rng.random() for rng in rngs]))
+        # the mean state at t = 0 is diagonal in the eigenbasis, with the drawn frequencies
+        psi_a, s_a0 = evecs.T[drawn], shannon_entropy(np.bincount(drawn) / n)
     frame = _JointFrame(sys)
     dims = (sys.dim_a, sys.dim_b)
     v_b, e_b = sys.basis_b.eigenvectors, sys.basis_b.eigenvalues
@@ -619,7 +613,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     var = np.maximum(mean_dev2 - mean_dev ** 2, 0.0)
     mean_rho = rho_sum[:n_cp] / n
     s_a = np.array([von_neumann_entropy(hermitian_part(r)) for r in mean_rho])
-    series = _checkpoint_series(grid[:n_cp], mean_ha, mean_hb, mean_hab, s_a,
+    series = _checkpoint_series(grid[:n_cp], mean_ha, mean_hb, mean_hab, s_a, s_a0,
                                 np.sqrt(var / max(n - 1, 1)), n, sums / n)
     return EnsembleSummary(
         n_traj=n,

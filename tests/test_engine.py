@@ -181,8 +181,34 @@ class TestRunProcess:
         assert np.isfinite(run.series.s_tot).all() and run.series.s_tot[-1] != 0.0
         if beta == math.inf:
             assert (run.series.q_cum == 0.0).all() and not np.signbit(run.series.q_cum).any()
-        if mode == "density-matrix":
+        if mode != "trajectory":
             assert np.isfinite(s_tot(run.s_a_series, run.ledgers)).all()
+
+    @pytest.mark.parametrize("mode", ["density-matrix", "weak", "trajectory"])
+    def test_s_tot_counts_from_t_zero(self, mode):
+        # S_tot = S_A - S_A(0) - sum beta Q sums beta Q from t = 0, so its S_A(0) is
+        # the entropy at t = 0 on every grid: a grid that starts at t = 20 gives the
+        # S_tot that the full grid gives there.  The walk draws no number for a
+        # checkpoint, so both grids run the same intervals.  The trajectory ensemble
+        # starts mixed, so its S_A(0) is that of the sampled mean state
+        sys = build_jcm(JcmParams(n_max=6))
+        rho0 = np.zeros((sys.dim_a, sys.dim_a))
+        rho0[1, 1], rho0[2, 2] = 0.7, 0.3
+        start = fock(1, sys.dim_a) if mode != "trajectory" else DensityMatrix(rho0)
+
+        def series(grid):
+            if mode == "weak":
+                return weak_interval_run(decompose(sys, 0.5), thermal_state(sys.h_b, 1.0),
+                                         start.projector(), horizon=40.0, seed=3,
+                                         checkpoint_times=grid, beta=1.0).series
+            return run_process(ProcessConfig(lam=0.5, beta=1.0, horizon=40.0, seed=3, mode=mode,
+                                             n_traj=20, initial_state_a=start,
+                                             checkpoint_times=grid), sys).series
+
+        full, late = series(np.linspace(0.0, 40.0, 9)), series(np.linspace(20.0, 40.0, 5))
+        np.testing.assert_array_equal(late.t, full.t[4:])
+        np.testing.assert_allclose(late.s_a, full.s_a[4:], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(late.s_tot, full.s_tot[4:], rtol=0, atol=1e-12)
 
     def test_ensemble_matches_trajectories_stepped_by_hand(self):
         # each trajectory's stream is drawn in the order: interval length, input

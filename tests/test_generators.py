@@ -31,7 +31,9 @@ from qtherm.generators import (
 )
 from qtherm.models import (JcmParams, JointSystem, build_jcm, destroy, thermal_populations,
                            thermal_state)
-from qtherm.qcore import Operator, marginal, populations, superoperator, trace_distance
+from qtherm.qcore import (Operator, marginal, populations, superoperator, trace_distance,
+                          von_neumann_entropy)
+from qtherm.thermo import s_tot
 
 RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=False)
 RESONANT_RWA = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=True)
@@ -511,6 +513,30 @@ class TestLindbladPropagate:
         with pytest.warns(UserWarning, match="lam < 10 gamma"):
             fast_interval_run(sys, 0.4, rho_b, rho_a, horizon=1.0, intervals=np.array([1.0]),
                               beta=1.0)
+
+    @pytest.mark.parametrize("mode", ["weak", "fast"])
+    def test_interval_protocol_records_states_after_each_interval(self, mode):
+        # the averaged runs return the exact run's record: S_A of every state of A
+        # after an interval at the propagator's floor, its clipped energy-basis
+        # populations, and the seed
+        sys = build_jcm(JcmParams(omega_a=1.0, omega_b=1.0, gamma=0.05, n_max=3, rwa=False))
+        rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 0.5).mat
+        if mode == "weak":
+            run = weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, horizon=60.0, seed=5,
+                                    beta=1.0)
+        else:
+            run = fast_interval_run(sys, 5.0, rho_b, rho_a, horizon=6.0, seed=6, beta=1.0)
+        snaps = run.rho_a_snapshots
+        assert len(snaps) == len(run.ledgers) + 1 > 3
+        assert run.meta["seed"] == (5 if mode == "weak" else 6)
+        np.testing.assert_array_equal(snaps[0], rho_a)
+        floor = _LinearPropagator.positivity_floor
+        np.testing.assert_array_equal(run.s_a_series,
+                                      [von_neumann_entropy(r, floor) for r in snaps])
+        np.testing.assert_array_equal(
+            run.pops_a, [np.clip(populations(r, sys.basis_a.eigenvectors), 0.0, None)
+                         for r in snaps])
+        assert np.isfinite(s_tot(run.s_a_series, run.ledgers)).all()
 
     def test_interval_protocol_runs_at_small_lam(self):
         sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi,

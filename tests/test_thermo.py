@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from qtherm.engine import ProcessConfig, run_process, step_interval
 from qtherm.errors import DimensionError
@@ -197,6 +198,44 @@ class TestLedgerInvariants:
             assert np.abs(rho - rho.conj().T).max() <= 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
         assert second_law_suite(rec.ledgers, rec.rho_a_snapshots).ok
+
+
+class TestOutcomeSum:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(da=st.integers(2, 4), db=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+           beta=st.floats(0.1, 5.0),
+           intervals=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=3))
+    def test_density_matrix_mode_is_the_sum_over_branches(self, da, db, seed, beta, intervals):
+        # density-matrix mode applies the outcome-averaged map.  Every state of A it
+        # reports after an interval must be the sum over all branches of the pure
+        # process: each eigenvector of the start, then per interval each reservoir
+        # input level and each outcome, enumerated with U = expm(-i H t)
+        rng = np.random.default_rng(seed)
+        base = random_system(rng, da, db)
+        sys = JointSystem(dim_a=da, dim_b=db, h_a=base.h_a, h_b=base.h_b,
+                          h_ab=Operator(coupling_without_level_shift(rng, base.h_b.mat, da),
+                                        hermitian=True),
+                          gamma=base.gamma)
+        rho0 = random_density(rng, da)
+        cfg = ProcessConfig(lam=1.0, beta=beta, horizon=sum(intervals) + 1.0, seed=seed,
+                            initial_state_a=rho0, n_checkpoints=2, intervals=np.array(intervals))
+        rec = run_process(cfg, sys)
+
+        # a branch is an unnormalized state of A whose squared norm is its probability
+        evals, evecs = np.linalg.eigh(rho0.mat)
+        branches = evecs.T * np.sqrt(np.clip(evals, 0.0, None))[:, None]
+        v_b = sys.basis_b.eigenvectors
+        inputs = v_b.T * np.sqrt(gibbs_b(sys, beta))[:, None]      # row b: sqrt(p_b) |b>
+        want = [branches.T @ branches.conj()]
+        for t in intervals:
+            joint = (branches[:, None, :, None] * inputs[None, :, None, :]).reshape(-1, da * db)
+            joint = joint @ expm(-1j * t * sys.total_h.mat).T
+            # amp[r, a, m] = (<a| (x) <m|) joint_r, one branch per (r, m)
+            amp = joint.reshape(-1, da, db) @ v_b.conj()
+            branches = amp.transpose(0, 2, 1).reshape(-1, da)
+            want.append(branches.T @ branches.conj())
+        assert len(rec.rho_a_snapshots) == len(intervals) + 1
+        np.testing.assert_allclose(rec.rho_a_snapshots, want, rtol=0, atol=1e-12)
 
 
 class TestApproxHeat:

@@ -14,8 +14,10 @@ The record holds:
   is listed as missing);
 - the Tier-1 wall time and pytest's summary line;
 - the wall time and max RSS of CLI runs, each a fresh process: the default
-  trajectory ``simulate`` (5000 trajectories x 241 checkpoints) and
-  ``simulate --mode weak`` at ``n_max`` 20 and 30.  Max RSS is the child's
+  trajectory ``simulate`` (5000 trajectories x 241 checkpoints),
+  ``simulate --mode weak`` at ``n_max`` 20 and 30, and the exact
+  ``simulate`` at ``n_max`` 100, which tracks the memory of the exact
+  run's checkpoint states.  Max RSS is the child's
   ``ru_maxrss`` from ``wait4``, what ``RUSAGE_CHILDREN`` reports for a single
   child.
 
@@ -41,6 +43,7 @@ CLI_RUNS = {
     "simulate_trajectory_default": (["simulate"], "mode = trajectory\n"),
     "simulate_weak_n_max_20": (["simulate", "--mode", "weak"], "n_max = 20\n"),
     "simulate_weak_n_max_30": (["simulate", "--mode", "weak"], "n_max = 30\n"),
+    "simulate_exact_n_max_100": (["simulate"], "n_max = 100\n"),
 }
 
 
