@@ -26,9 +26,9 @@ import numpy as np
 from .errors import ConfigError, NumericError, PreconditionError
 from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
                      thermal_state)
-from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations,
+from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations, gksl_matrix,
                     hermitian_part, marginal, populations, propagate_grid, shannon_entropy,
-                    spectrum, superoperator, von_neumann_entropy)
+                    spectrum, von_neumann_entropy)
 from .thermo import IntervalLedger, book_intervals, ledger_for_interval
 
 BORN_TOL = 1e-10
@@ -42,6 +42,12 @@ def check_horizon(horizon: float) -> None:
     """Reject a horizon that is negative or not finite."""
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ConfigError(f"horizon must be non-negative and finite, got {horizon!r}")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which no numpy SeedSequence takes."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
 
 
 def check_schedule(lam: float, horizon: float, grid: np.ndarray,
@@ -77,6 +83,7 @@ class ProcessConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n_traj < 1:
             raise ConfigError("n_traj must be >= 1")
+        check_seed(self.seed)
         if self.n_checkpoints < 0:
             raise ConfigError("n_checkpoints must be >= 0")
         if self.mode == "trajectory" and self.intervals is not None:
@@ -675,21 +682,17 @@ class AveragedIntervalMap:
 def jump_averaged_generator(sys: JointSystem, beta: float, lam: float) -> np.ndarray:
     """Row-major superoperator of the exact ensemble-averaged joint master equation.
 
-    d rho/dt = -i[H, rho] + lam (Tr_B rho (x) rho_B(0) - rho).  This is the
-    exact average of the piecewise-unitary process over both outcomes and
-    exponential measurement times.
+    d rho/dt = -i[H, rho] + lam (Tr_B rho (x) rho_B(0) - rho), the exact average of the
+    piecewise-unitary process over both outcomes and exponential measurement times.  Its
+    GKSL parts are L = -iH - lam/2, R = L^+ and the pairs (lam p_c J_cb, J_cb), with
+    J_cb = 1 (x) |c><b| in B's energy basis and p_c the thermal populations there.
     """
-    h = sys.total_h.mat
-    rho_b = thermal_state(sys.h_b, beta).mat
-    dims = (sys.dim_a, sys.dim_b)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        # on a stack of matrices: np.kron of a stack with rho_B[None] krons each one
-        comm = h @ rho - rho @ h
-        replaced = np.kron(marginal(rho, dims, "A"), rho_b[None])
-        return -1j * comm + lam * (replaced - rho)
-
-    return superoperator(rhs, sys.dim)
+    v_b = sys.basis_b.eigenvectors
+    pops = thermal_populations(sys.basis_b.eigenvalues, beta)
+    left = -1j * sys.total_h.mat - 0.5 * lam * np.eye(sys.dim)
+    jumps = [(c, np.kron(np.eye(sys.dim_a), np.outer(v_b[:, c], v_b[:, b].conj())))
+             for c, b in np.ndindex(sys.dim_b, sys.dim_b)]
+    return gksl_matrix((left, left.conj().T, [(lam * pops[c] * j, j) for c, j in jumps]))
 
 
 def ensemble_average_series(sys: JointSystem, beta: float, lam: float,

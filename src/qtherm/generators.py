@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import IntervalRun, check_horizon, run_intervals
+from .engine import IntervalRun, check_horizon, check_seed, run_intervals
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, check_rate, thermal_populations
-from .qcore import (Operator, DensityMatrix, as_matrix, check_superop_size, connected_blocks,
-                    diagonal_populations, hermitian_part, marginal, populations, propagate_grid,
-                    superoperator)
+from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
+                    gksl, gksl_matrix, hermitian_part, marginal, populations, propagate_grid)
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,6 @@ class GeneratorSpec:
     @property
     def gamma(self) -> float:
         return self.sys.gamma
-
-    @property
-    def n_sectors(self) -> int:
-        return len(self.frequencies)
 
     def h_tilde(self) -> np.ndarray:
         """Averaged first-order coupling sum_w V_w / (lam - i w)."""
@@ -101,28 +96,9 @@ def decompose(sys: JointSystem, lam: float) -> GeneratorSpec:
                          v_ops=v_ops, s_coef=s_coef, a_coef=a_coef)
 
 
-def _gksl(parts: tuple, rho: np.ndarray) -> np.ndarray:
-    # L rho + rho R + sum_j W_j rho V_j^+ for parts (L, R, [(W_j, V_j)]), on a matrix or a stack
-    left, right, pairs = parts
-    out = left @ rho + rho @ right
-    for w, v in pairs:
-        out += w @ rho @ v.conj().T
-    return out
-
-
-def _gksl_matrix(parts: tuple) -> np.ndarray:
-    # row-major matrix of _gksl(parts, .), its terms added in _gksl's order:
-    # kron(L, 1) + kron(1, R^T) + sum_j kron(W_j, conj V_j)
-    left, right, pairs = parts
-    eye = np.eye(len(left))
-    out = np.kron(left, eye) + np.kron(eye, right.T)
-    for w, v in pairs:
-        out += np.kron(w, v.conj())
-    return out
-
-
 def _dissipator_parts(spec: GeneratorSpec) -> tuple:
-    # dissipator_apply's GKSL parts (X, X^+, [(W_j, V_j)])
+    # the second-order averaged dissipator as GKSL parts (X, X^+, [(W_j, V_j)]), with
+    # W_j = sum_i s_ij V_i and X = sum_ij (-s_ij / 2 + i a_ij / 2) V_j^+ V_i
     v = np.array(spec.v_ops, dtype=complex).reshape(-1, spec.sys.dim, spec.sys.dim)
     w = np.einsum("ij,ikl->jkl", spec.s_coef, v)
     x = np.einsum("ij,jlk,ilm->km", 0.5j * spec.a_coef - 0.5 * spec.s_coef, v.conj(), v)
@@ -136,15 +112,6 @@ def _weak_parts(spec: GeneratorSpec, rate: float) -> tuple:
     return c * x - h, c * x_dag + h, [(c * w, v) for w, v in pairs]
 
 
-def dissipator_apply(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    """Second-order averaged dissipator acting on a joint density matrix or a stack of them.
-
-    In GKSL form, sum_j W_j rho V_j^+ + X rho + rho X^+ with
-    W_j = sum_i s_ij V_i and X = sum_ij (-s_ij / 2 + i a_ij / 2) V_j^+ V_i.
-    """
-    return _gksl(_dissipator_parts(spec), rho)
-
-
 def weak_map(spec: GeneratorSpec, rho_ab0) -> np.ndarray:
     """Expected change of the joint state over one measured interval.
 
@@ -156,7 +123,7 @@ def weak_map(spec: GeneratorSpec, rho_ab0) -> np.ndarray:
     dims = (spec.sys.dim_a, spec.sys.dim_b)
     if np.abs(rho - np.kron(marginal(rho, dims, "A"), marginal(rho, dims, "B"))).max() > 1e-8:
         raise PreconditionError("input must be a product state rho_A (x) rho_B")
-    return _gksl(_weak_parts(spec, 1.0), rho)
+    return gksl(_weak_parts(spec, 1.0), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +140,19 @@ def assemble_reduced_generator(spec: GeneratorSpec, beta: float) -> np.ndarray:
 
 
 def _reduced_generator(spec: GeneratorSpec, pops_b: np.ndarray) -> np.ndarray:
-    # assemble_reduced_generator for a reservoir with populations pops_b in its energy basis
-    sys = spec.sys
-    va, e_a = sys.basis_a.eigenvectors, sys.basis_a.eigenvalues
-    v_b = sys.basis_b.eigenvectors
-    rho_b = (v_b * pops_b) @ v_b.conj().T
+    # assemble_reduced_generator for reservoir populations p_b in its energy basis.  With
+    # M_cb = <c|M|b> the B-blocks of the dissipator parts in the product energy basis, its GKSL
+    # parts are L = r sum_b p_b X_bb - i H_A, R = L^+ and [(r p_b W_cb, V_cb)], r = gamma^2 lam
+    sys, da, db = spec.sys, spec.sys.dim_a, spec.sys.dim_b
+    u = np.kron(sys.basis_a.eigenvectors, sys.basis_b.eigenvectors)
     rate = spec.gamma ** 2 * spec.lam
-
-    def rhs(rho_a):
-        # a stack of (dA, dA) kron one (dB, dB): the stack of products rho_A (x) rho_B
-        joint = np.kron(va @ rho_a @ va.conj().T, rho_b[None])
-        diss = marginal(dissipator_apply(spec, joint), (sys.dim_a, sys.dim_b), "A")
-        return -1j * (e_a[:, None] - e_a[None, :]) * rho_a + rate * (va.conj().T @ diss @ va)
-
-    return superoperator(rhs, sys.dim_a)
-
-
-def population_rates(gen: np.ndarray, da: int) -> np.ndarray:
-    """Transition rates n -> m read off a vectorized generator's population block."""
-    idx = np.arange(da) * (da + 1)
-    return gen[np.ix_(idx, idx)].real
+    x, _, pairs = _dissipator_parts(spec)
+    stack = np.array([x, *(m for pair in pairs for m in pair)])     # X, W_1, V_1, W_2, ...
+    blocks = (u.conj().T @ stack @ u).reshape(-1, da, db, da, db).transpose(0, 2, 4, 1, 3)
+    left = rate * np.einsum("b,bbij->ij", pops_b, blocks[0]) - np.diag(1j * sys.basis_a.eigenvalues)
+    w_cb = rate * pops_b[:, None, None] * blocks[1::2]
+    return gksl_matrix((left, left.conj().T,
+                        list(zip(w_cb.reshape(-1, da, da), blocks[2::2].reshape(-1, da, da)))))
 
 
 @dataclass(frozen=True)
@@ -272,18 +232,15 @@ def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid) -> np.ndarra
 
 def assemble_joint_weak_generator(spec: GeneratorSpec) -> np.ndarray:
     """Joint-space generator of the averaged second-order updates at rate lam
-    (one averaged update per mean interval), built from its GKSL parts after
-    the ``qcore.MAX_SUPEROP_BYTES`` check."""
-    check_superop_size(spec.sys.dim)
-    return _gksl_matrix(_weak_parts(spec, spec.lam))
+    (one averaged update per mean interval), ``qcore.gksl_matrix`` of its GKSL parts."""
+    return gksl_matrix(_weak_parts(spec, spec.lam))
 
 
 def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
     """Joint-space generator of the fast-measurement expansion at rate lam, built
     as the weak one is.  A rate that is not positive and finite is a ConfigError."""
     check_rate(lam)
-    check_superop_size(sys.dim)
-    return _gksl_matrix(_fast_parts(sys, lam, lam))
+    return gksl_matrix(_fast_parts(sys, lam, lam))
 
 
 class _LinearPropagator:
@@ -401,6 +358,7 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
     PreconditionError otherwise); it is carried as its populations, and the
     ledgers book its heat at the caller's ``beta``.
     """
+    check_seed(seed)
     sys = spec.sys
     pops_b = diagonal_populations(rho_b0, sys.basis_b, "reservoir input")
     prop = _LinearPropagator(assemble_joint_weak_generator(spec) if generator is None
@@ -422,6 +380,7 @@ def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: flo
                       beta: float) -> IntervalRun:
     """Interval protocol driven by the fast-measurement generator instead; warns,
     as ``fast_map`` does, when lam < 10 gamma."""
+    check_seed(seed)
     spec = decompose(sys, lam)
     _warn_outside_fast_regime(sys, lam)
     return weak_interval_run(spec, rho_b0, rho_a0, horizon, seed=seed,
@@ -463,7 +422,7 @@ def fast_map(sys: JointSystem, rho_ab0, lam: float) -> np.ndarray:
     """
     check_rate(lam)
     _warn_outside_fast_regime(sys, lam)
-    return _gksl(_fast_parts(sys, lam, 1.0), as_matrix(rho_ab0))
+    return gksl(_fast_parts(sys, lam, 1.0), as_matrix(rho_ab0))
 
 
 def fast_map_reduced(sys: JointSystem, rho_a, rho_b_pops: np.ndarray, lam: float) -> np.ndarray:
@@ -478,7 +437,7 @@ def fast_map_reduced(sys: JointSystem, rho_a, rho_b_pops: np.ndarray, lam: float
     rho_b = (v_b * np.asarray(rho_b_pops, dtype=float)) @ v_b.conj().T
     joint = np.kron(as_matrix(rho_a), rho_b)
     h = sys.h_ab.mat
-    diss = _gksl((-(h @ h), -(h @ h), [(2.0 * h, h)]), joint)
+    diss = gksl((-(h @ h), -(h @ h), [(2.0 * h, h)]), joint)
     return (sys.gamma ** 2 / lam) * marginal(diss, (sys.dim_a, sys.dim_b), "A")
 
 

@@ -22,7 +22,7 @@ TRACE_TOL = 1e-10
 EIGMIN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
-# Largest d^2 x d^2 complex array that ``superoperator`` builds; its caller holds a
+# Largest d^2 x d^2 complex array that ``gksl_matrix`` builds; its caller holds a
 # few of them at once.  A joint space of 62 (n_max = 30) needs 0.22 GiB.
 MAX_SUPEROP_BYTES = 2 ** 29
 
@@ -175,17 +175,25 @@ def check_superop_size(d: int) -> None:
                              f"{MAX_SUPEROP_BYTES / 2 ** 30:.1f} GiB limit")
 
 
-def superoperator(fn, d: int) -> np.ndarray:
-    """Row-major matrix S of a linear map on d x d matrices: S vec(rho) = vec(fn(rho)).
+def gksl(parts: tuple, rho: np.ndarray) -> np.ndarray:
+    """L rho + rho R + sum_j W_j rho V_j^+ of GKSL parts (L, R, [(W_j, V_j)]), on rho or a stack."""
+    left, right, pairs = parts
+    out = left @ rho + rho @ right
+    for w, v in pairs:
+        out += w @ rho @ v.conj().T
+    return out
 
-    ``fn`` is applied once, to the stack of the d^2 matrix units, and must map
-    a stack of matrices to the stack of their images.  A SizeLimitError is
-    raised, before anything is allocated, when one d^2 x d^2 complex array
-    would exceed MAX_SUPEROP_BYTES.
-    """
-    check_superop_size(d)
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return fn(units).reshape(d * d, d * d).T
+
+def gksl_matrix(parts: tuple) -> np.ndarray:
+    """Row-major matrix of ``gksl(parts, .)``, kron(L, 1) + kron(1, R^T) + sum_j kron(W_j, conj V_j)
+    added in that order, once ``check_superop_size`` has passed it."""
+    left, right, pairs = parts
+    check_superop_size(len(left))
+    eye = np.eye(len(left))
+    out = np.kron(left, eye) + np.kron(eye, right.T)
+    for w, v in pairs:
+        out += np.kron(w, v.conj())
+    return out
 
 
 def connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:

@@ -26,6 +26,7 @@ from .engine import (
     run_process,
     step_interval,
 )
+from .errors import ConfigError
 from .generators import (
     assemble_reduced_generator,
     decompose,
@@ -408,12 +409,15 @@ def check_csv_determinism(workdir: str | None = None) -> CheckResult:
 
 
 def run_all(n_traj: int | None = None, quiet: bool = False) -> list[CheckResult]:
+    n_traj = 10_000 if n_traj is None else n_traj
+    if n_traj < 1:
+        raise ConfigError(f"trajectory count must be >= 1, got {n_traj}")
     checks = [
         check_block_oracle,
         check_poisson_average,
         check_second_law_run,
-        lambda: check_mode_consistency(n_traj or 10_000),
-        lambda: check_einstein_rate(n_traj or 10_000),
+        lambda: check_mode_consistency(n_traj),
+        lambda: check_einstein_rate(n_traj),
         check_weak_vs_exact_steady,
         check_canonical_limit,
         check_minimum_temperature,

@@ -333,6 +333,37 @@ class TestMain:
         data = json.loads((tmp_path / "verify_report.json").read_text())
         assert data[0]["passed"] is True
 
+    @pytest.mark.parametrize("mode, lines, flag", [
+        ("exact", "", ["--seed", "-1"]), ("exact", "mode = trajectory\nseed = -1\n", []),
+        ("weak", "seed = -1\n", []), ("fast", "lambda = 0.5\n", ["--seed", "-1"])],
+        ids=["exact-flag", "trajectory-config", "weak-config", "fast-flag"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, mode, lines, flag):
+        # numpy's SeedSequence takes no negative entropy; the seed is refused where it
+        # enters, as a ConfigError, not by a traceback from inside the run
+        cfgfile = tmp_path / "seed.cfg"
+        cfgfile.write_text(lines + "n_max = 2\nhorizon = 20\ncheckpoints = 5\n")
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-m", "qtherm.cli", "simulate", "--mode", mode, "--config",
+             str(cfgfile), "--out", str(tmp_path / "out"), "--quiet", *flag],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr, res.stderr
+        assert "seed must be non-negative" in res.stderr
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_verify_rejects_trajectory_count_below_one(self, tmp_path, monkeypatch, capsys, n):
+        # refused before the first check runs; 0 is not read as "use the default"
+        from qtherm import verify as verify_mod
+
+        ran = []
+        monkeypatch.setattr(verify_mod, "check_block_oracle", lambda: ran.append(1))
+        code = cli.main(["verify", "--traj", n, "--out", str(tmp_path), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert not ran
+
     def test_verify_failure_exit_code(self, tmp_path, monkeypatch):
         from qtherm import verify as verify_mod
 

@@ -15,7 +15,7 @@ from qtherm.engine import (
     sample_interval,
     step_interval,
 )
-from qtherm.errors import ConfigError, NumericError, PreconditionError
+from qtherm.errors import ConfigError, NumericError, PreconditionError, SizeLimitError
 from qtherm.generators import decompose, weak_interval_run
 from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_state
 from qtherm.qcore import DensityMatrix, Operator, StateVector, shannon_entropy
@@ -482,6 +482,22 @@ class TestEnsembleAverageSeries:
         sys = build_jcm(JcmParams(n_max=3))
         with pytest.raises(ConfigError):
             ensemble_average_series(sys, 1.0, 0.2, fock(1, sys.dim_a).projector().mat, [])
+
+    def test_refuses_oversized_generator_before_allocating(self):
+        # n_max = 40 (d = 82): the dense generator would need 0.7 GiB, above the
+        # 0.5 GiB qcore.MAX_SUPEROP_BYTES; only its d x d GKSL parts may be built
+        import tracemalloc
+
+        sys = build_jcm(JcmParams(n_max=40))
+        rho_a0 = fock(1, sys.dim_a).projector().mat
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="0.7 GiB"):
+                ensemble_average_series(sys, 1.0, 0.2, rho_a0, [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 23, peak
 
 
 class TestAveragedIntervalMap:

@@ -17,7 +17,6 @@ from qtherm.qcore import (
     propagate_grid,
     relative_entropy,
     shannon_entropy,
-    superoperator,
     trace_distance,
     von_neumann_entropy,
 )
@@ -115,14 +114,6 @@ class TestPartialTrace:
         for idx in np.ndindex(2, 2):
             np.testing.assert_allclose(got[idx], brute_force_partial_trace(stack[idx], 3, 2, keep),
                                        atol=1e-13)
-
-
-def test_superoperator_is_row_major():
-    # row-major vec: vec(A rho B) = kron(A, B^T) vec(rho)
-    rng = np.random.default_rng(6)
-    a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
-    np.testing.assert_allclose(superoperator(lambda rho: a @ rho @ b, 3), np.kron(a, b.T),
-                               atol=1e-14)
 
 
 class TestEvolve:

@@ -15,9 +15,11 @@ The record holds:
 - the Tier-1 wall time and pytest's summary line;
 - the wall time and max RSS of CLI runs, each a fresh process: the default
   trajectory ``simulate`` (5000 trajectories x 241 checkpoints),
-  ``simulate --mode weak`` at ``n_max`` 20 and 30, and the exact
+  ``simulate --mode weak`` at ``n_max`` 20 and 30, the exact
   ``simulate`` at ``n_max`` 100, which tracks the memory of the exact
-  run's checkpoint states.  Max RSS is the child's
+  run's checkpoint states, and ``steady-scan`` at ``scan_n_max`` 16 (the
+  size of perfbench's ``scan`` workload), which tracks the reduced
+  generator and the steady-state solve.  Max RSS is the child's
   ``ru_maxrss`` from ``wait4``, what ``RUSAGE_CHILDREN`` reports for a single
   child.
 
@@ -44,6 +46,7 @@ CLI_RUNS = {
     "simulate_weak_n_max_20": (["simulate", "--mode", "weak"], "n_max = 20\n"),
     "simulate_weak_n_max_30": (["simulate", "--mode", "weak"], "n_max = 30\n"),
     "simulate_exact_n_max_100": (["simulate"], "n_max = 100\n"),
+    "steady_scan_n_max_16": (["steady-scan"], "scan_n_max = 16\n"),
 }
 
 
