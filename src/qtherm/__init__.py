@@ -33,7 +33,6 @@ from .engine import (
 from .thermo import (
     IntervalLedger,
     approx_heat_small_change,
-    ledger_for_interval,
     s_tot,
     second_law_suite,
     traditional_qw,

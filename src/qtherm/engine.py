@@ -26,10 +26,10 @@ import numpy as np
 from .errors import ConfigError, NumericError, PreconditionError
 from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
                      thermal_state)
-from .qcore import (DensityMatrix, StateVector, as_matrix, diagonal_populations, gksl_matrix,
-                    hermitian_part, marginal, populations, propagate_grid, shannon_entropy,
-                    spectrum, von_neumann_entropy)
-from .thermo import IntervalLedger, book_intervals, ledger_for_interval
+from .qcore import (DensityMatrix, StateVector, as_matrix, gksl_matrix, hermitian_part, marginal,
+                    populations, propagate_grid, shannon_entropy, spectrum,
+                    von_neumann_entropy)
+from .thermo import IntervalLedger, book_intervals
 
 BORN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-14          # max |change| of rho_A between iterates at convergence
@@ -113,11 +113,11 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True)
 class IntervalStep:
-    """Result of one coupling-evolution-measurement cycle."""
+    """Result of one coupling-evolution-measurement cycle of a trajectory."""
 
-    state_a: Union[StateVector, DensityMatrix]
+    state_a: StateVector
     reservoir_populations: np.ndarray
-    outcome: MeasurementOutcome | None
+    outcome: MeasurementOutcome
     h_ab_expect: float               # <H_AB> just before measurement, gamma excluded
     born_deviation: float
 
@@ -269,59 +269,42 @@ def _measure(frame: _JointFrame, v_b: np.ndarray, c0: np.ndarray, t: np.ndarray,
     return post / np.linalg.norm(post, axis=1)[:, None], _expect(psi_t, frame.hab), p_m, m
 
 
-def step_interval(state_a, reservoir_in, sys: JointSystem, t: float,
-                  rng: np.random.Generator | None = None) -> IntervalStep:
-    """Couple, evolve for a fixed time t, and measure the reservoir.
-
-    Trajectory mode (StateVector inputs; reservoir_in must be an energy
-    eigenstate or a level index) samples one outcome with ``rng``.
-    Density-matrix mode (DensityMatrix inputs) returns the outcome-averaged
-    post-measurement state of A.
+def step_interval(state_a: StateVector, reservoir_in, sys: JointSystem, t: float,
+                  rng: np.random.Generator) -> IntervalStep:
+    """Couple one pure trajectory to a reservoir energy eigenstate (a StateVector
+    or a level index), evolve for a fixed time t, and measure the reservoir,
+    sampling the outcome with ``rng``: the trajectory ensemble's measurement
+    step on a batch of one.  The outcome-averaged interval of a density matrix
+    is ``run_process`` with ``intervals=[t]``.
     """
     if t < 0:
         raise ValueError("interval length must be non-negative")
+    if not isinstance(state_a, StateVector):
+        raise PreconditionError("step_interval steps a pure state; run a density matrix "
+                                "through run_process")
     frame = _JointFrame(sys)
     v_b = sys.basis_b.eigenvectors
-
-    if isinstance(state_a, StateVector):
-        if rng is None:
-            raise ValueError("trajectory mode requires an rng for the outcome draw")
-        if isinstance(reservoir_in, (int, np.integer)):
-            level = int(reservoir_in)
-        elif isinstance(reservoir_in, StateVector):
-            pops = np.abs(v_b.conj().T @ reservoir_in.vec) ** 2
-            if pops.max() < 1.0 - 1e-10:
-                raise PreconditionError("trajectory reservoir input must be an energy eigenstate")
-            level = int(pops.argmax())
-        else:
-            raise PreconditionError("trajectory reservoir input must be an eigenstate or level index")
-        # the trajectory ensemble's measurement step, on a batch of one
-        c0 = frame.to_frame(np.kron(state_a.vec, v_b[:, level])[None])
-        psi_a, hab, p_m, m = _measure(frame, v_b, c0, np.array([float(t)]),
-                                      np.array([rng.random()]))
-        p_m, m = p_m[0], int(m[0])
-        born_dev = abs(p_m.sum() - 1.0)
-        if born_dev > BORN_TOL:
-            raise PreconditionError(f"outcome probabilities sum to 1 + {p_m.sum()-1:.2e}")
-        return IntervalStep(
-            state_a=StateVector(psi_a[0]),
-            reservoir_populations=p_m,
-            outcome=MeasurementOutcome(m=m, p_m=float(p_m[m]), t=t),
-            h_ab_expect=float(hab[0]),
-            born_deviation=born_dev,
-        )
-
-    rho_b = as_matrix(reservoir_in)
-    diagonal_populations(rho_b, sys.basis_b, "reservoir input")
-    joint_t = frame.apply(np.kron(as_matrix(state_a), rho_b), [t])
-    dims = (sys.dim_a, sys.dim_b)
-    pops_b = populations(marginal(joint_t[0], dims, "B"), v_b)
+    if isinstance(reservoir_in, (int, np.integer)):
+        level = int(reservoir_in)
+    elif isinstance(reservoir_in, StateVector):
+        pops = np.abs(v_b.conj().T @ reservoir_in.vec) ** 2
+        if pops.max() < 1.0 - 1e-10:
+            raise PreconditionError("trajectory reservoir input must be an energy eigenstate")
+        level = int(pops.argmax())
+    else:
+        raise PreconditionError("trajectory reservoir input must be an eigenstate or level index")
+    c0 = frame.to_frame(np.kron(state_a.vec, v_b[:, level])[None])
+    psi_a, hab, p_m, m = _measure(frame, v_b, c0, np.array([float(t)]), np.array([rng.random()]))
+    p_m, m = p_m[0], int(m[0])
+    born_dev = abs(p_m.sum() - 1.0)
+    if born_dev > BORN_TOL:
+        raise PreconditionError(f"outcome probabilities sum to 1 + {p_m.sum()-1:.2e}")
     return IntervalStep(
-        state_a=DensityMatrix(hermitian_part(marginal(joint_t[0], dims, "A"))),
-        reservoir_populations=np.clip(pops_b, 0.0, None),
-        outcome=None,
-        h_ab_expect=float(frame.hab_expect(joint_t, [t])[0]),
-        born_deviation=abs(pops_b.sum() - 1.0),
+        state_a=StateVector(psi_a[0]),
+        reservoir_populations=p_m,
+        outcome=MeasurementOutcome(m=m, p_m=float(p_m[m]), t=t),
+        h_ab_expect=float(hab[0]),
+        born_deviation=born_dev,
     )
 
 
@@ -405,8 +388,13 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     apply(joint0, taus) -> the stack of joint states at the times ``taus``,
     hab_expect(stack, taus) -> their <H_AB> (gamma excluded),
     check_positivity(joint) -> lowest eigenvalue checked, next_state(rho_A),
-    and the S_A eigenvalue floors ``positivity_floor`` (the ledgers and
-    ``s_a_series``) and ``checkpoint_floor``.
+    and the S_A eigenvalue floors ``positivity_floor`` (``s_a_series``) and
+    ``checkpoint_floor``.
+
+    This is the one place a density-matrix interval is booked: the reservoir
+    side and dH_A = Tr H_A (rho_end - rho_start) by ``book_intervals`` as the
+    interval ends, and dS_A, once the walk is done, as the step of
+    ``s_a_series`` across it.
 
     Each interval's checkpoints and its end are evolved as one stack of
     times, in calls of at most STACK_BYTES of joint matrices, so a small
@@ -414,10 +402,10 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     """
     grid = np.asarray(grid, dtype=float)
     dims = (sys.dim_a, sys.dim_b)
-    v_b = sys.basis_b.eigenvectors
+    v_b, e_b = sys.basis_b.eigenvectors, sys.basis_b.eigenvalues
     cp_rho = np.empty((len(grid), sys.dim_a, sys.dim_a), dtype=complex)
-    cp_obs = np.empty((4, len(grid)))              # <H_A>, <H_B>, gamma <H_AB>, S_A
-    ledgers: list[IntervalLedger] = []
+    cp_obs = np.empty((3, len(grid)))              # <H_A>, <H_B>, gamma <H_AB>
+    rows: list[dict] = []                          # each interval's ledger but dS_A
     snapshots = [rho_a]
     born_max = min_eig = 0.0
     chunk = max(1, STACK_BYTES // (16 * sys.dim ** 2))
@@ -447,30 +435,36 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
                     np.trace(sys.h_a.mat @ rho[:n], axis1=-2, axis2=-1).real,
                     np.trace(sys.h_b.mat @ rho_b[:n], axis1=-2, axis2=-1).real,
                     sys.gamma * hab[:n],
-                    [shannon_entropy(p) for p in spectrum(rho[:n], prop.checkpoint_floor)],
                 )
         if not completes[0]:
             return ()
 
         # the last stack ends at the interval's end; a copy, so no snapshot keeps the stack
         min_eig = min(min_eig, prop.check_positivity(joint[-1]))
-        rho_a_end, pops_b, h_ab_expect = rho[-1].copy(), populations(rho_b[-1], v_b), hab[-1]
+        rho_a_end, pops_b = rho[-1].copy(), populations(rho_b[-1], v_b)
         born_max = max(born_max, abs(pops_b.sum() - 1.0))
-        led = ledger_for_interval(rho_a, rho_a_end, pops_b0, np.clip(pops_b, 0.0, None),
-                                  h_ab_expect, sys, beta_k,
-                                  positivity_floor=prop.positivity_floor)
-        ledgers.append(led)
+        dh_a = float(np.trace(sys.h_a.mat @ (rho_a_end - rho_a)).real)
+        dh_b, ds_b, q, w_therm, w, r = book_intervals(
+            pops_b0, np.clip(pops_b, 0.0, None), e_b, beta_k, dh_a).tolist()
+        w_meas = float(-sys.gamma * hab[-1])
+        rows.append(dict(dH_a=dh_a, dH_b=dh_b, w_meas=w_meas, dS_b=ds_b, q=q, w_therm=w_therm,
+                         w=w, r=r, beta=beta_k))
         rho_a = prop.next_state(rho_a_end)
         snapshots.append(rho_a)
-        return (led.q, led.w, led.w_meas, -led.dS_b)
+        return (q, w, w_meas, -ds_b)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     times, n_cp, sums = _walk(step, 0, [rng], lam, horizon, grid, intervals)
     snapshots = np.array(snapshots)
     v_a = sys.basis_a.eigenvectors
-    s_a_series = np.array([von_neumann_entropy(r, prop.positivity_floor) for r in snapshots])
-    series = _checkpoint_series(grid[:n_cp], *cp_obs[:, :n_cp], s_a_series[0], np.zeros(n_cp), 1,
-                                sums)
+    s_a_series = shannon_entropy(spectrum(snapshots, prop.positivity_floor))
+    # an interval's dS_A is taken between the states the run records, so in the
+    # averaged runs it ends at the renormalized state
+    ledgers = [IntervalLedger(dS_a=ds_a, **row)
+               for row, ds_a in zip(rows, np.diff(s_a_series).tolist())]
+    series = _checkpoint_series(grid[:n_cp], *cp_obs[:, :n_cp],
+                                shannon_entropy(spectrum(cp_rho[:n_cp], prop.checkpoint_floor)),
+                                s_a_series[0], np.zeros(n_cp), 1, sums)
     # the largest top-level population of every state of A the run reports, read in
     # place from the checkpoints and from the states after each interval
     v_top = v_a[:, np.argmax(sys.basis_a.eigenvalues)]
@@ -686,7 +680,9 @@ def jump_averaged_generator(sys: JointSystem, beta: float, lam: float) -> np.nda
     piecewise-unitary process over both outcomes and exponential measurement times.  Its
     GKSL parts are L = -iH - lam/2, R = L^+ and the pairs (lam p_c J_cb, J_cb), with
     J_cb = 1 (x) |c><b| in B's energy basis and p_c the thermal populations there.
+    A rate that is not positive and finite is a ConfigError.
     """
+    check_rate(lam)
     v_b = sys.basis_b.eigenvectors
     pops = thermal_populations(sys.basis_b.eigenvalues, beta)
     left = -1j * sys.total_h.mat - 0.5 * lam * np.eye(sys.dim)

@@ -26,7 +26,7 @@ from .engine import IntervalRun, check_horizon, check_seed, run_intervals
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, check_rate, thermal_populations
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
-                    gksl, gksl_matrix, hermitian_part, marginal, populations, propagate_grid)
+                    gksl, gksl_matrix, hermitian_part, marginal, propagate_grid)
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,12 @@ class SteadyStateResult:
 def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = None) -> SteadyStateResult:
     """Steady state as the smallest singular vector of a vectorized generator.
 
-    The result is Hermitized and trace-normalized; a null space of dimension
-    greater than one raises DegenerateSteadyStateError.  When ``h_a`` is given,
-    p0/p1 are the populations of its two lowest eigenstates and
-    beta_eff = -ln(p1/p0) / (E1 - E0).
+    The result is Hermitized and trace-normalized, in the basis the generator
+    acts in; a null space of dimension greater than one raises
+    DegenerateSteadyStateError.  When ``h_a`` is given, that basis must be
+    its energy basis, ascending (as for ``assemble_reduced_generator``):
+    p0/p1 are then the first two diagonal entries of rho_ss and
+    beta_eff = -ln(p1/p0) / (E1 - E0) with the two lowest energies of ``h_a``.
     """
     gen = np.asarray(superoperator, dtype=complex)
     d2 = gen.shape[0]
@@ -197,9 +199,8 @@ def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = 
     rho = rho / np.trace(rho).real
     p0 = p1 = beta_eff = math.nan
     if h_a is not None:
-        evals_a, vecs_a = np.linalg.eigh(as_matrix(h_a))
-        pops = populations(rho, vecs_a)
-        p0, p1 = float(pops[0]), float(pops[1])
+        evals_a = np.linalg.eigvalsh(as_matrix(h_a))
+        p0, p1 = float(rho[0, 0].real), float(rho[1, 1].real)
         gap = float(evals_a[1] - evals_a[0])
         if p0 > 0 and p1 > 0 and gap > 0:
             beta_eff = -math.log(p1 / p0) / gap

@@ -283,21 +283,21 @@ def spectrum(rho, floor: float = -1e-8) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or one row per matrix of a stack, clipped
     at 0; an eigenvalue below ``floor`` raises PositivityError."""
     evals = np.linalg.eigvalsh(as_matrix(rho))
-    if evals.min() < floor:
+    if (evals < floor).any():
         raise PositivityError(f"eigenvalue {evals.min():.3e} below positivity floor {floor}")
     return np.clip(evals, 0.0, None)
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    """-sum p ln p over the positive entries (0 ln 0 := 0)."""
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p over the positive entries along the last axis (0 ln 0 := 0):
+    one entropy per distribution of a stack."""
     p = np.asarray(p, dtype=float)
-    pos = p[p > 0]
-    return float(-(pos * np.log(pos)).sum())
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho, floor: float = -1e-8) -> float:
     """S = -Tr rho ln rho, in nats; eigenvalues below ``floor`` raise."""
-    return shannon_entropy(spectrum(rho, floor))
+    return float(shannon_entropy(spectrum(rho, floor)))
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .qcore import as_matrix, trace_distance, von_neumann_entropy
+from .qcore import as_matrix, shannon_entropy, trace_distance
 from .models import JointSystem
 
 # Trace-distance threshold under which two states of A count as a cyclic return.
@@ -70,11 +70,6 @@ def _reservoir_populations(pops, sys: JointSystem, what: str) -> np.ndarray:
     return np.asarray(pops, dtype=float)
 
 
-def _entropy(p: np.ndarray) -> np.ndarray:
-    """-sum p ln p along the last axis (0 ln 0 := 0)."""
-    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
-
-
 def book_intervals(pops_start: np.ndarray, pops_end: np.ndarray, e_b: np.ndarray,
                    beta: float, dh_a) -> np.ndarray:
     """The reservoir-side ledger of intervals: dH_b, dS_b, Q, W_therm, W and R
@@ -88,7 +83,7 @@ def book_intervals(pops_start: np.ndarray, pops_end: np.ndarray, e_b: np.ndarray
     Q = 0.
     """
     dh_b = ((pops_end - pops_start) * e_b).sum(axis=-1)
-    ds_b = _entropy(pops_end) - _entropy(pops_start)
+    ds_b = shannon_entropy(pops_end) - shannon_entropy(pops_start)
     if beta == 0:
         q = np.full_like(ds_b, math.nan)
     elif math.isinf(beta):
@@ -97,35 +92,6 @@ def book_intervals(pops_start: np.ndarray, pops_end: np.ndarray, e_b: np.ndarray
         q = -ds_b / beta
     w_therm = -dh_b - q
     return np.array((dh_b, ds_b, q, w_therm, w_therm + dh_a + dh_b, dh_a + dh_b + q)).T
-
-
-def ledger_for_interval(
-    rho_a_start,
-    rho_a_end,
-    pops_b_start,
-    pops_b_end,
-    h_ab_expect_pre_meas: float,
-    sys: JointSystem,
-    beta: float,
-    positivity_floor: float = -1e-8,
-) -> IntervalLedger:
-    """Account one interval from its boundary marginals (``book_intervals``).
-
-    The measured reservoir is its populations in the energy basis of H_B
-    (``sys.basis_b``; the measurement dephases it), and its entropy is their
-    Shannon entropy.
-    """
-    pb0 = _reservoir_populations(pops_b_start, sys, "pops_b_start")
-    pb1 = _reservoir_populations(pops_b_end, sys, "pops_b_end")
-    dh_a = float(np.trace(sys.h_a.mat @ (as_matrix(rho_a_end) - as_matrix(rho_a_start))).real)
-    dh_b, ds_b, q, w_therm, w, r = book_intervals(
-        pb0, pb1, sys.basis_b.eigenvalues, beta, dh_a).tolist()
-    ds_a = (von_neumann_entropy(rho_a_end, positivity_floor)
-            - von_neumann_entropy(rho_a_start, positivity_floor))
-    return IntervalLedger(
-        dH_a=dh_a, dH_b=dh_b, w_meas=-sys.gamma * h_ab_expect_pre_meas, dS_a=ds_a, dS_b=ds_b,
-        q=q, w_therm=w_therm, w=w, r=r, beta=beta,
-    )
 
 
 def s_tot(s_a_series: Sequence[float], ledgers: Sequence[IntervalLedger]) -> np.ndarray:

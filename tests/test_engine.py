@@ -8,6 +8,7 @@ from qtherm.analytic import amplitudes
 from qtherm.engine import (
     AveragedIntervalMap,
     ProcessConfig,
+    _JointFrame,
     _traj_rng,
     absorption_rate_mc,
     ensemble_average_series,
@@ -18,7 +19,7 @@ from qtherm.engine import (
 from qtherm.errors import ConfigError, NumericError, PreconditionError, SizeLimitError
 from qtherm.generators import decompose, weak_interval_run
 from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_state
-from qtherm.qcore import DensityMatrix, Operator, StateVector, shannon_entropy
+from qtherm.qcore import DensityMatrix, Operator, StateVector, marginal, shannon_entropy
 from qtherm.thermo import s_tot
 
 DECAY = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=12, rwa=False)
@@ -29,6 +30,13 @@ def fock(n, dim):
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
     return StateVector(v)
+
+
+def one_interval(sys, rho_a, beta, t):
+    """The record of one outcome-averaged interval of length t from rho_A (x) Gibbs B."""
+    cfg = ProcessConfig(lam=1.0, beta=beta, horizon=t, initial_state_a=rho_a, n_checkpoints=0,
+                        intervals=[t])
+    return run_process(cfg, sys)
 
 
 class TestSampleInterval:
@@ -56,10 +64,18 @@ class TestStepInterval:
         sys = build_jcm(p)
         rho_a = fock(1, sys.dim_a).projector()
         rho_b = thermal_state(sys.h_b, 1.0)
-        out = step_interval(rho_a, rho_b, sys, 17.3)
-        np.testing.assert_allclose(out.state_a.mat, rho_a.mat, atol=1e-12)
-        np.testing.assert_allclose(out.reservoir_populations, np.diag(rho_b.mat).real, atol=1e-12)
-        assert abs(out.h_ab_expect) < 1e-12
+        rec = one_interval(sys, rho_a, 1.0, 17.3)
+        led = rec.ledgers[0]
+        np.testing.assert_allclose(rec.rho_a_snapshots[-1], rho_a.mat, atol=1e-12)
+        # B's end populations, from its energy change across its two levels
+        p0 = np.diag(rho_b.mat).real
+        e_b = sys.basis_b.eigenvalues
+        p1 = p0 + led.dH_b / (e_b[1] - e_b[0]) * np.array([-1.0, 1.0])
+        np.testing.assert_allclose(p1, p0, atol=1e-12)
+        # <H_AB>, read off the exact frame: w_meas = -gamma <H_AB> is zero at gamma = 0
+        frame = _JointFrame(sys)
+        joint = frame.apply(np.kron(rho_a.mat, rho_b.mat), [17.3])
+        assert abs(frame.hab_expect(joint, [17.3])[0]) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_outcome_probability_matches_closed_form(self, n):
@@ -92,7 +108,7 @@ class TestStepInterval:
         t = 6.0
         rho_b = thermal_state(sys.h_b, beta)
         psi_a = StateVector(np.sqrt([0.3, 0.5, 0.2, 0.0, 0.0]).astype(complex))
-        dm = step_interval(psi_a.projector(), rho_b, sys, t)
+        dm = one_interval(sys, psi_a.projector(), beta, t).rho_a_snapshots[-1]
         rng = np.random.default_rng(7)
         pops_in = np.diag(rho_b.mat).real
         n = 10 ** 4
@@ -103,20 +119,14 @@ class TestStepInterval:
             acc += out.state_a.projector().mat
         acc /= n
         # agreement within Monte Carlo error on populations
-        dev = np.abs(np.diag(acc - dm.state_a.mat)).max()
+        dev = np.abs(np.diag(acc - dm)).max()
         assert dev < 5.0 / math.sqrt(n)
 
-    def test_non_diagonal_reservoir_rejected(self):
+    def test_density_matrix_rejected(self):
+        # the outcome-averaged interval is run_process's; step_interval steps a pure state
         sys = build_jcm(DECAY)
-        coherent = DensityMatrix(np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex))
-        with pytest.raises(PreconditionError):
-            step_interval(fock(1, sys.dim_a).projector(), coherent, sys, 1.0)
-
-    @pytest.mark.parametrize("pops", [[2.0, 0.0], [1.3, -0.3]], ids=["trace2", "negative"])
-    def test_reservoir_that_is_not_a_state_rejected(self, pops):
-        sys = build_jcm(JcmParams(n_max=3))
-        with pytest.raises(PreconditionError, match="reservoir input"):
-            step_interval(fock(1, sys.dim_a).projector(), np.diag(pops), sys, 1.0)
+        with pytest.raises(PreconditionError, match="run_process"):
+            step_interval(fock(1, sys.dim_a).projector(), 1, sys, 1.0, np.random.default_rng(0))
 
     def test_trajectory_superposition_reservoir_rejected(self):
         sys = build_jcm(DECAY)
@@ -483,6 +493,13 @@ class TestEnsembleAverageSeries:
         with pytest.raises(ConfigError):
             ensemble_average_series(sys, 1.0, 0.2, fock(1, sys.dim_a).projector().mat, [])
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rate(self, lam):
+        # a NaN rate used to return NaN curves, and a negative one finite ones
+        sys = build_jcm(JcmParams(n_max=2))
+        with pytest.raises(ConfigError, match="measurement rate"):
+            ensemble_average_series(sys, 1.0, lam, fock(1, sys.dim_a).projector().mat, [1.0, 2.0])
+
     def test_refuses_oversized_generator_before_allocating(self):
         # n_max = 40 (d = 82): the dense generator would need 0.7 GiB, above the
         # 0.5 GiB qcore.MAX_SUPEROP_BYTES; only its d x d GKSL parts may be built
@@ -519,10 +536,9 @@ class TestAveragedIntervalMap:
         half = 0.5 * np.diff(edges)[:, None]
         ts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
         wgt = (half * w).ravel()
-        acc = np.zeros_like(got)
-        for t, wg in zip(ts, wgt):
-            out = step_interval(DensityMatrix(rho_a), rho_b, sys, float(t))
-            acc += wg * lam * math.exp(-lam * t) * out.state_a.mat
+        rho_t = marginal(_JointFrame(sys).apply(np.kron(rho_a, rho_b.mat), ts),
+                         (sys.dim_a, sys.dim_b), "A")
+        acc = np.einsum("t,tij->ij", wgt * lam * np.exp(-lam * ts), rho_t)
         np.testing.assert_allclose(got, acc, atol=5e-9)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])

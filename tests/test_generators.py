@@ -912,6 +912,20 @@ class TestSteadyStateSolver:
         assert abs(res.p1 / res.p0 - up / down) < 1e-12
         assert abs(res.beta_eff - math.log(3.0)) < 1e-12
 
+    def test_populations_are_read_in_the_energy_basis(self):
+        # the reduced generator acts in A's energy basis, which for a random H_A is
+        # not the storage basis: p0 and p1 must match the energy-basis populations
+        # of a long-time integration (returned in the storage basis)
+        sys = random_system(np.random.default_rng(3), 3, 2)
+        spec = decompose(sys, 0.4)
+        res = steady_state(assemble_reduced_generator(spec, 1.0), sys.h_a)
+        late = lindblad_propagate(spec, np.eye(3) / 3, thermal_state(sys.h_b, 1.0),
+                                  [0.0, 4000.0])[-1]
+        want = populations(late, sys.basis_a.eigenvectors)
+        np.testing.assert_allclose([res.p0, res.p1], want[:2], rtol=0, atol=1e-9)
+        e = sys.basis_a.eigenvalues
+        assert abs(res.beta_eff + math.log(want[1] / want[0]) / (e[1] - e[0])) < 1e-8
+
 
 class TestMinimumTemperature:
     def test_reference_values(self):

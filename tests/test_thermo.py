@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from qtherm.engine import ProcessConfig, run_process, step_interval
-from qtherm.errors import DimensionError
+from qtherm.engine import ProcessConfig, run_process
 from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_populations, thermal_state
-from qtherm.qcore import DensityMatrix, Operator, StateVector, relative_entropy, shannon_entropy
+from qtherm.qcore import (DensityMatrix, Operator, StateVector, as_matrix, marginal, populations,
+                          relative_entropy, shannon_entropy)
 from qtherm.thermo import (
     IntervalLedger,
     approx_heat_small_change,
     backaction_as_heat_windows,
     book_intervals,
     find_cyclic_windows,
-    ledger_for_interval,
     s_tot,
     second_law_suite,
     traditional_qw,
@@ -54,6 +53,20 @@ def gibbs_b(sys, beta):
     return thermal_populations(sys.basis_b.eigenvalues, beta)
 
 
+def one_interval(sys, rho_a, beta, t):
+    """The ledger of one outcome-averaged interval of length t from rho_A (x) Gibbs B."""
+    cfg = ProcessConfig(lam=1.0, beta=beta, horizon=t, initial_state_a=rho_a, n_checkpoints=0,
+                        intervals=[t])
+    return run_process(cfg, sys).ledgers[0]
+
+
+def reservoir_end_populations(sys, rho_a, beta, t):
+    """B's energy-basis populations after rho_A (x) Gibbs B evolves for t under expm(-i H t)."""
+    u = expm(-1j * t * sys.total_h.mat)
+    joint = u @ np.kron(as_matrix(rho_a), thermal_state(sys.h_b, beta).mat) @ u.conj().T
+    return populations(marginal(joint, (sys.dim_a, sys.dim_b), "B"), sys.basis_b.eigenvectors)
+
+
 def run_decay(horizon=300.0, seed=8, intervals=None, lam=1e-2):
     sys = build_jcm(DECAY)
     cfg = ProcessConfig(lam=lam, beta=1.0, horizon=horizon, seed=seed,
@@ -65,10 +78,7 @@ def run_decay(horizon=300.0, seed=8, intervals=None, lam=1e-2):
 class TestLedger:
     def test_uncoupled_interval_all_zero(self):
         sys = build_jcm(JcmParams(gamma=0.0, n_max=4, rwa=True))
-        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, 1.0),
-                            sys, 50.0)
-        led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  gibbs_b(sys, 1.0), gibbs_b(sys, 1.0), out.h_ab_expect, sys, 1.0)
+        led = one_interval(sys, fock(1, sys.dim_a).projector(), 1.0, 50.0)
         for v in (led.q, led.w, led.w_therm, led.w_meas, led.dH_a, led.dH_b):
             assert abs(v) < 1e-12
 
@@ -78,11 +88,9 @@ class TestLedger:
             sys = random_system(rng, 3, 3)
             beta = float(rng.uniform(0.2, 3.0))
             p0 = gibbs_b(sys, beta)
-            out = step_interval(random_density(rng, 3), thermal_state(sys.h_b, beta), sys,
-                                float(rng.uniform(0.2, 8.0)))
-            p1 = out.reservoir_populations
-            led = ledger_for_interval(random_density(rng, 3), out.state_a, p0, p1,
-                                      out.h_ab_expect, sys, beta)
+            rho_a, t = random_density(rng, 3), float(rng.uniform(0.2, 8.0))
+            p1 = reservoir_end_populations(sys, rho_a, beta, t)
+            led = one_interval(sys, rho_a, beta, t)
             gain = -led.w_therm
             assert gain >= -1e-10
             # the relative entropy of the two B states, both diagonal in its energy basis
@@ -101,11 +109,7 @@ class TestLedger:
 
     def test_beta_zero_marks_heat_undefined(self):
         sys = build_jcm(DECAY)
-        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, 0.0),
-                            sys, 12.0)
-        led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  gibbs_b(sys, 0.0), out.reservoir_populations,
-                                  out.h_ab_expect, sys, 0.0)
+        led = one_interval(sys, fock(1, sys.dim_a).projector(), 0.0, 12.0)
         assert math.isnan(led.q) and not led.heat_defined
 
     def test_reservoir_entropy_decrease_during_emission(self):
@@ -113,27 +117,16 @@ class TestLedger:
         sys = build_jcm(DECAY)
         beta = 1.0
         t_half = math.pi / (2 * DECAY.gamma)  # first Rabi half-cycle: full transfer
-        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, beta),
-                            sys, t_half)
-        led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  gibbs_b(sys, beta), out.reservoir_populations,
-                                  out.h_ab_expect, sys, beta)
+        led = one_interval(sys, fock(1, sys.dim_a).projector(), beta, t_half)
         assert led.dS_b < 0 and led.q > 0
-
-    def test_rejects_reservoir_matrix(self):
-        # the ledger takes B as its populations; a d_B x d_B matrix is a shape error
-        sys = build_jcm(DECAY)
-        rho = fock(1, sys.dim_a).projector()
-        with pytest.raises(DimensionError):
-            ledger_for_interval(rho, rho, gibbs_b(sys, 1.0), thermal_state(sys.h_b, 1.0).mat,
-                                0.0, sys, 1.0)
 
 
 class TestBookIntervals:
     @pytest.mark.parametrize("beta", [0.7, math.inf, 0.0])
     def test_one_hot_rows_match_the_ledger(self, beta):
         # the trajectory step books its completed rows from one-hot start
-        # populations; each row is the ledger of that interval
+        # populations; each row is the ledger of that interval booked alone,
+        # as the density-matrix run books it
         rng = np.random.default_rng(31)
         sys = random_system(rng, 2, 3)
         levels = rng.integers(0, 3, size=8)
@@ -142,11 +135,11 @@ class TestBookIntervals:
         dh_a = rng.normal(size=8)
         rows = book_intervals(np.eye(3)[levels], p1, sys.basis_b.eigenvalues, beta, dh_a)
         assert rows.shape == (8, 6)
-        rho = random_density(rng, 2)
         for k in range(8):
-            led = ledger_for_interval(rho, rho, np.eye(3)[levels[k]], p1[k], 0.0, sys, beta)
-            np.testing.assert_array_equal(rows[k, :2], [led.dH_b, led.dS_b])
-            np.testing.assert_array_equal(rows[k, 2], led.q)
+            dh_b, ds_b, q, _, _, _ = book_intervals(np.eye(3)[levels[k]], p1[k],
+                                                    sys.basis_b.eigenvalues, beta, dh_a[k])
+            np.testing.assert_array_equal(rows[k, :2], [dh_b, ds_b])
+            np.testing.assert_array_equal(rows[k, 2], q)
             assert rows[k, 1] == shannon_entropy(p1[k])
         if beta == math.inf:
             assert (rows[:, 2] == 0.0).all() and not np.signbit(rows[:, 2]).any()
@@ -253,11 +246,9 @@ class TestApproxHeat:
                           n_max=6, rwa=True)
             sys = build_jcm(p)
             p0 = gibbs_b(sys, beta)
-            out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, beta),
-                                sys, t)
-            p1 = out.reservoir_populations
-            led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                      p0, p1, out.h_ab_expect, sys, beta)
+            rho_a = fock(1, sys.dim_a).projector()
+            p1 = reservoir_end_populations(sys, rho_a, beta, t)
+            led = one_interval(sys, rho_a, beta, t)
             _, dq_lin = approx_heat_small_change(p0, p1, sys)
             errs.append(abs(dq_lin - led.q))
         ratio = errs[0] / errs[1]
@@ -269,11 +260,9 @@ class TestApproxHeat:
         sys = build_jcm(p)
         beta = 1.0
         p0 = gibbs_b(sys, beta)
-        out = step_interval(fock(1, sys.dim_a).projector(), thermal_state(sys.h_b, beta),
-                            sys, 30.0)
-        p1 = out.reservoir_populations
-        led = ledger_for_interval(fock(1, sys.dim_a).projector(), out.state_a,
-                                  p0, p1, out.h_ab_expect, sys, beta)
+        rho_a = fock(1, sys.dim_a).projector()
+        p1 = reservoir_end_populations(sys, rho_a, beta, 30.0)
+        led = one_interval(sys, rho_a, beta, 30.0)
         _, dq_lin = approx_heat_small_change(p0, p1, sys)
         assert abs(dq_lin - (-led.dH_b)) < 1e-12
         assert abs(led.dH_a + led.dH_b) < 1e-10

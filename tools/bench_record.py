@@ -17,9 +17,12 @@ The record holds:
   trajectory ``simulate`` (5000 trajectories x 241 checkpoints),
   ``simulate --mode weak`` at ``n_max`` 20 and 30, the exact
   ``simulate`` at ``n_max`` 100, which tracks the memory of the exact
-  run's checkpoint states, and ``steady-scan`` at ``scan_n_max`` 16 (the
+  run's checkpoint states, ``steady-scan`` at ``scan_n_max`` 16 (the
   size of perfbench's ``scan`` workload), which tracks the reduced
-  generator and the steady-state solve.  Max RSS is the child's
+  generator and the steady-state solve, and the exact ``simulate`` at
+  ``lambda`` 1 and ``horizon`` 3000 (about 3,000 intervals at ``n_max`` 14,
+  the size of perfbench's ``dm`` workload), which tracks the interval
+  booking of the density-matrix run.  Max RSS is the child's
   ``ru_maxrss`` from ``wait4``, what ``RUSAGE_CHILDREN`` reports for a single
   child.
 
@@ -47,6 +50,7 @@ CLI_RUNS = {
     "simulate_weak_n_max_30": (["simulate", "--mode", "weak"], "n_max = 30\n"),
     "simulate_exact_n_max_100": (["simulate"], "n_max = 100\n"),
     "steady_scan_n_max_16": (["steady-scan"], "scan_n_max = 16\n"),
+    "simulate_exact_3000_intervals": (["simulate"], "lambda = 1.0\nhorizon = 3000\n"),
 }
 
 
