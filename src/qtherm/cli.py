@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from ._svg import line_chart
-from .engine import ProcessConfig, check_horizon, run_process
+from .engine import ProcessConfig, check_schedule, run_process
 from .errors import ConfigError, NumericError, QthermError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
     assemble_reduced_generator, min_temp_predict, outside_fast_regime, steady_state
@@ -188,13 +188,11 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
     psi0 = _initial_state(cfg, sys.dim_a)
     if cfg["checkpoints"] < 0:
         raise ConfigError(f"checkpoints must be >= 0, got {cfg['checkpoints']}")
-    check_horizon(cfg["horizon"])
-    if run_mode == "fast":
-        check_rate(cfg["lambda"])
-        if outside_fast_regime(sys, cfg["lambda"]):
-            raise ConfigError(f"--mode fast is an expansion in gamma/lambda and needs "
-                              f"lambda >= 10 gamma, got lambda = {cfg['lambda']!r}, "
-                              f"gamma = {sys.gamma!r}")
+    check_schedule(cfg["lambda"], cfg["horizon"], [])
+    if run_mode == "fast" and outside_fast_regime(sys, cfg["lambda"]):
+        raise ConfigError(f"--mode fast is an expansion in gamma/lambda and needs "
+                          f"lambda >= 10 gamma, got lambda = {cfg['lambda']!r}, "
+                          f"gamma = {sys.gamma!r}")
     grid = np.linspace(0.0, cfg["horizon"], cfg["checkpoints"])
     header = _header(cfg, "simulate") + [f"run_mode = {run_mode}"]
     made = []

@@ -10,9 +10,8 @@ walkers together: the exact density-matrix run and the weak and fast averaged
 runs are a batch of one that differ only in the propagator, and a trajectory
 ensemble is a batch of n_traj state vectors.
 
-Also provided: the exact measurement-averaged interval map and the continuous
-jump-averaged generator, which give deterministic ensemble-level curves and
-steady states of the same process.
+Also provided: the continuous jump-averaged generator, which gives
+deterministic ensemble-level curves of the same process.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, PreconditionError
+from .errors import ConfigError, PreconditionError, SizeLimitError
 from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
                      thermal_state)
 from .qcore import (DensityMatrix, StateVector, as_matrix, gksl_matrix, hermitian_part, marginal,
@@ -32,10 +31,9 @@ from .qcore import (DensityMatrix, StateVector, as_matrix, gksl_matrix, hermitia
 from .thermo import IntervalLedger, book_intervals
 
 BORN_TOL = 1e-10
-FIXED_POINT_TOL = 1e-14          # max |change| of rho_A between iterates at convergence
-FIXED_POINT_MAX_ITER = 100000
 ABSORPTION_CHUNK = 20000         # absorption_rate_mc trials drawn and scored per batch
 STACK_BYTES = 2 ** 22            # joint matrices run_intervals evolves per propagator call
+MAX_INTERVALS = 10 ** 5          # expected intervals per walker: ~30 s, ~0.8 GB exact at n_max 14
 
 
 def check_horizon(horizon: float) -> None:
@@ -54,9 +52,14 @@ def check_schedule(lam: float, horizon: float, grid: np.ndarray,
                    intervals: np.ndarray | None = None) -> None:
     """Reject a measurement rate or horizon that no interval schedule can honour,
     checkpoint times that are not finite or that decrease, and explicit
-    interval lengths that are negative or NaN."""
+    interval lengths that are negative or NaN.  A schedule that expects more
+    than MAX_INTERVALS intervals per walker (lam * horizon, or the explicit
+    schedule's length) is a SizeLimitError."""
     check_rate(lam)
     check_horizon(horizon)
+    if (count := lam * horizon if intervals is None else len(intervals)) > MAX_INTERVALS:
+        raise SizeLimitError(f"the schedule expects {count:.3g} intervals per walker, more "
+                             f"than the limit of {MAX_INTERVALS:.0e}")
     if not (np.isfinite(grid).all() and (np.diff(grid) >= 0).all()):
         raise ConfigError("checkpoint times must be finite and non-decreasing")
     if intervals is not None and not (np.asarray(intervals, dtype=float) >= 0).all():
@@ -225,11 +228,16 @@ class _JointFrame:
         self.e, self.w = prop.eigenvalues, prop.eigenvectors
         self.hab = sys.h_ab.mat
 
+    def weighted(self, joint: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """w ((w^+ joint w) * k) w^+: the eigenframe elements of ``joint`` (a matrix or
+        a stack) multiplied by the weights ``k`` (a matrix or a stack), back in the lab frame."""
+        return self.w @ ((self.w.conj().T @ joint @ self.w) * k) @ self.w.conj().T
+
     def apply(self, joint0: np.ndarray, taus) -> np.ndarray:
-        """The stack of joint0 evolved for each time in ``taus``."""
-        jt = self.w.conj().T @ joint0 @ self.w
+        """The stack of joint0 evolved for each time in ``taus``: the weights
+        exp(-i (e_i - e_j) tau) of each time."""
         ph = self.phases(np.asarray(taus, dtype=float))
-        return self.w @ (jt * (ph[:, :, None] * ph.conj()[:, None, :])) @ self.w.conj().T
+        return self.weighted(joint0, ph[:, :, None] * ph.conj()[:, None, :])
 
     def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
         """<H_AB> of each matrix of the stack ``joint``."""
@@ -271,8 +279,8 @@ def _measure(frame: _JointFrame, v_b: np.ndarray, c0: np.ndarray, t: np.ndarray,
 
 def step_interval(state_a: StateVector, reservoir_in, sys: JointSystem, t: float,
                   rng: np.random.Generator) -> IntervalStep:
-    """Couple one pure trajectory to a reservoir energy eigenstate (a StateVector
-    or a level index), evolve for a fixed time t, and measure the reservoir,
+    """Couple one pure trajectory to a reservoir energy eigenstate (its level
+    index in ``sys.basis_b``), evolve for a fixed time t, and measure the reservoir,
     sampling the outcome with ``rng``: the trajectory ensemble's measurement
     step on a batch of one.  The outcome-averaged interval of a density matrix
     is ``run_process`` with ``intervals=[t]``.
@@ -284,15 +292,9 @@ def step_interval(state_a: StateVector, reservoir_in, sys: JointSystem, t: float
                                 "through run_process")
     frame = _JointFrame(sys)
     v_b = sys.basis_b.eigenvectors
-    if isinstance(reservoir_in, (int, np.integer)):
-        level = int(reservoir_in)
-    elif isinstance(reservoir_in, StateVector):
-        pops = np.abs(v_b.conj().T @ reservoir_in.vec) ** 2
-        if pops.max() < 1.0 - 1e-10:
-            raise PreconditionError("trajectory reservoir input must be an energy eigenstate")
-        level = int(pops.argmax())
-    else:
-        raise PreconditionError("trajectory reservoir input must be an eigenstate or level index")
+    if not isinstance(reservoir_in, (int, np.integer)):
+        raise PreconditionError("trajectory reservoir input must be a level index")
+    level = int(reservoir_in)
     c0 = frame.to_frame(np.kron(state_a.vec, v_b[:, level])[None])
     psi_a, hab, p_m, m = _measure(frame, v_b, c0, np.array([float(t)]), np.array([rng.random()]))
     p_m, m = p_m[0], int(m[0])
@@ -420,8 +422,6 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
             taus.append(float(tau[0]))
         if completes[0]:
             taus.append(float(t_k[0]))                # the interval's end comes last
-        if not taus:
-            return ()
         taus = np.array(taus)
         for lo in range(0, taus.size, chunk):
             joint = prop.apply(joint0, taus[lo:lo + chunk])
@@ -628,49 +628,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
 
 
 # ---------------------------------------------------------------------------
-# Exact measurement-averaged analysis
-
-
-class AveragedIntervalMap:
-    """Expected post-measurement map of one interval, averaged over the
-    exponential interval-length distribution.
-
-    In the coupled eigenbasis the average multiplies the (i, j) matrix element
-    by lam / (lam + i(E_i - E_j)); measurement then traces out B and installs a
-    fresh thermal reservoir.  The fixed point is the steady state of A at
-    measurement times.
-    """
-
-    def __init__(self, sys: JointSystem, beta: float, lam: float):
-        check_rate(lam)
-        self.sys = sys
-        self.beta = beta
-        self.lam = lam
-        prop = sys.propagator
-        self.e, self.w = prop.eigenvalues, prop.eigenvectors
-        self.rho_b = thermal_state(sys.h_b, beta).mat
-        self.filter = lam / (lam + 1j * (self.e[:, None] - self.e[None, :]))
-
-    def apply(self, rho_a: np.ndarray) -> np.ndarray:
-        joint = np.kron(np.asarray(rho_a, dtype=complex), self.rho_b)
-        jt = self.w.conj().T @ joint @ self.w
-        avg = self.w @ (jt * self.filter) @ self.w.conj().T
-        out = hermitian_part(marginal(avg, (self.sys.dim_a, self.sys.dim_b), "A"))
-        return out / np.trace(out).real
-
-    def fixed_point(self) -> np.ndarray:
-        """Iterate ``apply`` from the maximally mixed state until an iterate moves
-        by less than FIXED_POINT_TOL; NumericError after FIXED_POINT_MAX_ITER."""
-        da = self.sys.dim_a
-        rho = np.eye(da, dtype=complex) / da
-        for _ in range(FIXED_POINT_MAX_ITER):
-            new = self.apply(rho)
-            change = np.abs(new - rho).max()
-            if change < FIXED_POINT_TOL:
-                return new
-            rho = new
-        raise NumericError(f"interval map fixed point not reached in {FIXED_POINT_MAX_ITER} "
-                           f"iterations (last change {change:.1e})")
+# Exact ensemble-averaged analysis
 
 
 def jump_averaged_generator(sys: JointSystem, beta: float, lam: float) -> np.ndarray:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import IntervalRun, check_horizon, check_seed, run_intervals
+from .engine import IntervalRun, _JointFrame, check_horizon, check_seed, run_intervals
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
-from .models import JointSystem, check_rate, thermal_populations
+from .models import JointSystem, check_rate, thermal_populations, thermal_state
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
                     gksl, gksl_matrix, hermitian_part, marginal, propagate_grid)
 
@@ -206,6 +206,42 @@ def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = 
             beta_eff = -math.log(p1 / p0) / gap
     return SteadyStateResult(rho_ss=DensityMatrix(rho), p0=p0, p1=p1,
                              beta_eff=beta_eff, residual=residual)
+
+
+class AveragedIntervalMap:
+    """Expected post-measurement map of one interval, averaged over the
+    exponential interval-length distribution.
+
+    In the coupled eigenframe (``engine._JointFrame``) the average multiplies
+    the (i, j) matrix element by lam / (lam + i(E_i - E_j)); measurement then
+    traces out B and installs a fresh thermal reservoir.  The fixed point is
+    the steady state of A at measurement times.
+    """
+
+    def __init__(self, sys: JointSystem, beta: float, lam: float):
+        check_rate(lam)
+        self.sys = sys
+        self.frame = _JointFrame(sys)
+        self.rho_b = thermal_state(sys.h_b, beta).mat
+        self.filter = lam / (lam + 1j * (self.frame.e[:, None] - self.frame.e[None, :]))
+
+    def _average(self, rho_a: np.ndarray) -> np.ndarray:
+        # the unnormalized map, on a matrix of A or a stack of them
+        joint = np.kron(np.asarray(rho_a, dtype=complex), self.rho_b)
+        avg = self.frame.weighted(joint, self.filter)
+        return marginal(avg, (self.sys.dim_a, self.sys.dim_b), "A")
+
+    def apply(self, rho_a: np.ndarray) -> np.ndarray:
+        out = hermitian_part(self._average(rho_a))
+        return out / np.trace(out).real
+
+    def fixed_point(self) -> np.ndarray:
+        """``steady_state`` of M - 1, where column (a, b) of M is the map applied
+        to the matrix unit E_ab; a fixed space of dimension greater than one
+        raises DegenerateSteadyStateError."""
+        da = self.sys.dim_a
+        m = self._average(np.eye(da * da).reshape(-1, da, da)).reshape(da * da, -1).T
+        return steady_state(m - np.eye(da * da)).rho_ss.mat
 
 
 def lindblad_propagate(spec: GeneratorSpec, rho_a0, rho_b0, t_grid) -> np.ndarray:

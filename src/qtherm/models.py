@@ -21,6 +21,10 @@ from .qcore import Operator, DensityMatrix, Propagator
 # Population of the top Fock level above which a run is flagged truncation-suspect.
 TRUNCATION_LIMIT = 1e-6
 
+# Largest frequency, coupling or rate: the averaged generators form products of up to
+# three of them (decompose's denominators), which stay finite while each is at most 1e100.
+MAX_SCALE = 1e100
+
 # Largest joint dimension 2 (n_max + 1) that JcmParams accepts: build_jcm and every CLI
 # command take their size from JcmParams, so none allocates an oversized system.
 MAX_JOINT_DIM = 4096
@@ -38,10 +42,10 @@ class JcmParams:
 
     def __post_init__(self):
         # each test fails on NaN
-        if not (0 < self.omega_a < math.inf and 0 < self.omega_b < math.inf):
-            raise ConfigError("mode frequencies must be positive and finite")
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigError("coupling strength must be non-negative and finite")
+        if not (0 < self.omega_a <= MAX_SCALE and 0 < self.omega_b <= MAX_SCALE):
+            raise ConfigError(f"mode frequencies must be positive, at most {MAX_SCALE:g}")
+        if not 0 <= self.gamma <= MAX_SCALE:
+            raise ConfigError(f"coupling strength must be non-negative, at most {MAX_SCALE:g}")
         if self.n_max < 1:
             raise ConfigError("n_max must be at least 1")
         if (dim := 2 * (self.n_max + 1)) > MAX_JOINT_DIM:
@@ -137,9 +141,10 @@ def build_jcm(p: JcmParams) -> JointSystem:
 
 
 def check_rate(lam: float, what: str = "measurement rate") -> None:
-    """Reject a rate (or the quantity named ``what``) that is not positive and finite."""
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ConfigError(f"{what} must be positive and finite, got {lam!r}")
+    """Reject a rate (or the quantity named ``what``) that is not positive and finite,
+    or above MAX_SCALE."""
+    if not 0 < lam <= MAX_SCALE:
+        raise ConfigError(f"{what} must be positive and finite, at most {MAX_SCALE:g}, got {lam!r}")
 
 
 def check_beta(beta) -> None:

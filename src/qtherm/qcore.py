@@ -132,13 +132,15 @@ class Propagator:
 
     @classmethod
     def from_operator(cls, h: Union[Operator, np.ndarray]) -> "Propagator":
+        """Eigendecomposition of ``h``, checked to 1e-10 max(1, max|h|) as eigh's rounding is."""
         m = as_matrix(h)
-        if np.abs(m - m.conj().T).max() >= 1e-10:
+        tol = 1e-10 * max(1.0, float(np.abs(m).max(initial=0.0)))
+        if np.abs(m - m.conj().T).max() >= tol:
             raise ValueError("propagator requires a Hermitian operator")
         evals, evecs = np.linalg.eigh(m)
         prop = cls(evals, evecs)
-        if np.abs((evecs * evals) @ evecs.conj().T - m).max() >= 1e-10:
-            raise ValueError("eigendecomposition failed to reconstruct operator within 1e-10")
+        if np.abs((evecs * evals) @ evecs.conj().T - m).max() >= tol:
+            raise ValueError(f"eigendecomposition failed to reconstruct operator within {tol:.1e}")
         return prop
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .analytic import AtomFieldState, amplitudes, einstein_rate, mean_b2_poisson
 from .engine import (
-    AveragedIntervalMap,
     ProcessConfig,
     _JointFrame,
     absorption_rate_mc,
@@ -27,6 +26,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .generators import (
+    AveragedIntervalMap,
     assemble_reduced_generator,
     decompose,
     fast_map_reduced,

@@ -261,6 +261,35 @@ class TestMain:
         assert res.returncode == 3, res.stderr
         assert res.stderr.count("\n") == 1 and "24.8 GiB" in res.stderr, res.stderr
 
+    def test_large_frequency_runs(self, tmp_path):
+        # the joint eigendecomposition is checked relative to max|H|: an absolute
+        # 1e-10 refused omega_a = 3000 with a ValueError traceback
+        cfgfile = tmp_path / "fast_cavity.cfg"
+        cfgfile.write_text("omega_a = 3000\ncheckpoints = 5\n")
+        code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                         "--quiet"])
+        assert code == 0 and (tmp_path / "out" / "timeseries_exact.csv").exists()
+
+    @pytest.mark.parametrize("mode,line,code", [
+        ("weak", "gamma = 1e200", 1), ("fast", "lambda = 1e300", 1), ("weak", "lambda = 1e300", 1),
+        ("weak", "omega_a = 1e300", 1), ("weak", "gamma = 1e150", 1),
+        ("exact", "lambda = 1e300", 1), ("exact", "lambda = 1e4", 3)])
+    def test_huge_parameter_is_refused_in_one_line(self, tmp_path, mode, line, code):
+        # each used to end in an overflow traceback, a numpy warning ahead of a
+        # numeric failure, or (exact, lambda = 1e300) a walk of ~3e302 intervals;
+        # lambda = 1e4 expects 3e6 intervals, above engine.MAX_INTERVALS
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text(line + "\n")
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-m", "qtherm.cli", "simulate", "--mode", mode, "--config",
+             str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+        assert res.returncode == code, res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr, res.stderr
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("line", ["t_points = -1", "t_max = -5", "t_max = nan",
                                       "lambda = -1", "lambda = nan", "lambda = inf",
                                       "n_levels = -1"])

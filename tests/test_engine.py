@@ -6,7 +6,7 @@ import pytest
 
 from qtherm.analytic import amplitudes
 from qtherm.engine import (
-    AveragedIntervalMap,
+    MAX_INTERVALS,
     ProcessConfig,
     _JointFrame,
     _traj_rng,
@@ -16,8 +16,9 @@ from qtherm.engine import (
     sample_interval,
     step_interval,
 )
-from qtherm.errors import ConfigError, NumericError, PreconditionError, SizeLimitError
-from qtherm.generators import decompose, weak_interval_run
+from qtherm.errors import (ConfigError, DegenerateSteadyStateError, PreconditionError,
+                           SizeLimitError)
+from qtherm.generators import AveragedIntervalMap, decompose, weak_interval_run
 from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_state
 from qtherm.qcore import DensityMatrix, Operator, StateVector, marginal, shannon_entropy
 from qtherm.thermo import s_tot
@@ -143,6 +144,17 @@ class TestRunProcess:
         kwargs = {"lam": 0.01, "horizon": 10.0, field: value}
         with pytest.raises(ConfigError):
             ProcessConfig(beta=1.0, initial_state_a=fock(1, 3), **kwargs)
+
+    def test_schedule_above_interval_limit_rejected(self):
+        # the walk runs about lam * horizon intervals per walker (~3e302 at
+        # lam = 1e100, horizon = 300); an explicit schedule counts its length,
+        # so check 10's horizon of 1e9 with 400 intervals stays valid
+        with pytest.raises(SizeLimitError, match="3e\\+06 intervals per walker"):
+            ProcessConfig(lam=1e4, beta=1.0, horizon=300.0)
+        with pytest.raises(SizeLimitError, match="intervals per walker"):
+            ProcessConfig(lam=1e-2, beta=1.0, horizon=1e9,
+                          intervals=np.ones(MAX_INTERVALS + 1))
+        ProcessConfig(lam=1e-2, beta=1.0, horizon=1e9, intervals=np.full(400, 100.0))
 
     @pytest.mark.parametrize("times", [[0.0, 6.0, 2.0, 4.0], [0.0, 2.0, math.nan, 6.0]])
     def test_unsorted_or_non_finite_grid_rejected(self, times):
@@ -553,13 +565,13 @@ class TestAveragedIntervalMap:
         rho = amap.fixed_point()
         np.testing.assert_allclose(amap.apply(rho), rho, atol=1e-12)
 
-    def test_fixed_point_raises_at_iteration_cap(self, monkeypatch):
-        # an unconverged iterate is an error, not a returned state
-        from qtherm import engine
-
-        monkeypatch.setattr(engine, "FIXED_POINT_MAX_ITER", 3)
-        with pytest.raises(NumericError, match="not reached in 3 iterations"):
-            AveragedIntervalMap(build_jcm(DECAY_RWA), beta=1.0, lam=0.01).fixed_point()
+    def test_uncoupled_fixed_point_is_degenerate(self):
+        # at gamma = 0 every diagonal rho_A is a fixed point; iterating from I/d
+        # returned I/d as if it were the only one
+        sys = build_jcm(replace(DECAY, gamma=0.0, n_max=4))
+        with pytest.raises(DegenerateSteadyStateError) as err:
+            AveragedIntervalMap(sys, beta=1.0, lam=0.01).fixed_point()
+        assert err.value.null_dim == sys.dim_a
 
 
 class TestAbsorptionRateMc:

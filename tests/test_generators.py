@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from qtherm.analytic import mean_b2_poisson
-from qtherm.engine import AveragedIntervalMap, jump_averaged_generator
-from qtherm.errors import ConfigError, DegenerateSteadyStateError, PreconditionError
+from qtherm.engine import jump_averaged_generator
+from qtherm.errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from qtherm.generators import (
     _LinearPropagator,
     _dissipator_parts,
@@ -437,28 +437,32 @@ class TestLindbladPropagate:
             weak_interval_run(decompose(sys, 0.2), np.diag(pops), thermal_state(sys.h_a, 1.0),
                               horizon=1.0, intervals=np.array([5.0]), beta=1.0)
 
-    def test_interval_protocol_returns_near_positivity_floor(self):
+    @staticmethod
+    def anti_damped(eps):
         # the averaged generators are GKSL with a positive coefficient matrix,
         # so they lose positivity only by rounding; adding cavity damping at a
         # negative rate -eps gives a generator that is not CP: from |1> it drains
         # the empty ground level, so the joint state's lowest eigenvalue after
-        # tau is about -eps tau in exact arithmetic.  The run must return with
-        # that value between the joint floor -1e-5 and -1e-6, matching a
-        # 30-digit reference, and the checkpoint marginals (entropy floor -1e-4)
-        # must not stop it.
-        import mpmath
-
+        # tau is about -eps tau in exact arithmetic
         sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi,
                                   gamma=0.1, n_max=1, rwa=False))
         spec = decompose(sys, 0.5)
-        eps, tau = 3e-6, 1.0
         a = np.kron(destroy(sys.dim_a), np.eye(sys.dim_b))
         ada = a.conj().T @ a
         # -eps (a rho a^+ - {a^+ a, rho} / 2) as GKSL parts
         anti_damping = gksl_matrix((0.5 * eps * ada, 0.5 * eps * ada, [(-eps * a, a)]))
-        gen = assemble_joint_weak_generator(spec) + anti_damping
         rho0 = np.zeros((sys.dim_a, sys.dim_a), complex)
         rho0[1, 1] = 1.0
+        return sys, spec, assemble_joint_weak_generator(spec) + anti_damping, rho0
+
+    def test_interval_protocol_returns_near_positivity_floor(self):
+        # the run must return with the lowest eigenvalue between the joint floor
+        # -1e-5 and -1e-6, matching a 30-digit reference, and the checkpoint
+        # marginals (entropy floor -1e-4) must not stop it
+        import mpmath
+
+        eps, tau = 3e-6, 1.0
+        sys, spec, gen, rho0 = self.anti_damped(eps)
         rho_b = thermal_state(sys.h_b, 1.0)
         run = weak_interval_run(spec, rho_b, rho0, horizon=tau, intervals=np.array([tau]),
                                 checkpoint_times=np.linspace(0.0, tau, 5), beta=1.0, generator=gen)
@@ -476,6 +480,15 @@ class TestLindbladPropagate:
             want = float(min(mpmath.eigh(joint, eigvals_only=True)))
         assert -1e-5 < want < -1e-6
         assert abs(run.min_eig - want) < 1e-12
+
+    def test_interval_protocol_raises_below_positivity_floor(self):
+        # at eps = 1e-4 the lowest joint eigenvalue after tau = 1 is about -1e-4,
+        # below the joint floor -1e-5: a one-line error, not a returned run
+        sys, spec, gen, rho0 = self.anti_damped(1e-4)
+        with pytest.raises(NumericError, match="positivity lost") as err:
+            weak_interval_run(spec, thermal_state(sys.h_b, 1.0), rho0, horizon=1.0,
+                              intervals=np.array([1.0]), beta=1.0, generator=gen)
+        assert "\n" not in str(err.value)
 
     def test_interval_protocol_rejects_infinite_horizon(self):
         sys = build_jcm(JcmParams(n_max=2))

@@ -166,7 +166,7 @@ class TestValidateCoupling:
 
 
 class TestCheckRate:
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, 1e101])
     @pytest.mark.parametrize("form", sorted(RATE_FORMS))
     def test_closed_forms_reject_bad_rate(self, form, lam):
         with pytest.raises(ConfigError, match="measurement rate"):
@@ -177,7 +177,7 @@ class TestCheckRate:
         with pytest.raises(ConfigError):
             generators.min_temp_predict(0.5, omega)
 
-    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0, 1e101])
     @pytest.mark.parametrize("form", ["four_state_rate", "simultaneous_excitation_mean"])
     def test_four_state_forms_reject_bad_omega(self, form, omega):
         # each would return NaN or -inf, or divide by zero, at such an omega

@@ -73,6 +73,16 @@ class TestTypes:
         with pytest.raises(PositivityError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_propagator_checks_scale_with_the_operator(self):
+        # eigh's reconstruction error grows with the entries, so at max|H| ~ 1e7 it
+        # is far above an absolute 1e-10; the checks are relative to max(1, max|H|)
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        h = 1e6 * (m + m.conj().T)
+        prop = Propagator.from_operator(h)
+        back = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
+        np.testing.assert_allclose(back, h, rtol=0, atol=1e-10 * np.abs(h).max())
+
     def test_immutability(self):
         op = Operator(SIGMA_Z)
         with pytest.raises(ValueError):
