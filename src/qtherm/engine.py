@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, SizeLimitError
+from .errors import ConfigError, NumericError, PreconditionError, SizeLimitError
 from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
                      thermal_state)
 from .qcore import (DensityMatrix, StateVector, as_matrix, gksl_matrix, hermitian_part, marginal,
@@ -34,6 +34,7 @@ BORN_TOL = 1e-10
 ABSORPTION_CHUNK = 20000         # absorption_rate_mc trials drawn and scored per batch
 STACK_BYTES = 2 ** 22            # joint matrices run_intervals evolves per propagator call
 MAX_INTERVALS = 10 ** 5          # expected intervals per walker: ~30 s, ~0.8 GB exact at n_max 14
+TRACE_DRIFT_MAX = 1e-4           # largest |Tr rho_A - 1| of a density-matrix run (weak S_A floor)
 
 
 def check_horizon(horizon: float) -> None:
@@ -393,6 +394,10 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     and the S_A eigenvalue floors ``positivity_floor`` (``s_a_series``) and
     ``checkpoint_floor``.
 
+    Before any re-normalization, max |Tr rho_A - 1| over the checkpoints and
+    the interval ends is ``meta["trace_drift_max"]``; a drift above
+    TRACE_DRIFT_MAX is a NumericError, as the states are then not physical.
+
     This is the one place a density-matrix interval is booked: the reservoir
     side and dH_A = Tr H_A (rho_end - rho_start) by ``book_intervals`` as the
     interval ends, and dS_A, once the walk is done, as the step of
@@ -409,11 +414,11 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     cp_obs = np.empty((3, len(grid)))              # <H_A>, <H_B>, gamma <H_AB>
     rows: list[dict] = []                          # each interval's ledger but dS_A
     snapshots = [rho_a]
-    born_max = min_eig = 0.0
+    born_max = min_eig = drift_max = 0.0
     chunk = max(1, STACK_BYTES // (16 * sys.dim ** 2))
 
     def step(k, live, u, t_start, t_k, checkpoints, completes):
-        nonlocal rho_a, born_max, min_eig
+        nonlocal rho_a, born_max, min_eig, drift_max
         beta_k, pops_b0 = reservoir(k)
         joint0 = np.kron(rho_a, (v_b * pops_b0) @ v_b.conj().T)
         js, taus = [], []
@@ -426,6 +431,11 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         for lo in range(0, taus.size, chunk):
             joint = prop.apply(joint0, taus[lo:lo + chunk])
             rho = hermitian_part(marginal(joint, dims, "A"))
+            drift = float(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max())
+            if not drift <= TRACE_DRIFT_MAX:
+                raise NumericError(f"the trace of the state of A drifted from 1 by {drift:.2e}, "
+                                   f"more than {TRACE_DRIFT_MAX:g}")
+            drift_max = max(drift_max, drift)
             rho_b = marginal(joint, dims, "B")
             hab = prop.hab_expect(joint, taus[lo:lo + chunk])
             cp = js[lo:lo + chunk]                    # the checkpoints among these times
@@ -481,7 +491,8 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         checkpoint_hab=series.mean_hab,
         checkpoint_hb=series.mean_hb,
         min_eig=min_eig,
-        meta={"lam": lam, "horizon": horizon, "seed": seed, "top_fock_max": float(top)},
+        meta={"lam": lam, "horizon": horizon, "seed": seed, "top_fock_max": float(top),
+              "trace_drift_max": drift_max},
         series=series,
         truncation_suspect=bool(top > TRUNCATION_LIMIT),
         born_max_deviation=born_max,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import IntervalRun, _JointFrame, check_horizon, check_seed, run_intervals
+from .engine import (TRACE_DRIFT_MAX, IntervalRun, _JointFrame, check_horizon, check_seed,
+                     run_intervals)
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, check_rate, thermal_populations, thermal_state
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
@@ -280,6 +281,43 @@ def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
     return gksl_matrix(_fast_parts(sys, lam, lam))
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _hermitian_rows(m: np.ndarray, n_d: int, n_o: int, sign: complex = 1j) -> np.ndarray:
+    # U m along the first axis, for the unitary U that takes a block's vectorized entries,
+    # ordered (diagonal, upper, lower triangle), to their coordinates in the orthonormal
+    # Hermitian basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2; sign -1j gives conj(U) m
+    diag, upper, lower = m[:n_d], m[n_d:n_d + n_o], m[n_d + n_o:]
+    return np.concatenate([diag, (upper + lower) * _SQRT_HALF,
+                           (lower - upper) * (sign * _SQRT_HALF)])
+
+
+def _traceless(m: np.ndarray, n_d: int) -> np.ndarray:
+    # the first n_d rows of m reflected by H = 1 - 2 w w^T / |w|^2, w = e_0 - 1/sqrt(n_d),
+    # which swaps e_0 and the unit vector 1/sqrt(n_d): the diagonal coordinates become
+    # Tr / sqrt(n_d) and n_d - 1 traceless ones (H is symmetric and its own inverse)
+    if n_d == 1:
+        return m
+    w = np.full(n_d, -1.0 / math.sqrt(n_d))
+    w[0] += 1.0
+    m = m.copy()
+    m[:n_d] -= np.multiply.outer(w, w @ m[:n_d]) * (2.0 / (w @ w))
+    return m
+
+
+def _to_real(x: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
+    # the real coordinates of Hermitian entries x (diagonal, upper, lower) along the first
+    # axis: those of the Hermitian basis, the diagonal ones reflected by _traceless
+    return _traceless(_hermitian_rows(x, n_d, n_o).real, n_d)
+
+
+def _from_real(z: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
+    # the entries (diagonal, upper, lower) of real coordinates z, inverting _to_real
+    upper = (z[n_d:n_d + n_o] + 1j * z[n_d + n_o:]) * _SQRT_HALF
+    return np.concatenate([_traceless(z[:n_d], n_d), upper, upper.conj()])
+
+
 class _LinearPropagator:
     """exp(t G) for a vectorized generator G, one independent block at a time.
 
@@ -290,21 +328,46 @@ class _LinearPropagator:
     with weight in it (``decomposed``); a zero block gives an exactly zero
     result.  Each interval starts from rho_A (x) rho_B with B dephased, so
     from a parity-symmetric start (a Fock state) the ket/bra cross-parity
-    blocks never get weight.  A block whose eigenvectors are too
-    ill-conditioned to invert (1-norm condition number >= 1e10, or singular: a
-    defective block) is propagated with a dense ``expm`` of that block alone,
-    listed in ``expm_blocks``.  Once a block is decomposed, evolving a state
-    to a whole vector of times costs one matrix product per block.
+    blocks never get weight.
+
+    A block closed under the swap (i, j) -> (j, i) that holds diagonal
+    entries is written in the orthonormal Hermitian basis E_ii,
+    (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j) by two index gathers,
+    with no change-of-basis matrix.  A GKSL generator maps Hermitian matrices
+    to Hermitian ones and keeps the trace, so there it is real and its trace
+    row (the sum of the E_ii rows) is zero.  When the block's imaginary part
+    and its trace row are within 1e-10 of its largest entry, it is propagated
+    in real form (``real_blocks``; real ``eig`` costs about half of complex):
+    the coordinates are [Re x_ii, sqrt2 Re x_ij, sqrt2 Im x_ij], with the
+    diagonal ones reflected into Tr x / sqrt(n_d) and n_d - 1 traceless ones
+    (the basis of Gorini, Kossakowski & Sudarshan 1976), and the trace row
+    is set to an exact zero.  No rounding of G or of its eigendecomposition
+    then moves the trace: ``eig``'s balancing isolates the zero row, so its
+    eigenvalue is an exact 0 and no other eigenvector has weight on it.  The
+    zeroed rows are G's own rounding, and they bound what G says about the
+    trace: a state of trace 1 has Hermitian-basis coordinates of at most 1,
+    so over tau they could have moved it by at most tau times their summed
+    1-norms.  Above ``engine.TRACE_DRIFT_MAX`` that is a NumericError; the
+    largest sum a state reached is ``trace_row_norm``.
+
+    Every other block (the off-diagonal sector pairs, or a block of a
+    generator that does not keep Hermiticity or the trace) is decomposed as
+    it is.  A block whose eigenvectors, in whichever form was decomposed, are
+    too ill-conditioned to invert (1-norm condition number >= 1e10, or
+    singular: a defective block) is propagated with a dense ``expm`` of that
+    block alone, listed in ``expm_blocks``.  Once a block is decomposed,
+    evolving a state to a whole vector of times costs one matrix product per
+    block.  A non-finite result (the exponentials overflow) is a NumericError.
 
     As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
     the phase-weighted sum over the frequency ``sectors`` (omega, V_omega).
     The averaged generators are of GKSL form with a positive coefficient
     matrix, but that matrix is nearly singular at small lam, so in floating
-    point (or for a generator the caller supplies) positivity and the trace
-    are not exactly preserved: each interval's joint state is checked against
-    ``positivity_floor`` and the state of A is re-normalized before the next
-    interval.
+    point (or for a generator the caller supplies) positivity, and in a
+    complex block the trace, are not exactly preserved: each interval's joint
+    state is checked against ``positivity_floor`` and the state of A is
+    re-normalized before the next interval.
     """
 
     positivity_floor = -1e-5         # joint eigenvalues and the ledger's entropies
@@ -322,17 +385,43 @@ class _LinearPropagator:
         self._label = np.empty(gen.shape[0], dtype=int)         # block number of each index
         for k, b in enumerate(self.blocks):
             self._label[b] = k
-        self._parts = [None] * len(self.blocks)   # per block: (evals, vr, vr^-1), or (block of G,)
-        self.expm_blocks = []        # (indices, block of G) for the ill-conditioned ones
+        # per block: (indices, (n_d, n_o) in the Hermitian basis or None, 1-norm of the trace
+        # row zeroed there, (evals, vr, vr^-1) or (block of G,)), with the indices ordered
+        # (diagonal, upper, lower) in the Hermitian basis
+        self._parts = [None] * len(self.blocks)
+        self.expm_blocks = []        # (indices, decomposed form) for the ill-conditioned ones
+        self.trace_row_norm = 0.0    # largest sum of the zeroed trace rows a state reached
 
     @property
     def decomposed(self) -> np.ndarray:
         """Per block: eigendecomposed (or sent to ``expm``) yet."""
         return np.array([p is not None for p in self._parts])
 
+    @property
+    def real_blocks(self) -> int:
+        """How many decomposed blocks are propagated in the real Hermitian basis."""
+        return sum(p is not None and p[1] is not None for p in self._parts)
+
     def _decompose(self, k: int) -> tuple:
         idx = self.blocks[k]
-        g = self._gen[np.ix_(idx, idx)]
+        i, j = np.divmod(idx, self.dim)
+        diag, upper = idx[i == j], idx[i < j]
+        lower = (j * self.dim + i)[i < j]          # the mirror images of the upper triangle
+        if diag.size and diag.size + 2 * upper.size == idx.size and np.isin(lower, idx).all():
+            idx, herm = np.concatenate([diag, upper, lower]), (diag.size, upper.size)
+            g = self._gen[np.ix_(idx, idx)]
+            h = _hermitian_rows(_hermitian_rows(g, *herm).T, *herm, sign=-1j).T   # U g U^+
+            tol = 1e-10 * np.abs(h).max()
+            row = np.abs(h.real[:diag.size].sum(axis=0))         # the trace row
+            if np.abs(h.imag).max() <= tol and row.max() <= tol:
+                # to _to_real's coordinates, H h H, where the trace row is an exact zero
+                h = _traceless(_traceless(h.real, diag.size).T, diag.size).T
+                h[0] = 0.0
+                return idx, herm, float(row.sum()), self._eig(idx, h)
+            return idx, None, 0.0, self._eig(idx, g)
+        return idx, None, 0.0, self._eig(idx, self._gen[np.ix_(idx, idx)])
+
+    def _eig(self, idx: np.ndarray, g: np.ndarray) -> tuple:
         evals, vr = np.linalg.eig(g)
         try:
             vr_inv = np.linalg.inv(vr)
@@ -349,19 +438,37 @@ class _LinearPropagator:
         taus = np.asarray(taus, dtype=float)
         x = theta.reshape(-1)
         out = np.zeros((x.size, taus.size), dtype=complex)
-        for k in np.unique(self._label[x != 0]).tolist():
+        reached = np.unique(self._label[x != 0]).tolist()
+        for k in reached:
             if self._parts[k] is None:
                 self._parts[k] = self._decompose(k)
-            idx, parts = self.blocks[k], self._parts[k]
-            if len(parts) == 3:
-                evals, vr, vr_inv = parts
-                out[idx] = vr @ ((vr_inv @ x[idx])[:, None] * np.exp(evals[:, None] * taus))
-                continue
-            # imported here, as scipy costs ~0.3 s and ~45 MB in every run that needs no expm
-            from scipy.linalg import expm
+        # a state of trace 1 has coordinates of at most 1, so over tau the zeroed trace
+        # rows would have moved the trace by at most their summed 1-norms times tau
+        row = sum(self._parts[k][2] for k in reached)
+        self.trace_row_norm = max(self.trace_row_norm, row)
+        if row * taus.max(initial=0.0) > TRACE_DRIFT_MAX:
+            raise NumericError(f"the generator keeps the trace only to {row:.2e} per unit time, "
+                               f"up to {row * taus.max():.2e} over tau = {taus.max():.3g}, "
+                               f"more than {TRACE_DRIFT_MAX:g}")
+        # an overflowing exponential is reported once, as the non-finite result below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in reached:
+                idx, herm, _, parts = self._parts[k]
+                y = x[idx] if herm is None else _to_real(x[idx], *herm)
+                if len(parts) == 3:
+                    evals, vr, vr_inv = parts
+                    y = vr @ ((vr_inv @ y)[:, None] * np.exp(evals[:, None] * taus))
+                else:
+                    # imported here: scipy costs ~0.3 s and ~45 MB in every run without expm
+                    from scipy.linalg import expm
 
-            for i, t in enumerate(taus.tolist()):
-                out[idx, i] = expm(parts[0] * t) @ x[idx]
+                    y0, y = y, np.empty((y.size, taus.size), dtype=complex)
+                    for i, t in enumerate(taus.tolist()):
+                        y[:, i] = expm(parts[0] * t) @ y0
+                out[idx] = y if herm is None else _from_real(y.real, *herm)
+        if not np.isfinite(out).all():
+            raise NumericError("the averaged propagator gave a non-finite state: its "
+                               "exponentials overflow")
         return hermitian_part(out.T.reshape(taus.size, self.dim, self.dim))
 
     def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
@@ -407,7 +514,8 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
                         checkpoint_times, spec.lam, seed, intervals)
     run.meta.update(beta=beta, propagator_blocks=len(prop.blocks),
                     largest_block=max(len(b) for b in prop.blocks),
-                    decomposed_blocks=int(prop.decomposed.sum()), expm_blocks=len(prop.expm_blocks))
+                    decomposed_blocks=int(prop.decomposed.sum()), real_blocks=prop.real_blocks,
+                    expm_blocks=len(prop.expm_blocks), trace_row_norm=prop.trace_row_norm)
     return run
 
 

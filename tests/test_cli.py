@@ -290,6 +290,27 @@ class TestMain:
         assert "Traceback" not in res.stderr and "Warning" not in res.stderr, res.stderr
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("mode,lines", [
+        ("weak", "gamma = 1e6"), ("weak", "gamma = 1e8"),
+        ("fast", "lambda = 1e9\nomega_a = 1e50\nhorizon = 1e-5"),
+        ("fast", "lambda = 1e9\nomega_b = 1e50\nhorizon = 1e-5")])
+    def test_runaway_averaged_run_fails_in_one_line(self, tmp_path, mode, lines):
+        # weak at gamma = 1e6 exited 0 with populations of 145, and at 1e8 (or fast
+        # with [H_0, H_AB] gamma / lambda^2 ~ 5e30) printed three numpy RuntimeWarnings
+        # before the failure; the horizon keeps lambda = 1e9 under MAX_INTERVALS
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text(lines + "\n")
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run(
+            [sys.executable, "-m", "qtherm.cli", "simulate", "--mode", mode, "--config",
+             str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("numeric failure: ") and res.stderr.count("\n") == 1, \
+            res.stderr
+        assert "Warning" not in res.stderr, res.stderr
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("line", ["t_points = -1", "t_max = -5", "t_max = nan",
                                       "lambda = -1", "lambda = nan", "lambda = inf",
                                       "n_levels = -1"])

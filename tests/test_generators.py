@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qtherm.errors import ConfigError, DegenerateSteadyStateError, NumericError,
 from qtherm.generators import (
     _LinearPropagator,
     _dissipator_parts,
+    _hermitian_rows,
     _fast_parts,
     _weak_parts,
     assemble_joint_fast_generator,
@@ -490,6 +492,59 @@ class TestLindbladPropagate:
                               intervals=np.array([1.0]), beta=1.0, generator=gen)
         assert "\n" not in str(err.value)
 
+    def test_interval_protocol_reports_and_bounds_trace_drift(self):
+        # G - kappa loses the trace as exp(-kappa tau): the run reports the largest
+        # |Tr rho_A - 1| of its checkpoints and interval ends, and above 1e-4 refuses
+        # the run in one line
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                  gamma=0.1, n_max=3))
+        spec = decompose(sys, 0.2)
+        gen = assemble_joint_weak_generator(spec)
+
+        def run(kappa):
+            return weak_interval_run(spec, thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0),
+                                     horizon=1.0, intervals=np.array([1.0]),
+                                     checkpoint_times=np.linspace(0.0, 1.0, 3), beta=1.0,
+                                     generator=gen - kappa * np.eye(len(gen)))
+
+        assert abs(run(1e-6).meta["trace_drift_max"] + math.expm1(-1e-6)) < 1e-12
+        with pytest.raises(NumericError, match="trace of the state of A") as err:
+            run(1e-3)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("gamma", [1e6, 1e8])
+    def test_interval_protocol_refuses_a_generator_that_loses_the_trace(self, gamma):
+        # |G| ~ gamma^2 / lam: the trace row of each reached block, zero in exact
+        # arithmetic, is ~1 per unit time from rounding at gamma = 1e6, so the
+        # generator says nothing about the trace over an interval.  Its blocks once
+        # propagated it anyway, to populations in the thousands (gamma = 1e6) or a
+        # numpy warning and "Eigenvalues did not converge" (1e8)
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=gamma,
+                                  n_max=4, rwa=False))
+        rho0 = np.zeros((sys.dim_a, sys.dim_a))
+        rho0[1, 1] = 1.0
+        with pytest.raises(NumericError, match="keeps the trace only to") as err:
+            weak_interval_run(decompose(sys, 1e-2), thermal_state(sys.h_b, 1.0), rho0,
+                              horizon=300.0, seed=2024, beta=1.0)
+        assert "\n" not in str(err.value)
+
+    def test_interval_protocol_keeps_the_trace_near_the_floor(self):
+        # the near-floor configuration (n_max 6, gamma 0.1, lam 1e-5, horizon 1e6):
+        # with each reached block's trace row left as rounding made it, the trace drifted
+        # by ~5e-7 (complex) to ~1e-4 (real) and the Born sum with it; with an exact
+        # trace row both are rounding
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.1,
+                                  n_max=6, rwa=False))
+        rho0 = np.zeros((sys.dim_a, sys.dim_a))
+        rho0[1, 1] = 1.0
+        run = weak_interval_run(decompose(sys, 1e-5), thermal_state(sys.h_b, 1.0), rho0,
+                                horizon=1e6, seed=3, beta=1.0)
+        assert len(run.ledgers) > 5
+        assert run.meta["trace_drift_max"] < 1e-12 and run.born_max_deviation < 1e-12
+        # the zeroed trace rows, ~1e-11 per unit time, would have moved the trace by
+        # ~5e-6 over the longest interval (5e5)
+        assert 0 < run.meta["trace_row_norm"] < 1e-10
+
     def test_interval_protocol_rejects_infinite_horizon(self):
         sys = build_jcm(JcmParams(n_max=2))
         rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
@@ -698,6 +753,77 @@ class TestLinearPropagator:
                                 horizon=300.0, seed=5, beta=1.0)
         assert (run.meta["propagator_blocks"], run.meta["largest_block"]) == (n_blocks, largest)
         assert (run.meta["decomposed_blocks"], run.meta["expm_blocks"]) == (decomposed, 0)
+        # every reached block holds diagonal entries, so each is propagated in real form
+        assert run.meta["real_blocks"] == decomposed
+
+    @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
+    @pytest.mark.parametrize("kind", ["weak", "fast"])
+    def test_hermitian_blocks_propagate_in_real_form(self, kind, rwa):
+        # a GKSL generator maps Hermitian matrices to Hermitian ones, so each block
+        # that holds diagonal entries is closed under the swap (i, j) -> (j, i) and is
+        # real in the Hermitian basis; propagating its real coordinates matches each
+        # block's complex eigendecomposition and a dense expm
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            sys = build_jcm(JcmParams(omega_a=rng.uniform(1.0, 8.0), omega_b=rng.uniform(1.0, 8.0),
+                                      gamma=rng.uniform(0.02, 0.3), n_max=int(rng.integers(1, 5)),
+                                      rwa=rwa))
+            lam = rng.uniform(0.05, 1.0) if kind == "weak" else rng.uniform(5.0, 20.0)
+            gen = (assemble_joint_weak_generator(decompose(sys, lam)) if kind == "weak"
+                   else assemble_joint_fast_generator(sys, lam))
+            d = sys.dim
+            prop = _LinearPropagator(gen, ())
+            n_real = 0
+            for idx in prop.blocks:
+                i, j = np.divmod(idx, d)
+                if not (i == j).any():
+                    continue
+                order = np.concatenate([idx[i == j], idx[i < j], (j * d + i)[i < j]])
+                np.testing.assert_array_equal(np.sort(order), idx)
+                herm = ((i == j).sum(), (i < j).sum())
+                g = gen[np.ix_(order, order)]
+                h = _hermitian_rows(_hermitian_rows(g, *herm).T, *herm, sign=-1j).T
+                assert np.abs(h.imag).max() <= 1e-12 * np.abs(h).max()
+                n_real += 1
+            rho = random_density(rng, d)
+            taus = np.array([0.1, 1.0, 10.0]) / lam
+            got = prop.apply(rho, taus)
+            assert prop.real_blocks == n_real > 0 and not prop.expm_blocks
+            x = rho.reshape(-1)
+            for t, joint in zip(taus, got):
+                want = (expm(t * gen) @ x).reshape(d, d)
+                np.testing.assert_allclose(joint, want, rtol=0, atol=1e-12 * np.abs(want).max())
+                cplx = np.zeros_like(x)
+                for idx in prop.blocks:
+                    evals, vr = np.linalg.eig(gen[np.ix_(idx, idx)])
+                    cplx[idx] = vr @ (np.exp(evals * t) * np.linalg.solve(vr, x[idx]))
+                np.testing.assert_allclose(joint, cplx.reshape(d, d), rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+
+    def test_generator_that_breaks_hermiticity_or_trace_takes_the_complex_path(self):
+        # (1 + 0.1i) G has G's block pattern but does not map Hermitian matrices to
+        # Hermitian ones; G - 0.05 does, but does not keep the trace: neither block
+        # is real with an exact trace row, so each is decomposed as it is
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                  gamma=0.1, n_max=3))
+        gen = assemble_joint_weak_generator(decompose(sys, 0.2))
+        rho = random_density(np.random.default_rng(31), sys.dim)
+        for bad in (gen * (1 + 0.1j), gen - 0.05 * np.eye(len(gen))):
+            prop = _LinearPropagator(bad, ())
+            for t in (0.5, 5.0):
+                want = (expm(t * bad) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
+                np.testing.assert_allclose(prop.apply(rho, [t])[0], (want + want.conj().T) / 2,
+                                           rtol=0, atol=1e-12 * np.abs(want).max())
+            assert prop.decomposed.all() and prop.real_blocks == 0 and not prop.expm_blocks
+
+    def test_overflowing_exponentials_are_one_numeric_error(self):
+        # G = 1000 grows every state by e^1000 at t = 1: no numpy warning, one line
+        prop = _LinearPropagator(1e3 * np.eye(16), ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite") as err:
+                prop.apply(random_density(np.random.default_rng(5), 4), [0.5, 1.0])
+        assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("mode", ["weak", "fast"])
     def test_default_run_needs_no_expm(self, mode):
