@@ -27,7 +27,8 @@ from .engine import (TRACE_DRIFT_MAX, IntervalRun, _JointFrame, check_horizon, c
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, check_rate, thermal_populations, thermal_state
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
-                    gksl, gksl_matrix, hermitian_part, marginal, propagate_grid)
+                    from_real, gksl, gksl_matrix, hermitian_block, hermitian_part, marginal,
+                    propagate_grid, to_real, well_conditioned_inverse)
 
 
 @dataclass(frozen=True)
@@ -158,46 +159,49 @@ def _reduced_generator(spec: GeneratorSpec, pops_b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Null state of a generator plus the two lowest-level populations."""
+    """Null state, its two lowest-level populations, |G rho| and the solve's condition number."""
 
     rho_ss: DensityMatrix
     p0: float
     p1: float
     beta_eff: float
     residual: float
+    cond: float
 
 
 def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = None) -> SteadyStateResult:
-    """Steady state as the smallest singular vector of a vectorized generator.
+    """Steady state of a vectorized GKSL generator by one real solve.
 
-    The result is Hermitized and trace-normalized, in the basis the generator
-    acts in; a null space of dimension greater than one raises
-    DegenerateSteadyStateError.  When ``h_a`` is given, that basis must be
-    its energy basis, ascending (as for ``assemble_reduced_generator``):
-    p0/p1 are then the first two diagonal entries of rho_ss and
-    beta_eff = -ln(p1/p0) / (E1 - E0) with the two lowest energies of ``h_a``.
-    """
+    In ``qcore.hermitian_block``'s real form G (a PreconditionError without
+    one), the trace coordinate is 1/sqrt(d) and G_11 y = -g_10 / sqrt(d)
+    gives the others, so rho_ss is Hermitian with trace 1, in the basis the
+    generator acts in.  If G_11 fails ``qcore.well_conditioned_inverse``, the
+    singular values count the null space: DegenerateSteadyStateError above
+    one, else NumericError.  With ``h_a``, that basis must be its ascending
+    energy basis (as for ``assemble_reduced_generator``): p0/p1 are the first
+    two diagonal entries of rho_ss and beta_eff = -ln(p1/p0) / (E1 - E0)."""
     gen = np.asarray(superoperator, dtype=complex)
     d2 = gen.shape[0]
     da = int(round(math.sqrt(d2)))
     if da * da != d2:
         raise ValueError("superoperator must act on a vectorized square matrix")
-    _, s, vh = np.linalg.svd(gen)
-    snorm = float(s.max()) if s.size else 0.0
-    null_dim = int((s <= snorm * 1e-10 + 1e-300).sum())
-    if null_dim > 1:
-        raise DegenerateSteadyStateError(null_dim)
-    rho = hermitian_part(vh[-1].conj().reshape(da, da))
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise NumericError("steady-state candidate has vanishing trace")
-    rho = rho / tr
+    idx, herm, g, _ = hermitian_block(gen, np.arange(d2), da)
+    if herm is None:
+        raise PreconditionError("the generator does not keep Hermiticity and the trace")
+    inv, cond = well_conditioned_inverse(g[1:, 1:])
+    if inv is None:
+        s = np.linalg.svd(gen, compute_uv=False)
+        if (null_dim := int((s <= s.max() * 1e-10 + 1e-300).sum())) > 1:
+            raise DegenerateSteadyStateError(null_dim)
+        raise NumericError(f"steady-state candidate has vanishing trace (cond {cond:.1e})")
+    z = np.concatenate([[1.0], -(inv @ g[1:, 0])]) / math.sqrt(da)
+    rho = from_real(z, *herm)[np.argsort(idx)].reshape(da, da)
     residual = float(np.linalg.norm(gen @ rho.reshape(-1)))
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -1e-9:
         raise NumericError(f"steady state not positive: min eigenvalue {evals.min():.2e}")
-    rho = rho - np.eye(da) * min(evals.min(), 0.0)
-    rho = rho / np.trace(rho).real
+    shift = min(evals.min(), 0.0)            # clips rounding below 0; Tr stays 1
+    rho = (rho - np.eye(da) * shift) / (1.0 - da * shift)
     p0 = p1 = beta_eff = math.nan
     if h_a is not None:
         evals_a = np.linalg.eigvalsh(as_matrix(h_a))
@@ -206,7 +210,7 @@ def steady_state(superoperator: np.ndarray, h_a: Operator | np.ndarray | None = 
         if p0 > 0 and p1 > 0 and gap > 0:
             beta_eff = -math.log(p1 / p0) / gap
     return SteadyStateResult(rho_ss=DensityMatrix(rho), p0=p0, p1=p1,
-                             beta_eff=beta_eff, residual=residual)
+                             beta_eff=beta_eff, residual=residual, cond=cond)
 
 
 class AveragedIntervalMap:
@@ -238,8 +242,8 @@ class AveragedIntervalMap:
 
     def fixed_point(self) -> np.ndarray:
         """``steady_state`` of M - 1, where column (a, b) of M is the map applied
-        to the matrix unit E_ab; a fixed space of dimension greater than one
-        raises DegenerateSteadyStateError."""
+        to the matrix unit E_ab (a GKSL generator); a fixed space of dimension
+        greater than one raises DegenerateSteadyStateError."""
         da = self.sys.dim_a
         m = self._average(np.eye(da * da).reshape(-1, da, da)).reshape(da * da, -1).T
         return steady_state(m - np.eye(da * da)).rho_ss.mat
@@ -281,43 +285,6 @@ def assemble_joint_fast_generator(sys: JointSystem, lam: float) -> np.ndarray:
     return gksl_matrix(_fast_parts(sys, lam, lam))
 
 
-_SQRT_HALF = math.sqrt(0.5)
-
-
-def _hermitian_rows(m: np.ndarray, n_d: int, n_o: int, sign: complex = 1j) -> np.ndarray:
-    # U m along the first axis, for the unitary U that takes a block's vectorized entries,
-    # ordered (diagonal, upper, lower triangle), to their coordinates in the orthonormal
-    # Hermitian basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2; sign -1j gives conj(U) m
-    diag, upper, lower = m[:n_d], m[n_d:n_d + n_o], m[n_d + n_o:]
-    return np.concatenate([diag, (upper + lower) * _SQRT_HALF,
-                           (lower - upper) * (sign * _SQRT_HALF)])
-
-
-def _traceless(m: np.ndarray, n_d: int) -> np.ndarray:
-    # the first n_d rows of m reflected by H = 1 - 2 w w^T / |w|^2, w = e_0 - 1/sqrt(n_d),
-    # which swaps e_0 and the unit vector 1/sqrt(n_d): the diagonal coordinates become
-    # Tr / sqrt(n_d) and n_d - 1 traceless ones (H is symmetric and its own inverse)
-    if n_d == 1:
-        return m
-    w = np.full(n_d, -1.0 / math.sqrt(n_d))
-    w[0] += 1.0
-    m = m.copy()
-    m[:n_d] -= np.multiply.outer(w, w @ m[:n_d]) * (2.0 / (w @ w))
-    return m
-
-
-def _to_real(x: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
-    # the real coordinates of Hermitian entries x (diagonal, upper, lower) along the first
-    # axis: those of the Hermitian basis, the diagonal ones reflected by _traceless
-    return _traceless(_hermitian_rows(x, n_d, n_o).real, n_d)
-
-
-def _from_real(z: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
-    # the entries (diagonal, upper, lower) of real coordinates z, inverting _to_real
-    upper = (z[n_d:n_d + n_o] + 1j * z[n_d + n_o:]) * _SQRT_HALF
-    return np.concatenate([_traceless(z[:n_d], n_d), upper, upper.conj()])
-
-
 class _LinearPropagator:
     """exp(t G) for a vectorized generator G, one independent block at a time.
 
@@ -330,34 +297,23 @@ class _LinearPropagator:
     from a parity-symmetric start (a Fock state) the ket/bra cross-parity
     blocks never get weight.
 
-    A block closed under the swap (i, j) -> (j, i) that holds diagonal
-    entries is written in the orthonormal Hermitian basis E_ii,
-    (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j) by two index gathers,
-    with no change-of-basis matrix.  A GKSL generator maps Hermitian matrices
-    to Hermitian ones and keeps the trace, so there it is real and its trace
-    row (the sum of the E_ii rows) is zero.  When the block's imaginary part
-    and its trace row are within 1e-10 of its largest entry, it is propagated
-    in real form (``real_blocks``; real ``eig`` costs about half of complex):
-    the coordinates are [Re x_ii, sqrt2 Re x_ij, sqrt2 Im x_ij], with the
-    diagonal ones reflected into Tr x / sqrt(n_d) and n_d - 1 traceless ones
-    (the basis of Gorini, Kossakowski & Sudarshan 1976), and the trace row
-    is set to an exact zero.  No rounding of G or of its eigendecomposition
-    then moves the trace: ``eig``'s balancing isolates the zero row, so its
-    eigenvalue is an exact 0 and no other eigenvector has weight on it.  The
-    zeroed rows are G's own rounding, and they bound what G says about the
-    trace: a state of trace 1 has Hermitian-basis coordinates of at most 1,
-    so over tau they could have moved it by at most tau times their summed
-    1-norms.  Above ``engine.TRACE_DRIFT_MAX`` that is a NumericError; the
-    largest sum a state reached is ``trace_row_norm``.
+    A block that ``qcore.hermitian_block`` writes in real form (each
+    diagonal-holding block of a GKSL generator) is propagated in real
+    arithmetic (``real_blocks``; real ``eig`` costs about half of complex).
+    ``eig``'s balancing isolates its zero trace row, so that eigenvalue is
+    an exact 0, no other eigenvector has weight on it and no rounding moves
+    the trace.  The zeroed rows, G's own rounding, could have moved the trace
+    of a state of trace 1 by at most tau times their summed 1-norms: above
+    ``engine.TRACE_DRIFT_MAX`` that is a NumericError, and the largest sum a
+    state reached is ``trace_row_norm``.
 
     Every other block (the off-diagonal sector pairs, or a block of a
     generator that does not keep Hermiticity or the trace) is decomposed as
-    it is.  A block whose eigenvectors, in whichever form was decomposed, are
-    too ill-conditioned to invert (1-norm condition number >= 1e10, or
-    singular: a defective block) is propagated with a dense ``expm`` of that
-    block alone, listed in ``expm_blocks``.  Once a block is decomposed,
-    evolving a state to a whole vector of times costs one matrix product per
-    block.  A non-finite result (the exponentials overflow) is a NumericError.
+    it is.  A block whose eigenvectors fail ``qcore.well_conditioned_inverse``
+    (a defective block's do) is propagated with a dense ``expm`` of that
+    block alone (``expm_blocks``).  Once decomposed, a block evolves a state
+    to a whole vector of times in one matrix product.  A non-finite result
+    (the exponentials overflow) is a NumericError.
 
     As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
@@ -385,9 +341,8 @@ class _LinearPropagator:
         self._label = np.empty(gen.shape[0], dtype=int)         # block number of each index
         for k, b in enumerate(self.blocks):
             self._label[b] = k
-        # per block: (indices, (n_d, n_o) in the Hermitian basis or None, 1-norm of the trace
-        # row zeroed there, (evals, vr, vr^-1) or (block of G,)), with the indices ordered
-        # (diagonal, upper, lower) in the Hermitian basis
+        # per block: ``qcore.hermitian_block``'s (indices, (n_d, n_o) or None, 1-norm of the
+        # zeroed trace row) and (evals, vr, vr^-1) or (block of G,)
         self._parts = [None] * len(self.blocks)
         self.expm_blocks = []        # (indices, decomposed form) for the ill-conditioned ones
         self.trace_row_norm = 0.0    # largest sum of the zeroed trace rows a state reached
@@ -403,35 +358,13 @@ class _LinearPropagator:
         return sum(p is not None and p[1] is not None for p in self._parts)
 
     def _decompose(self, k: int) -> tuple:
-        idx = self.blocks[k]
-        i, j = np.divmod(idx, self.dim)
-        diag, upper = idx[i == j], idx[i < j]
-        lower = (j * self.dim + i)[i < j]          # the mirror images of the upper triangle
-        if diag.size and diag.size + 2 * upper.size == idx.size and np.isin(lower, idx).all():
-            idx, herm = np.concatenate([diag, upper, lower]), (diag.size, upper.size)
-            g = self._gen[np.ix_(idx, idx)]
-            h = _hermitian_rows(_hermitian_rows(g, *herm).T, *herm, sign=-1j).T   # U g U^+
-            tol = 1e-10 * np.abs(h).max()
-            row = np.abs(h.real[:diag.size].sum(axis=0))         # the trace row
-            if np.abs(h.imag).max() <= tol and row.max() <= tol:
-                # to _to_real's coordinates, H h H, where the trace row is an exact zero
-                h = _traceless(_traceless(h.real, diag.size).T, diag.size).T
-                h[0] = 0.0
-                return idx, herm, float(row.sum()), self._eig(idx, h)
-            return idx, None, 0.0, self._eig(idx, g)
-        return idx, None, 0.0, self._eig(idx, self._gen[np.ix_(idx, idx)])
-
-    def _eig(self, idx: np.ndarray, g: np.ndarray) -> tuple:
+        idx, herm, g, row = hermitian_block(self._gen, self.blocks[k], self.dim)
         evals, vr = np.linalg.eig(g)
-        try:
-            vr_inv = np.linalg.inv(vr)
-            # the 1-norm condition number, from the inverse that is needed anyway
-            if np.linalg.norm(vr, 1) * np.linalg.norm(vr_inv, 1) < 1e10:
-                return evals, vr, vr_inv
-        except np.linalg.LinAlgError:
-            pass                     # vr is singular
+        vr_inv, _ = well_conditioned_inverse(vr)
+        if vr_inv is not None:
+            return idx, herm, row, (evals, vr, vr_inv)
         self.expm_blocks.append((idx, g))
-        return (g,)
+        return idx, herm, row, (g,)
 
     def apply(self, theta: np.ndarray, taus) -> np.ndarray:
         """The stack of exp(tau G) theta, Hermitian d x d, one per time in ``taus``."""
@@ -454,7 +387,7 @@ class _LinearPropagator:
         with np.errstate(over="ignore", invalid="ignore"):
             for k in reached:
                 idx, herm, _, parts = self._parts[k]
-                y = x[idx] if herm is None else _to_real(x[idx], *herm)
+                y = x[idx] if herm is None else to_real(x[idx], *herm)
                 if len(parts) == 3:
                     evals, vr, vr_inv = parts
                     y = vr @ ((vr_inv @ y)[:, None] * np.exp(evals[:, None] * taus))
@@ -465,7 +398,7 @@ class _LinearPropagator:
                     y0, y = y, np.empty((y.size, taus.size), dtype=complex)
                     for i, t in enumerate(taus.tolist()):
                         y[:, i] = expm(parts[0] * t) @ y0
-                out[idx] = y if herm is None else _from_real(y.real, *herm)
+                out[idx] = y if herm is None else from_real(y.real, *herm)
         if not np.isfinite(out).all():
             raise NumericError("the averaged propagator gave a non-finite state: its "
                                "exponentials overflow")
@@ -526,6 +459,7 @@ def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: flo
     """Interval protocol driven by the fast-measurement generator instead; warns,
     as ``fast_map`` does, when lam < 10 gamma."""
     check_seed(seed)
+    check_horizon(horizon)          # before the warning and the dense generator
     spec = decompose(sys, lam)
     _warn_outside_fast_regime(sys, lam)
     return weak_interval_run(spec, rho_b0, rho_a0, horizon, seed=seed,

@@ -2,8 +2,10 @@
 
 States and operators are thin immutable wrappers around numpy arrays with the
 usual physical invariants enforced at construction (hermiticity, unit trace,
-positivity, normalization).  Units follow hbar = k_B = 1 throughout, so all
-energies are angular frequencies and all entropies are in nats.
+positivity, normalization).  The averaged propagator and the steady-state
+solve share a generator's one real form here, in the traceless Hermitian basis
+of Gorini, Kossakowski & Sudarshan (1976), and an inverse's one conditioning
+test.  With hbar = k_B = 1, energies are angular frequencies, entropies nats.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGMIN_TOL = 1e-10
 UNITARY_TOL = 1e-10
+COND_MAX = 1e10                  # 1-norm condition number ``well_conditioned_inverse`` refuses
+_SQRT_HALF = math.sqrt(0.5)
 
 # Largest d^2 x d^2 complex array that ``gksl_matrix`` builds; its caller holds a
 # few of them at once.  A joint space of 62 (n_max = 30) needs 0.22 GiB.
@@ -73,10 +77,6 @@ class StateVector:
             raise ValueError(f"state vector norm {nrm!r} deviates from 1 beyond 1e-12")
         object.__setattr__(self, "vec", v)
 
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
     def projector(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.vec, self.vec.conj()))
 
@@ -101,10 +101,6 @@ class DensityMatrix:
         if evals.min() < -EIGMIN_TOL:
             raise PositivityError(f"density matrix has eigenvalue {evals.min():.3e} < -1e-10")
         object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -196,6 +192,76 @@ def gksl_matrix(parts: tuple) -> np.ndarray:
     for w, v in pairs:
         out += np.kron(w, v.conj())
     return out
+
+
+def _hermitian_rows(m: np.ndarray, n_d: int, n_o: int, sign: complex = 1j) -> np.ndarray:
+    # U m along the first axis, for the unitary U that takes a block's vectorized entries,
+    # ordered (diagonal, upper, lower triangle), to their coordinates in the orthonormal
+    # Hermitian basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2; sign -1j gives conj(U) m
+    diag, upper, lower = m[:n_d], m[n_d:n_d + n_o], m[n_d + n_o:]
+    return np.concatenate([diag, (upper + lower) * _SQRT_HALF,
+                           (lower - upper) * (sign * _SQRT_HALF)])
+
+
+def _traceless(m: np.ndarray, n_d: int) -> np.ndarray:
+    # the first n_d rows of m reflected by H = 1 - 2 w w^T / |w|^2, w = e_0 - 1/sqrt(n_d),
+    # which swaps e_0 and the unit vector 1/sqrt(n_d): the diagonal coordinates become
+    # Tr / sqrt(n_d) and n_d - 1 traceless ones (H is symmetric and its own inverse)
+    if n_d == 1:
+        return m
+    w = np.full(n_d, -1.0 / math.sqrt(n_d))
+    w[0] += 1.0
+    m = m.copy()
+    m[:n_d] -= np.multiply.outer(w, w @ m[:n_d]) * (2.0 / (w @ w))
+    return m
+
+
+def hermitian_block(gen: np.ndarray, idx: np.ndarray, dim: int) -> tuple:
+    """(idx, herm, g, row): block ``idx`` of a generator on row-major dim x dim matrices.
+
+    A block with diagonal entries that is closed under (i, j) -> (j, i) comes reordered
+    (diagonal, upper, lower).  If, in the Hermitian basis, its imaginary part and trace row
+    (the sum of the E_ii rows) are within 1e-10 of its largest entry, as a GKSL generator's
+    are, g is real on ``to_real``'s coordinates with row 0, the trace row, set to an exact
+    zero; herm is (n_d, n_o) and row that row's 1-norm.  Else g is the complex block.
+    """
+    i, j = np.divmod(idx, dim)
+    diag, upper = idx[i == j], idx[i < j]
+    lower = (j * dim + i)[i < j]          # the mirror images of the upper triangle
+    if not (diag.size and diag.size + 2 * upper.size == idx.size and np.isin(lower, idx).all()):
+        return idx, None, gen[np.ix_(idx, idx)], 0.0
+    idx, herm = np.concatenate([diag, upper, lower]), (diag.size, upper.size)
+    g = gen[np.ix_(idx, idx)]
+    h = _hermitian_rows(_hermitian_rows(g, *herm).T, *herm, sign=-1j).T   # U g U^+
+    tol = 1e-10 * np.abs(h).max()
+    row = np.abs(h.real[:diag.size].sum(axis=0))
+    if not (np.abs(h.imag).max() <= tol and row.max() <= tol):
+        return idx, None, g, 0.0
+    h = _traceless(_traceless(h.real, diag.size).T, diag.size).T       # H h H
+    h[0] = 0.0
+    return idx, herm, h, float(row.sum())
+
+
+def to_real(x: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
+    """The real coordinates of Hermitian entries x, along the first axis, in ``hermitian_block``'s
+    order: [Re x_ii, sqrt2 Re x_ij, sqrt2 Im x_ij], the x_ii reflected by ``_traceless``."""
+    return _traceless(_hermitian_rows(x, n_d, n_o).real, n_d)
+
+
+def from_real(z: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
+    """The exactly Hermitian entries of real coordinates z: ``to_real`` inverted."""
+    upper = (z[n_d:n_d + n_o] + 1j * z[n_d + n_o:]) * _SQRT_HALF
+    return np.concatenate([_traceless(z[:n_d], n_d), upper, upper.conj()])
+
+
+def well_conditioned_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """(a^-1, cond), cond the 1-norm condition number of a; None for a^-1 if cond >= COND_MAX."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None, math.inf             # a is singular
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    return (inv if cond < COND_MAX else None), cond
 
 
 def connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:

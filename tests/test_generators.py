@@ -10,9 +10,9 @@ from qtherm.analytic import mean_b2_poisson
 from qtherm.engine import jump_averaged_generator
 from qtherm.errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from qtherm.generators import (
+    AveragedIntervalMap,
     _LinearPropagator,
     _dissipator_parts,
-    _hermitian_rows,
     _fast_parts,
     _weak_parts,
     assemble_joint_fast_generator,
@@ -32,8 +32,8 @@ from qtherm.generators import (
 )
 from qtherm.models import (JcmParams, JointSystem, build_jcm, destroy, thermal_populations,
                            thermal_state)
-from qtherm.qcore import (Operator, gksl, gksl_matrix, marginal, populations, trace_distance,
-                          von_neumann_entropy)
+from qtherm.qcore import (Operator, _hermitian_rows, gksl, gksl_matrix, hermitian_part, marginal,
+                          populations, trace_distance, von_neumann_entropy)
 from qtherm.thermo import s_tot
 
 RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=False)
@@ -574,7 +574,9 @@ class TestLindbladPropagate:
     def test_fast_protocol_rejects_non_finite(self, lam, horizon):
         sys = build_jcm(JcmParams(n_max=2))
         rho_b, rho_a = thermal_state(sys.h_b, 1.0), thermal_state(sys.h_a, 1.0)
-        with pytest.raises(ConfigError):
+        # refused before the regime warning (lam 0.2 < 10 gamma) and the dense generator
+        with warnings.catch_warnings(), pytest.raises(ConfigError):
+            warnings.simplefilter("error")
             fast_interval_run(sys, lam, rho_b, rho_a, horizon=horizon, intervals=np.array([1.0]),
                               beta=1.0)
 
@@ -1064,6 +1066,67 @@ class TestSteadyStateSolver:
         np.testing.assert_allclose([res.p0, res.p1], want[:2], rtol=0, atol=1e-9)
         e = sys.basis_a.eigenvalues
         assert abs(res.beta_eff + math.log(want[1] / want[0]) / (e[1] - e[0])) < 1e-8
+
+
+    def test_refuses_a_generator_that_breaks_hermiticity_or_the_trace(self):
+        # -1 keeps Hermiticity but not the trace (it used to return |1><1| with
+        # residual 1); (1 + 0.1i) G keeps the trace but not Hermiticity
+        sys = build_jcm(JcmParams(n_max=2))
+        gen = assemble_reduced_generator(decompose(sys, 0.5), 1.0)
+        for bad, h_a in ((-np.eye(4), np.diag([0.0, 1.0])), (gen * (1 + 0.1j), sys.h_a)):
+            with pytest.raises(PreconditionError, match="Hermiticity and the trace") as err:
+                steady_state(bad, h_a)
+            assert "\n" not in str(err.value)
+
+    def test_traceless_null_state_is_a_numeric_error(self):
+        # L(rho) = Tr(rho) Z - (rho - diag rho), Z = diag(1, -1), keeps Hermiticity and
+        # annihilates the trace; it maps the identity onto Z and annihilates Z, so its
+        # one null state is traceless and no null state has trace 1
+        gen = np.array([[1.0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [-1, 0, 0, -1]])
+        with pytest.raises(NumericError, match="vanishing trace"):
+            steady_state(gen)
+
+    def test_negative_populations_are_clipped_at_unit_trace_or_refused(self):
+        # a negative up rate puts the null state's p1 at up/down below zero: down to
+        # -1e-9 that is rounding, clipped with the trace kept at 1; below, an error
+        for up, clipped in ((-5e-10, True), (-5e-9, False)):
+            gen = np.zeros((4, 4))
+            gen[0, 0], gen[0, 3], gen[3, 3], gen[3, 0] = -up, 1.0, -1.0, up
+            gen[1, 1] = gen[2, 2] = -1.0
+            if clipped:
+                rho = steady_state(gen).rho_ss.mat
+                assert 0.0 <= rho[1, 1].real <= 1e-16 and abs(np.trace(rho) - 1.0) <= 1e-15
+            else:
+                with pytest.raises(NumericError, match="not positive"):
+                    steady_state(gen)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_real_solve_matches_an_svd_null_vector(self, seed):
+        # over random systems, for the reduced generator and for the averaged interval
+        # map's M - 1: the real traceless solve agrees with the SVD null vector of the
+        # complex generator, has trace 1 and exact Hermiticity, and leaves no larger
+        # residual.  At these sizes both residuals sit at the rounding of G itself, so
+        # they are compared to within the error of evaluating |G x|, d^2 eps |G| |x|
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)),
+                            gamma=rng.uniform(0.05, 0.5))
+        lam, beta, da = rng.uniform(0.1, 2.0), rng.uniform(0.2, 3.0), sys.dim_a
+        gen = assemble_reduced_generator(decompose(sys, lam), beta)
+        res = steady_state(gen, sys.h_a)
+        assert 1.0 <= res.cond < 1e10
+        amap = AveragedIntervalMap(sys, beta, lam)
+        m = amap._average(np.eye(da * da).reshape(-1, da, da)).reshape(da * da, -1).T
+        for g, rho in ((gen, res.rho_ss.mat), (m - np.eye(da * da), amap.fixed_point())):
+            _, s, vh = np.linalg.svd(g)
+            assert s[-2] > 1e-6 * s[0]              # the null state is unique
+            want = hermitian_part(vh[-1].conj().reshape(da, da))
+            want /= np.trace(want).real
+            np.testing.assert_allclose(rho, want, rtol=0, atol=1e-9)
+            assert abs(np.trace(rho) - 1.0) <= 1e-15
+            np.testing.assert_array_equal(rho, rho.conj().T)
+            slack = da ** 2 * np.finfo(float).eps * s[0] * np.linalg.norm(rho)
+            assert (np.linalg.norm(g @ rho.reshape(-1))
+                    <= np.linalg.norm(g @ want.reshape(-1)) + slack)
 
 
 class TestMinimumTemperature:
