@@ -22,12 +22,11 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, PreconditionError, SizeLimitError
+from .errors import ConfigError, DimensionError, NumericError, PreconditionError, SizeLimitError
 from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
                      thermal_state)
-from .qcore import (DensityMatrix, StateVector, as_matrix, gksl_matrix, hermitian_part, marginal,
-                    populations, propagate_grid, shannon_entropy, spectrum,
-                    von_neumann_entropy)
+from .qcore import (DensityMatrix, StateVector, as_matrix, expect, gksl_matrix, hermitian_part,
+                    marginal, populations, propagate_grid, shannon_entropy, spectrum)
 from .thermo import IntervalLedger, book_intervals
 
 BORN_TOL = 1e-10
@@ -47,6 +46,13 @@ def check_seed(seed: int) -> None:
     """Reject a negative seed, which no numpy SeedSequence takes."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed!r}")
+
+
+def check_initial_state(rho_a: np.ndarray, dim_a: int) -> None:
+    """Reject an initial state of A whose matrix is not dim_a x dim_a."""
+    if rho_a.shape != (dim_a, dim_a):
+        raise DimensionError(f"the initial state of A has shape {rho_a.shape}, but A has "
+                             f"dimension {dim_a}")
 
 
 def check_schedule(lam: float, horizon: float, grid: np.ndarray,
@@ -92,6 +98,8 @@ class ProcessConfig:
             raise ConfigError("n_checkpoints must be >= 0")
         if self.mode == "trajectory" and self.intervals is not None:
             raise ConfigError("an explicit interval schedule runs in density-matrix mode only")
+        if np.size(self.beta) == 0:
+            raise ConfigError("the beta schedule is empty")
         check_beta(self.beta)
         check_schedule(self.lam, self.horizon, [] if self.checkpoint_times is None
                        else np.asarray(self.checkpoint_times, dtype=float), self.intervals)
@@ -242,7 +250,7 @@ class _JointFrame:
 
     def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
         """<H_AB> of each matrix of the stack ``joint``."""
-        return np.trace(self.hab @ joint, axis1=-2, axis2=-1).real
+        return expect(self.hab, joint)
 
     def check_positivity(self, joint: np.ndarray) -> float:
         return 0.0
@@ -441,11 +449,8 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
             cp = js[lo:lo + chunk]                    # the checkpoints among these times
             if n := len(cp):
                 cp_rho[cp] = rho[:n]
-                cp_obs[:, cp] = (
-                    np.trace(sys.h_a.mat @ rho[:n], axis1=-2, axis2=-1).real,
-                    np.trace(sys.h_b.mat @ rho_b[:n], axis1=-2, axis2=-1).real,
-                    sys.gamma * hab[:n],
-                )
+                cp_obs[:, cp] = (expect(sys.h_a.mat, rho[:n]), expect(sys.h_b.mat, rho_b[:n]),
+                                 sys.gamma * hab[:n])
         if not completes[0]:
             return ()
 
@@ -453,7 +458,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         min_eig = min(min_eig, prop.check_positivity(joint[-1]))
         rho_a_end, pops_b = rho[-1].copy(), populations(rho_b[-1], v_b)
         born_max = max(born_max, abs(pops_b.sum() - 1.0))
-        dh_a = float(np.trace(sys.h_a.mat @ (rho_a_end - rho_a)).real)
+        dh_a = float(expect(sys.h_a.mat, rho_a_end - rho_a))
         dh_b, ds_b, q, w_therm, w, r = book_intervals(
             pops_b0, np.clip(pops_b, 0.0, None), e_b, beta_k, dh_a).tolist()
         w_meas = float(-sys.gamma * hab[-1])
@@ -467,6 +472,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     times, n_cp, sums = _walk(step, 0, [rng], lam, horizon, grid, intervals)
     snapshots = np.array(snapshots)
     v_a = sys.basis_a.eigenvectors
+    pops_a = np.clip(populations(snapshots, v_a), 0.0, None)
     s_a_series = shannon_entropy(spectrum(snapshots, prop.positivity_floor))
     # an interval's dS_A is taken between the states the run records, so in the
     # averaged runs it ends at the renormalized state
@@ -475,16 +481,16 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     series = _checkpoint_series(grid[:n_cp], *cp_obs[:, :n_cp],
                                 shannon_entropy(spectrum(cp_rho[:n_cp], prop.checkpoint_floor)),
                                 s_a_series[0], np.zeros(n_cp), 1, sums)
-    # the largest top-level population of every state of A the run reports, read in
-    # place from the checkpoints and from the states after each interval
-    v_top = v_a[:, np.argmax(sys.basis_a.eigenvalues)]
-    top = max(np.einsum("a,kab,b->k", v_top.conj(), states, v_top).real.max(initial=0.0)
-              for states in (cp_rho[:n_cp], snapshots[1:]))
+    # the largest top-level population of every state of A the run reports: of the
+    # checkpoints (that level alone) and of the states after each interval
+    top_level = np.argmax(sys.basis_a.eigenvalues)
+    top = max(populations(cp_rho[:n_cp], v_a[:, [top_level]]).max(initial=0.0),
+              pops_a[1:, top_level].max(initial=0.0))
     return IntervalRun(
         times=times,
         ledgers=ledgers,
         rho_a_snapshots=snapshots,
-        pops_a=np.array([np.clip(populations(r, v_a), 0.0, None) for r in snapshots]),
+        pops_a=pops_a,
         s_a_series=s_a_series,
         checkpoint_times=series.t,
         checkpoint_rho_a=cp_rho[:n_cp],
@@ -509,10 +515,11 @@ def run_process(cfg: ProcessConfig, sys: JointSystem):
     """
     if cfg.initial_state_a is None:
         raise ConfigError("initial_state_a is required")
-    if cfg.mode == "trajectory":
-        return _run_trajectory_ensemble(cfg, sys)
     state = cfg.initial_state_a
     rho_a = state.projector().mat if isinstance(state, StateVector) else as_matrix(state)
+    check_initial_state(rho_a, sys.dim_a)
+    if cfg.mode == "trajectory":
+        return _run_trajectory_ensemble(cfg, sys)
 
     def reservoir(k: int):
         beta_k = cfg.beta_for(k)
@@ -522,15 +529,14 @@ def run_process(cfg: ProcessConfig, sys: JointSystem):
                          cfg.lam, cfg.seed, cfg.intervals)
 
 
-def _row_observable(op: np.ndarray, side: str, dims: tuple[int, int]):
-    """f(psi, p) = <psi|O|psi> for each joint state-vector row psi, p = |psi|^2, with
-    O = op (x) 1 (``side`` "A") or 1 (x) op ("B"): a weighted sum of p when op is
-    diagonal in the storage basis, the quadratic form otherwise."""
-    pad = (op, np.eye(dims[1])) if side == "A" else (np.eye(dims[0]), op)
+def _row_observable(op: np.ndarray, dim_b: int):
+    """f(psi, p) = <psi|op (x) 1|psi> for each joint state-vector row psi, p = |psi|^2:
+    a weighted sum of p when op is diagonal in the storage basis, the quadratic form
+    otherwise."""
     if np.any(op - np.diag(np.diagonal(op))):
-        joint = np.kron(*pad)
+        joint = np.kron(op, np.eye(dim_b))
         return lambda psi, p: _expect(psi, joint)
-    w = np.kron(*(np.diagonal(m).real for m in pad))
+    w = np.kron(np.diagonal(op).real, np.ones(dim_b))
     return lambda psi, p: p @ w
 
 
@@ -545,11 +551,11 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     exponential is paid per checkpoint; the phase is then exact to about
     eps |e| t in the absolute time t rather than eps |e| tau.  A checkpoint
     whose tau ``_walk`` clipped to the interval length is evolved by that
-    tau.  Observables diagonal in the storage basis are weighted sums of
-    |psi|^2 (``_row_observable``).  Checkpoint observables are summed over
-    trajectories.  Each trajectory draws from its own stream, in the order:
-    its initial eigenstate (mixed start only), then per interval the length,
-    the input level and the outcome.
+    tau.  <H_A> and the top-level population are read per trajectory
+    (``_row_observable``), <H_B>, <H_AB> and rho_A off the joint sum over
+    trajectories of |psi><psi|.  Each trajectory draws from its own stream,
+    in the order: its initial eigenstate (mixed start only), then per
+    interval the length, the input level and the outcome.
     """
     n = cfg.n_traj
     rngs = [_traj_rng(cfg.seed, i) for i in range(n)]
@@ -566,12 +572,12 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     dims = (sys.dim_a, sys.dim_b)
     v_b, e_b = sys.basis_b.eigenvectors, sys.basis_b.eigenvalues
     v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
-    observables = (_row_observable(sys.h_a.mat, "A", dims), _row_observable(sys.h_b.mat, "B", dims),
-                   _row_observable(np.outer(v_top, v_top.conj()), "A", dims))
+    observables = (_row_observable(sys.h_a.mat, sys.dim_b),
+                   _row_observable(np.outer(v_top, v_top.conj()), sys.dim_b))
     ha_now = _expect(psi_a, sys.h_a.mat)
     grid = cfg.grid()
     phase = frame.phases(grid)
-    hab_adj = frame.hab.conj().T
+    hb_joint = np.kron(np.eye(sys.dim_a), sys.h_b.mat)      # 1 (x) H_B
     rho_sum = np.zeros((len(grid), sys.dim_a, sys.dim_a), complex)
     # <H_A>, <H_B>, gamma <H_AB>, and x - x_ref and its square for x = <H_A>, where
     # x_ref is the first value booked at the checkpoint: the spread is summed
@@ -608,15 +614,14 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
             coef[clipped] = frame.phases(tau[clipped]) * c0[on][clipped]
             psi = coef @ frame.w.T
             pop = np.abs(psi) ** 2
-            ha, hb, top = (f(psi, pop) for f in observables)
+            ha, top = (f(psi, pop) for f in observables)
             joint = psi.T @ psi.conj()             # sum over trajectories of |psi><psi|
             rho_sum[j] += marginal(joint, dims, "A")
             if np.isnan(ha_ref[j]):
                 ha_ref[j] = ha[0]
             dev = ha - ha_ref[j]
-            obs_sum[:, j] += (ha.sum(), hb.sum(),
-                              sys.gamma * np.vdot(hab_adj, joint).real,   # Tr(H_AB joint)
-                              dev.sum(), (dev * dev).sum())
+            obs_sum[:, j] += (ha.sum(), expect(hb_joint, joint),
+                              sys.gamma * expect(frame.hab, joint), dev.sum(), (dev * dev).sum())
             top_max, n_pairs = max(top_max, top.max()), n_pairs + ha.size
         return terms
 
@@ -624,7 +629,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     mean_ha, mean_hb, mean_hab, mean_dev, mean_dev2 = obs_sum[:, :n_cp] / n
     var = np.maximum(mean_dev2 - mean_dev ** 2, 0.0)
     mean_rho = rho_sum[:n_cp] / n
-    s_a = np.array([von_neumann_entropy(hermitian_part(r)) for r in mean_rho])
+    s_a = shannon_entropy(spectrum(hermitian_part(mean_rho)))
     series = _checkpoint_series(grid[:n_cp], mean_ha, mean_hb, mean_hab, s_a, s_a0,
                                 np.sqrt(var / max(n - 1, 1)), n, sums / n)
     return EnsembleSummary(
@@ -678,10 +683,8 @@ def ensemble_average_series(sys: JointSystem, beta: float, lam: float,
     rho = propagate_grid(gen, y0, 0.0, t_eval).reshape(-1, d, d)
     dims = (sys.dim_a, sys.dim_b)
     rho_a = hermitian_part(marginal(rho, dims, "A"))
-    ha = np.einsum("ij,tji->t", sys.h_a.mat, rho_a).real
-    hb = np.einsum("ij,tji->t", sys.h_b.mat, marginal(rho, dims, "B")).real
-    hab = sys.gamma * np.einsum("ij,tji->t", sys.h_ab.mat, rho).real
-    return rho_a, ha, hb, hab
+    return (rho_a, expect(sys.h_a.mat, rho_a), expect(sys.h_b.mat, marginal(rho, dims, "B")),
+            sys.gamma * expect(sys.h_ab.mat, rho))
 
 
 def absorption_rate_mc(sys: JointSystem, psi_a: StateVector, beta: float, lam: float,

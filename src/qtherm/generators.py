@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (TRACE_DRIFT_MAX, IntervalRun, _JointFrame, check_horizon, check_seed,
-                     run_intervals)
+from .engine import (TRACE_DRIFT_MAX, IntervalRun, _JointFrame, check_horizon,
+                     check_initial_state, check_seed, run_intervals)
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
-from .models import JointSystem, check_rate, thermal_populations, thermal_state
+from .models import JointSystem, check_beta, check_rate, thermal_populations, thermal_state
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
                     from_real, gksl, gksl_matrix, hermitian_block, hermitian_part, marginal,
                     propagate_grid, to_real, well_conditioned_inverse)
@@ -310,10 +310,11 @@ class _LinearPropagator:
     Every other block (the off-diagonal sector pairs, or a block of a
     generator that does not keep Hermiticity or the trace) is decomposed as
     it is.  A block whose eigenvectors fail ``qcore.well_conditioned_inverse``
-    (a defective block's do) is propagated with a dense ``expm`` of that
-    block alone (``expm_blocks``).  Once decomposed, a block evolves a state
-    to a whole vector of times in one matrix product.  A non-finite result
-    (the exponentials overflow) is a NumericError.
+    (a defective block's do) takes ``qcore.propagate_grid``'s walk over the
+    times (``expm_blocks``); of those that pass, the largest condition number
+    is ``eig_cond_max``.  Once decomposed, a block evolves a state to a whole
+    vector of times in one matrix product.  A non-finite result (the
+    exponentials overflow) is a NumericError.
 
     As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
@@ -346,6 +347,7 @@ class _LinearPropagator:
         self._parts = [None] * len(self.blocks)
         self.expm_blocks = []        # (indices, decomposed form) for the ill-conditioned ones
         self.trace_row_norm = 0.0    # largest sum of the zeroed trace rows a state reached
+        self.eig_cond_max = 0.0      # largest eigenvector condition number of an eig block
 
     @property
     def decomposed(self) -> np.ndarray:
@@ -360,14 +362,16 @@ class _LinearPropagator:
     def _decompose(self, k: int) -> tuple:
         idx, herm, g, row = hermitian_block(self._gen, self.blocks[k], self.dim)
         evals, vr = np.linalg.eig(g)
-        vr_inv, _ = well_conditioned_inverse(vr)
+        vr_inv, cond = well_conditioned_inverse(vr)
         if vr_inv is not None:
+            self.eig_cond_max = max(self.eig_cond_max, cond)
             return idx, herm, row, (evals, vr, vr_inv)
         self.expm_blocks.append((idx, g))
         return idx, herm, row, (g,)
 
     def apply(self, theta: np.ndarray, taus) -> np.ndarray:
-        """The stack of exp(tau G) theta, Hermitian d x d, one per time in ``taus``."""
+        """The stack of exp(tau G) theta, Hermitian d x d, one per time in ``taus``,
+        which are non-decreasing (as ``run_intervals`` passes them)."""
         taus = np.asarray(taus, dtype=float)
         x = theta.reshape(-1)
         out = np.zeros((x.size, taus.size), dtype=complex)
@@ -392,12 +396,7 @@ class _LinearPropagator:
                     evals, vr, vr_inv = parts
                     y = vr @ ((vr_inv @ y)[:, None] * np.exp(evals[:, None] * taus))
                 else:
-                    # imported here: scipy costs ~0.3 s and ~45 MB in every run without expm
-                    from scipy.linalg import expm
-
-                    y0, y = y, np.empty((y.size, taus.size), dtype=complex)
-                    for i, t in enumerate(taus.tolist()):
-                        y[:, i] = expm(parts[0] * t) @ y0
+                    y = propagate_grid(parts[0], y, 0.0, taus).T
                 out[idx] = y if herm is None else from_real(y.real, *herm)
         if not np.isfinite(out).all():
             raise NumericError("the averaged propagator gave a non-finite state: its "
@@ -436,19 +435,23 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
     ledgers book its heat at the caller's ``beta``.
     """
     check_seed(seed)
+    check_beta(beta)
     sys = spec.sys
+    rho_a0 = as_matrix(rho_a0)
+    check_initial_state(rho_a0, sys.dim_a)
     pops_b = diagonal_populations(rho_b0, sys.basis_b, "reservoir input")
     prop = _LinearPropagator(assemble_joint_weak_generator(spec) if generator is None
                              else generator, zip(spec.frequencies, spec.v_ops))
     if checkpoint_times is None:
         check_horizon(horizon)      # before linspace, which would warn on an infinite one
         checkpoint_times = np.linspace(0.0, horizon, 121)
-    run = run_intervals(prop, sys, as_matrix(rho_a0), lambda k: (beta, pops_b), horizon,
+    run = run_intervals(prop, sys, rho_a0, lambda k: (beta, pops_b), horizon,
                         checkpoint_times, spec.lam, seed, intervals)
     run.meta.update(beta=beta, propagator_blocks=len(prop.blocks),
                     largest_block=max(len(b) for b in prop.blocks),
                     decomposed_blocks=int(prop.decomposed.sum()), real_blocks=prop.real_blocks,
-                    expm_blocks=len(prop.expm_blocks), trace_row_norm=prop.trace_row_norm)
+                    expm_blocks=len(prop.expm_blocks), trace_row_norm=prop.trace_row_norm,
+                    eig_cond_max=prop.eig_cond_max)
     return run
 
 
@@ -460,6 +463,8 @@ def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: flo
     as ``fast_map`` does, when lam < 10 gamma."""
     check_seed(seed)
     check_horizon(horizon)          # before the warning and the dense generator
+    check_beta(beta)
+    check_initial_state(as_matrix(rho_a0), sys.dim_a)
     spec = decompose(sys, lam)
     _warn_outside_fast_regime(sys, lam)
     return weak_interval_run(spec, rho_b0, rho_a0, horizon, seed=seed,

@@ -146,8 +146,11 @@ def as_matrix(x) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^+) / 2, for a matrix or a stack of them."""
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    """(M + M^+) / 2, for a matrix or a stack of them, with one temporary array."""
+    out = np.conjugate(m.swapaxes(-1, -2), order="C")
+    out += m
+    out *= 0.5
+    return out
 
 
 def marginal(joint: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -325,9 +328,14 @@ def propagate_grid(gen: np.ndarray, y0: np.ndarray, t0: float, t_grid) -> np.nda
     return out
 
 
+def expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re Tr(op rho) of a matrix, or one per matrix of a stack: one O(d^2) contraction."""
+    return np.einsum("...ij,ji->...", rho, op).real
+
+
 def populations(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Diagonal of rho in the orthonormal basis given by the columns of ``vecs``."""
-    return np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs).real
+    """Diagonal of rho, or one row per matrix of a stack, in the orthonormal columns of ``vecs``."""
+    return (vecs.conj() * (rho @ vecs)).sum(axis=-2).real
 
 
 def diagonal_populations(rho, basis: Propagator, what: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .qcore import as_matrix, shannon_entropy, trace_distance
+from .qcore import as_matrix, expect, shannon_entropy, trace_distance
 from .models import JointSystem
 
 # Trace-distance threshold under which two states of A count as a cyclic return.
@@ -130,9 +130,8 @@ def traditional_qw(rho_a_series: Sequence, h_a) -> tuple[np.ndarray, np.ndarray]
     Q_trad(t) = Tr[H_A (rho_A(t) - rho_A(0))] and W_trad(t) = 0; provided for
     comparison against the reservoir-based ledger.
     """
-    h = as_matrix(h_a)
-    rho0 = as_matrix(rho_a_series[0])
-    q = np.array([float(np.trace(h @ (as_matrix(r) - rho0)).real) for r in rho_a_series])
+    mats = np.array([as_matrix(r) for r in rho_a_series])
+    q = expect(as_matrix(h_a), mats - mats[0])
     return q, np.zeros_like(q)
 
 

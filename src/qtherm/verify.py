@@ -36,7 +36,7 @@ from .generators import (
     weak_interval_run,
 )
 from .models import JcmParams, JointSystem, build_jcm, thermal_populations, thermal_state
-from .qcore import DensityMatrix, Operator, StateVector, trace_distance
+from .qcore import DensityMatrix, Operator, StateVector, expect, trace_distance
 from .thermo import (
     backaction_as_heat_windows,
     s_tot,
@@ -227,19 +227,18 @@ def check_weak_vs_exact_steady() -> CheckResult:
     details = []
     for lam in (1e-4, 5e-3, 1e-2, 5e-2):
         exact_ss = AveragedIntervalMap(sys, beta, lam).fixed_point()
-        ha_exact = float(np.trace(sys.h_a.mat @ exact_ss).real)
+        ha_exact = float(expect(sys.h_a.mat, exact_ss))
         spec = decompose(sys, lam)
         run = weak_interval_run(spec, thermal_state(sys.h_b, beta), psi0.projector(),
                                 horizon=80.0 / lam, seed=11, beta=beta)
-        tail = run.rho_a_snapshots[-20:]
-        ha_weak = float(np.mean([np.trace(sys.h_a.mat @ r).real for r in tail]))
+        ha_weak = float(np.mean(expect(sys.h_a.mat, run.rho_a_snapshots[-20:])))
         rel = abs(ha_weak - ha_exact) / abs(ha_exact)
         worst_rel = max(worst_rel, rel)
         # early-time curvature: exact is concave (cos^2), weak is convex
         _, ha_e, _, _ = ensemble_average_series(sys, beta, lam, psi0.projector().mat, early)
         rho_w = lindblad_propagate(spec, psi0.projector().mat,
                                    thermal_state(sys.h_b, beta), early)
-        ha_w = np.array([np.trace(sys.h_a.mat @ r).real for r in rho_w])
+        ha_w = expect(sys.h_a.mat, rho_w)
         c_exact = np.polyfit(early, ha_e, 2)[0]
         c_weak = np.polyfit(early, ha_w, 2)[0]
         curvature_ok = curvature_ok and (c_exact < 0.0 < c_weak)
@@ -326,7 +325,7 @@ def check_fast_limit() -> CheckResult:
         p = JcmParams(omega_a=TWO_PI, omega_b=TWO_PI + dc, gamma=0.05, n_max=6, rwa=True)
         sys = build_jcm(p)
         drho = fast_map_reduced(sys, np.diag(p_n).astype(complex), sigma, lam)
-        return -float(np.trace(n_op @ drho).real)
+        return -float(expect(n_op, drho))
 
     r0, r05 = rate_for(0.0), rate_for(0.5)
     rel = abs(r0 - composed) / abs(composed)

@@ -16,8 +16,8 @@ from qtherm.engine import (
     sample_interval,
     step_interval,
 )
-from qtherm.errors import (ConfigError, DegenerateSteadyStateError, PreconditionError,
-                           SizeLimitError)
+from qtherm.errors import (ConfigError, DegenerateSteadyStateError, DimensionError,
+                           PreconditionError, SizeLimitError)
 from qtherm.generators import AveragedIntervalMap, decompose, weak_interval_run
 from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_state
 from qtherm.qcore import DensityMatrix, Operator, StateVector, marginal, shannon_entropy
@@ -165,8 +165,9 @@ class TestRunProcess:
                           checkpoint_times=np.array(times))
 
     @pytest.mark.parametrize("field,value", [("beta", -1.0), ("beta", [1.0, math.nan]),
-                                             ("n_checkpoints", -3)])
+                                             ("n_checkpoints", -3), ("beta", [])])
     def test_bad_beta_or_checkpoint_count_rejected(self, field, value):
+        # an empty beta schedule passed check_beta and then failed in beta_for
         kwargs = {"lam": 0.01, "horizon": 10.0, "beta": 1.0, field: value}
         with pytest.raises(ConfigError):
             ProcessConfig(initial_state_a=fock(1, 3), **kwargs)
@@ -177,6 +178,15 @@ class TestRunProcess:
         with pytest.raises(ConfigError, match="interval lengths"):
             ProcessConfig(lam=0.01, beta=1.0, horizon=30.0, initial_state_a=fock(1, 3),
                           intervals=np.array(intervals))
+
+    @pytest.mark.parametrize("state", [fock(1, 4), fock(1, 4).projector()],
+                             ids=["vector", "matrix"])
+    @pytest.mark.parametrize("mode", ["density-matrix", "trajectory"])
+    def test_initial_state_of_wrong_dimension_rejected(self, mode, state):
+        # a 4-level state of a 3-level A failed inside numpy's matmul
+        cfg = ProcessConfig(lam=0.01, beta=1.0, horizon=10.0, mode=mode, initial_state_a=state)
+        with pytest.raises(DimensionError, match="has shape \\(4, 4\\), but A has dimension 3"):
+            run_process(cfg, build_jcm(JcmParams(n_max=2)))
 
     def test_trajectory_mode_rejects_interval_schedule(self):
         # the trajectory ensemble draws each trajectory's own intervals, so a

@@ -8,7 +8,8 @@ from scipy.linalg import expm
 
 from qtherm.analytic import mean_b2_poisson
 from qtherm.engine import jump_averaged_generator
-from qtherm.errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
+from qtherm.errors import (ConfigError, DegenerateSteadyStateError, DimensionError, NumericError,
+                           PreconditionError)
 from qtherm.generators import (
     AveragedIntervalMap,
     _LinearPropagator,
@@ -32,8 +33,8 @@ from qtherm.generators import (
 )
 from qtherm.models import (JcmParams, JointSystem, build_jcm, destroy, thermal_populations,
                            thermal_state)
-from qtherm.qcore import (Operator, _hermitian_rows, gksl, gksl_matrix, hermitian_part, marginal,
-                          populations, trace_distance, von_neumann_entropy)
+from qtherm.qcore import (COND_MAX, Operator, _hermitian_rows, gksl, gksl_matrix, hermitian_part,
+                          marginal, populations, trace_distance, von_neumann_entropy)
 from qtherm.thermo import s_tot
 
 RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=False)
@@ -73,6 +74,16 @@ def random_density(rng, d):
 
 def thermal_pops(sys, beta):
     return thermal_populations(sys.basis_b.eigenvalues, beta)
+
+
+def one_interval_run(mode, sys, rho_a, beta=1.0):
+    """One interval of length 1 of the weak (lam 0.2) or fast (lam 5) protocol from rho_a,
+    with B's input thermal at beta 1 and its heat booked at ``beta``."""
+    rho_b = thermal_state(sys.h_b, 1.0)
+    opts = dict(horizon=1.0, intervals=np.array([1.0]), beta=beta)
+    if mode == "weak":
+        return weak_interval_run(decompose(sys, 0.2), rho_b, rho_a, **opts)
+    return fast_interval_run(sys, 5.0, rho_b, rho_a, **opts)
 
 
 def population_rates(gen, da):
@@ -588,6 +599,20 @@ class TestLindbladPropagate:
             fast_interval_run(sys, 0.4, rho_b, rho_a, horizon=1.0, intervals=np.array([1.0]),
                               beta=1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, -1.0])
+    @pytest.mark.parametrize("mode", ["weak", "fast"])
+    def test_interval_protocol_rejects_bad_beta(self, mode, beta):
+        # as ProcessConfig does: the heat was booked as NaN, or at a negative temperature
+        sys = build_jcm(JcmParams(n_max=2))
+        with pytest.raises(ConfigError, match="inverse temperature"):
+            one_interval_run(mode, sys, thermal_state(sys.h_a, 1.0), beta=beta)
+
+    @pytest.mark.parametrize("mode", ["weak", "fast"])
+    def test_interval_protocol_rejects_initial_state_of_wrong_dimension(self, mode):
+        # a 4-level state of a 3-level A failed inside numpy, on a boolean index
+        with pytest.raises(DimensionError, match="has shape \\(4, 4\\), but A has dimension 3"):
+            one_interval_run(mode, build_jcm(JcmParams(n_max=2)), np.eye(4) / 4)
+
     @pytest.mark.parametrize("mode", ["weak", "fast"])
     def test_interval_protocol_records_states_after_each_interval(self, mode):
         # the averaged runs return the exact run's record: S_A of every state of A
@@ -649,12 +674,30 @@ class TestLinearPropagator:
         want = ((np.eye(4) + t * g) @ theta.reshape(-1)).reshape(2, 2)
         np.testing.assert_allclose(prop.apply(theta, [t])[0], 0.5 * (want + want.conj().T),
                                    atol=1e-15)
-        # the expm block evolves a vector of times one time at a time
+        # walking a vector of times gives what single times give
         taus = [0.0, t, 2.0]
         np.testing.assert_array_equal(prop.apply(theta, taus),
                                       [prop.apply(theta, [tau])[0] for tau in taus])
         # theta has weight in all three blocks, so the first apply decomposed them all
         assert [idx.tolist() for idx, _ in prop.expm_blocks] == [[0, 1]]
+
+    def test_defective_block_takes_one_expm_per_distinct_step(self, monkeypatch):
+        # qcore.propagate_grid's walk: the steps of a linspace grid lie a rounding apart,
+        # so the Jordan block e^{-t/20} (1 + t N) reuses one exponential over 241 times
+        import scipy.linalg
+
+        g = np.zeros((4, 4))
+        g[0, 0] = g[1, 1] = -0.05
+        g[0, 1] = 1.0
+        prop = _LinearPropagator(g, ())
+        theta = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        taus = np.linspace(0.0, 30.0, 241)
+        singles = [prop.apply(theta, [tau])[0] for tau in taus]
+        assert [idx.tolist() for idx, _ in prop.expm_blocks] == [[0, 1]]
+        calls, expm_ = [], scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm_(a))
+        np.testing.assert_allclose(prop.apply(theta, taus), singles, rtol=0, atol=1e-13)
+        assert 1 <= len(calls) <= 3
 
     @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
     @pytest.mark.parametrize("kind", ["weak", "fast"])
@@ -843,6 +886,8 @@ class TestLinearPropagator:
         run = (weak_interval_run(decompose(sys, lam), *args, **opts) if mode == "weak"
                else fast_interval_run(sys, lam, *args, **opts))
         assert run.meta["expm_blocks"] == 0
+        # the eigenvectors of the blocks it reached invert well
+        assert 1.0 <= run.meta["eig_cond_max"] < COND_MAX
         # the run reaches only some blocks; a full-support state decomposes every one
         gen = (assemble_joint_weak_generator(decompose(sys, lam)) if mode == "weak"
                else assemble_joint_fast_generator(sys, lam))

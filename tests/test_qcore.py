@@ -12,6 +12,7 @@ from qtherm.qcore import (
     Propagator,
     StateVector,
     connected_blocks,
+    expect,
     marginal,
     populations,
     propagate_grid,
@@ -241,6 +242,24 @@ class TestDiagEntropy:
         for _ in range(25):
             rho = random_density(rng, 2)
             assert self.entropy(rho) >= von_neumann_entropy(rho) - 1e-10
+
+
+def test_expect_and_populations_of_a_matrix_and_a_stack():
+    # a non-Hermitian op, so that Tr(op rho) is complex and expect keeps its real part
+    rng = np.random.default_rng(21)
+    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    stack = np.array([random_density(rng, 4).mat for _ in range(5)])
+    want = [np.trace(op @ r).real for r in stack]
+    assert abs(expect(op, stack[2]) - want[2]) < 1e-14
+    np.testing.assert_allclose(expect(op, stack), want, rtol=0, atol=1e-14)
+    vecs = Propagator.from_operator(op + op.conj().T).eigenvectors
+    per_matrix = [populations(r, vecs) for r in stack]
+    np.testing.assert_allclose(per_matrix, [np.diag(vecs.conj().T @ r @ vecs).real
+                                            for r in stack], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(populations(stack, vecs), per_matrix, rtol=0, atol=1e-15)
+    # a subset of the columns reads only those levels
+    np.testing.assert_allclose(populations(stack, vecs[:, [3, 1]]),
+                               np.array(per_matrix)[:, [3, 1]], rtol=0, atol=1e-15)
 
 
 def test_resonant_exchange_transfers_excitation():
