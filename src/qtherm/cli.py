@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from ._svg import line_chart
-from .engine import ProcessConfig, check_schedule, run_process
+from .engine import ProcessConfig, run_process
 from .errors import ConfigError, NumericError, QthermError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
     assemble_reduced_generator, min_temp_predict, outside_fast_regime, steady_state
@@ -186,14 +186,13 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
     if run_mode != "exact" and not np.isscalar(beta):
         raise ConfigError(f"--mode {run_mode} takes one beta, got the schedule {cfg['beta']}")
     psi0 = _initial_state(cfg, sys.dim_a)
-    if cfg["checkpoints"] < 0:
-        raise ConfigError(f"checkpoints must be >= 0, got {cfg['checkpoints']}")
-    check_schedule(cfg["lambda"], cfg["horizon"], [])
+    pcfg = ProcessConfig(lam=cfg["lambda"], beta=beta, horizon=cfg["horizon"], seed=cfg["seed"],
+                         mode=cfg["mode"], n_traj=cfg["n_traj"], initial_state_a=psi0,
+                         n_checkpoints=cfg["checkpoints"])
     if run_mode == "fast" and outside_fast_regime(sys, cfg["lambda"]):
         raise ConfigError(f"--mode fast is an expansion in gamma/lambda and needs "
                           f"lambda >= 10 gamma, got lambda = {cfg['lambda']!r}, "
                           f"gamma = {sys.gamma!r}")
-    grid = np.linspace(0.0, cfg["horizon"], cfg["checkpoints"])
     header = _header(cfg, "simulate") + [f"run_mode = {run_mode}"]
     made = []
 
@@ -206,15 +205,11 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
                   f"{run.meta['top_fock_max']:.3g} > {TRUNCATION_LIMIT:g})", file=_sys.stderr)
 
     if run_mode in ("exact", "both"):
-        pcfg = ProcessConfig(lam=cfg["lambda"], beta=beta, horizon=cfg["horizon"],
-                             seed=cfg["seed"], mode=cfg["mode"],
-                             n_traj=cfg["n_traj"], initial_state_a=psi0,
-                             checkpoint_times=grid)
-        rec = run_process(pcfg, sys)
-        emit("exact", rec)
+        emit("exact", run_process(pcfg, sys))
     if run_mode in ("weak", "fast", "both"):
         inputs = (thermal_state(sys.h_b, beta), psi0.projector())
-        opts = dict(horizon=cfg["horizon"], seed=cfg["seed"], checkpoint_times=grid, beta=beta)
+        opts = dict(horizon=cfg["horizon"], seed=cfg["seed"], checkpoint_times=pcfg.grid(),
+                    beta=beta)
         if run_mode == "fast":
             run = fast_interval_run(sys, cfg["lambda"], *inputs, **opts)
         else:

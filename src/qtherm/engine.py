@@ -36,46 +36,9 @@ MAX_INTERVALS = 10 ** 5          # expected intervals per walker: ~30 s, ~0.8 GB
 TRACE_DRIFT_MAX = 1e-4           # largest |Tr rho_A - 1| of a density-matrix run (weak S_A floor)
 
 
-def check_horizon(horizon: float) -> None:
-    """Reject a horizon that is negative or not finite."""
-    if not (horizon >= 0 and math.isfinite(horizon)):
-        raise ConfigError(f"horizon must be non-negative and finite, got {horizon!r}")
-
-
-def check_seed(seed: int) -> None:
-    """Reject a negative seed, which no numpy SeedSequence takes."""
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed!r}")
-
-
-def check_initial_state(rho_a: np.ndarray, dim_a: int) -> None:
-    """Reject an initial state of A whose matrix is not dim_a x dim_a."""
-    if rho_a.shape != (dim_a, dim_a):
-        raise DimensionError(f"the initial state of A has shape {rho_a.shape}, but A has "
-                             f"dimension {dim_a}")
-
-
-def check_schedule(lam: float, horizon: float, grid: np.ndarray,
-                   intervals: np.ndarray | None = None) -> None:
-    """Reject a measurement rate or horizon that no interval schedule can honour,
-    checkpoint times that are not finite or that decrease, and explicit
-    interval lengths that are negative or NaN.  A schedule that expects more
-    than MAX_INTERVALS intervals per walker (lam * horizon, or the explicit
-    schedule's length) is a SizeLimitError."""
-    check_rate(lam)
-    check_horizon(horizon)
-    if (count := lam * horizon if intervals is None else len(intervals)) > MAX_INTERVALS:
-        raise SizeLimitError(f"the schedule expects {count:.3g} intervals per walker, more "
-                             f"than the limit of {MAX_INTERVALS:.0e}")
-    if not (np.isfinite(grid).all() and (np.diff(grid) >= 0).all()):
-        raise ConfigError("checkpoint times must be finite and non-decreasing")
-    if intervals is not None and not (np.asarray(intervals, dtype=float) >= 0).all():
-        raise ConfigError("interval lengths must be non-negative")
-
-
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Run parameters for the repeated measurement process."""
+    """The checked request of every run of the process: exact, trajectory, weak and fast."""
 
     lam: float                       # measurement rate
     beta: Union[float, Sequence[float]] = 1.0
@@ -89,20 +52,34 @@ class ProcessConfig:
     intervals: np.ndarray | None = None   # explicit interval schedule (density-matrix mode)
 
     def __post_init__(self):
+        """Refuse a bad request before any run allocates.  A schedule that expects
+        more than MAX_INTERVALS intervals per walker (lam * horizon, or the explicit
+        schedule's length) is a SizeLimitError, any other refusal a ConfigError."""
         if self.mode not in ("trajectory", "density-matrix"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n_traj < 1:
-            raise ConfigError("n_traj must be >= 1")
-        check_seed(self.seed)
+            raise ConfigError(f"n_traj must be >= 1, got {self.n_traj!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         if self.n_checkpoints < 0:
-            raise ConfigError("n_checkpoints must be >= 0")
+            raise ConfigError(f"n_checkpoints must be >= 0, got {self.n_checkpoints!r}")
         if self.mode == "trajectory" and self.intervals is not None:
             raise ConfigError("an explicit interval schedule runs in density-matrix mode only")
         if np.size(self.beta) == 0:
             raise ConfigError("the beta schedule is empty")
         check_beta(self.beta)
-        check_schedule(self.lam, self.horizon, [] if self.checkpoint_times is None
-                       else np.asarray(self.checkpoint_times, dtype=float), self.intervals)
+        check_rate(self.lam)
+        if not (self.horizon >= 0 and math.isfinite(self.horizon)):
+            raise ConfigError(f"horizon must be non-negative and finite, got {self.horizon!r}")
+        count = self.lam * self.horizon if self.intervals is None else len(self.intervals)
+        if count > MAX_INTERVALS:
+            raise SizeLimitError(f"the schedule expects {count:.3g} intervals per walker, more "
+                                 f"than the limit of {MAX_INTERVALS:.0e}")
+        grid = [] if self.checkpoint_times is None else self.grid()
+        if not (np.isfinite(grid).all() and (np.diff(grid) >= 0).all()):
+            raise ConfigError("checkpoint times must be finite and non-decreasing")
+        if self.intervals is not None and not (np.asarray(self.intervals, dtype=float) >= 0).all():
+            raise ConfigError("interval lengths must be non-negative")
 
     def beta_for(self, k: int) -> float:
         if np.isscalar(self.beta):
@@ -114,6 +91,18 @@ class ProcessConfig:
         if self.checkpoint_times is not None:
             return np.asarray(self.checkpoint_times, dtype=float)
         return np.linspace(0.0, self.horizon, self.n_checkpoints)
+
+    def rho_a(self, dim_a: int) -> np.ndarray:
+        """The initial state of A as a matrix.  A missing state is a ConfigError,
+        and one whose matrix is not dim_a x dim_a a DimensionError."""
+        state = self.initial_state_a
+        if state is None:
+            raise ConfigError("initial_state_a is required")
+        rho_a = state.projector().mat if isinstance(state, StateVector) else as_matrix(state)
+        if rho_a.shape != (dim_a, dim_a):
+            raise DimensionError(f"the initial state of A has shape {rho_a.shape}, but A has "
+                                 f"dimension {dim_a}")
+        return rho_a
 
 
 @dataclass(frozen=True)
@@ -331,13 +320,14 @@ def _checkpoint_series(grid, ha, hb, hab, s_a, s_a0, se_ha, n_traj: int, sums) -
     )
 
 
-def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
-          horizon: float, grid: np.ndarray, intervals: np.ndarray | None = None):
-    """Advance a batch of walkers together through the measured-interval cycle.
+def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], cfg: ProcessConfig,
+          grid: np.ndarray):
+    """Advance a batch of walkers together through the measured-interval cycle
+    of the checked ``cfg``, with checkpoints at ``grid`` (``cfg.grid()``).
 
-    Step k takes each walker whose clock is before ``horizon`` through its
+    Step k takes each walker whose clock is before ``cfg.horizon`` through its
     interval k: walker i draws the length from ``rngs[i]`` (or takes
-    ``intervals[k]``), then ``uniforms`` uniforms for the batch's own draws.
+    ``cfg.intervals[k]``), then ``uniforms`` uniforms for the batch's own draws.
     ``step(k, live, u, t_start, t_k, checkpoints, completes)`` evolves the
     live walkers from their clocks ``t_start``, records the checkpoints
     (j, on, tau) of ``grid`` as it iterates them (walkers ``on``, ``tau``
@@ -349,7 +339,7 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
     Returns all measurement times in order, the number of checkpoints every
     walker reached, and there the running ledger sums over walkers, (4, n).
     """
-    check_schedule(lam, horizon, grid, intervals)
+    horizon, intervals = cfg.horizon, cfg.intervals
     clock = np.zeros(len(rngs))
     cp_next = np.zeros(len(rngs), dtype=int)
     times, terms = [np.empty(0)], [np.empty((0, 4))]
@@ -357,7 +347,7 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
     while t_cum < horizon:
         live = np.flatnonzero(clock < horizon)
         if intervals is None:
-            draws = np.array([(sample_interval(rngs[i], lam), *rngs[i].random(uniforms))
+            draws = np.array([(sample_interval(rngs[i], cfg.lam), *rngs[i].random(uniforms))
                               for i in live])
             t_k, u = draws[:, 0], draws[:, 1:]
         elif k < len(intervals):
@@ -385,17 +375,15 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], lam: float,
     return times[order], n_cp, sums[np.searchsorted(times[order], grid[:n_cp], side="right")].T
 
 
-def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
-                  reservoir: Callable[[int], tuple[float, np.ndarray]],
-                  horizon: float, grid: np.ndarray, lam: float, seed: int,
-                  intervals: np.ndarray | None = None) -> IntervalRun:
+def run_intervals(prop, sys: JointSystem, cfg: ProcessConfig,
+                  reservoir: Callable[[int], tuple[float, np.ndarray]]) -> IntervalRun:
     """The measured-interval cycle of the exact, weak and fast runs: ``_walk``
-    on a batch of one outcome-averaged state.
+    on a batch of one outcome-averaged state, from the checked ``cfg``'s rho_A.
 
     Interval k couples rho_A to the reservoir input ``reservoir(k)`` =
     (beta_k, populations of B in ``sys.basis_b``) and evolves the product
-    with ``prop`` for the next scheduled time: ``intervals`` if given, else
-    exponential draws at rate ``lam`` from ``seed``.  ``prop`` supplies
+    with ``prop`` for the next scheduled time: ``cfg.intervals`` if given, else
+    exponential draws at rate ``cfg.lam`` from ``cfg.seed``.  ``prop`` supplies
     apply(joint0, taus) -> the stack of joint states at the times ``taus``,
     hab_expect(stack, taus) -> their <H_AB> (gamma excluded),
     check_positivity(joint) -> lowest eigenvalue checked, next_state(rho_A),
@@ -415,7 +403,7 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
     times, in calls of at most STACK_BYTES of joint matrices, so a small
     joint space takes one call per interval and a large one a call per time.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid, rho_a = cfg.grid(), cfg.rho_a(sys.dim_a)
     dims = (sys.dim_a, sys.dim_b)
     v_b, e_b = sys.basis_b.eigenvectors, sys.basis_b.eigenvalues
     cp_rho = np.empty((len(grid), sys.dim_a, sys.dim_a), dtype=complex)
@@ -468,8 +456,8 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         snapshots.append(rho_a)
         return (q, w, w_meas, -ds_b)
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    times, n_cp, sums = _walk(step, 0, [rng], lam, horizon, grid, intervals)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
+    times, n_cp, sums = _walk(step, 0, [rng], cfg, grid)
     snapshots = np.array(snapshots)
     v_a = sys.basis_a.eigenvectors
     pops_a = np.clip(populations(snapshots, v_a), 0.0, None)
@@ -497,8 +485,8 @@ def run_intervals(prop, sys: JointSystem, rho_a: np.ndarray,
         checkpoint_hab=series.mean_hab,
         checkpoint_hb=series.mean_hb,
         min_eig=min_eig,
-        meta={"lam": lam, "horizon": horizon, "seed": seed, "top_fock_max": float(top),
-              "trace_drift_max": drift_max},
+        meta={"lam": cfg.lam, "horizon": cfg.horizon, "seed": cfg.seed,
+              "top_fock_max": float(top), "trace_drift_max": drift_max},
         series=series,
         truncation_suspect=bool(top > TRUNCATION_LIMIT),
         born_max_deviation=born_max,
@@ -513,11 +501,7 @@ def run_process(cfg: ProcessConfig, sys: JointSystem):
     over cfg.n_traj realizations (per-trajectory streams are split from the
     master seed by trajectory index).
     """
-    if cfg.initial_state_a is None:
-        raise ConfigError("initial_state_a is required")
-    state = cfg.initial_state_a
-    rho_a = state.projector().mat if isinstance(state, StateVector) else as_matrix(state)
-    check_initial_state(rho_a, sys.dim_a)
+    cfg.rho_a(sys.dim_a)                       # refuses a missing or misshapen state first
     if cfg.mode == "trajectory":
         return _run_trajectory_ensemble(cfg, sys)
 
@@ -525,8 +509,7 @@ def run_process(cfg: ProcessConfig, sys: JointSystem):
         beta_k = cfg.beta_for(k)
         return beta_k, thermal_populations(sys.basis_b.eigenvalues, beta_k)
 
-    return run_intervals(_JointFrame(sys), sys, rho_a, reservoir, cfg.horizon, cfg.grid(),
-                         cfg.lam, cfg.seed, cfg.intervals)
+    return run_intervals(_JointFrame(sys), sys, cfg, reservoir)
 
 
 def _row_observable(op: np.ndarray, dim_b: int):
@@ -625,7 +608,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
             top_max, n_pairs = max(top_max, top.max()), n_pairs + ha.size
         return terms
 
-    _, n_cp, sums = _walk(step, 2, rngs, cfg.lam, cfg.horizon, grid)
+    _, n_cp, sums = _walk(step, 2, rngs, cfg, grid)
     mean_ha, mean_hb, mean_hab, mean_dev, mean_dev2 = obs_sum[:, :n_cp] / n
     var = np.maximum(mean_dev2 - mean_dev ** 2, 0.0)
     mean_rho = rho_sum[:n_cp] / n

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (TRACE_DRIFT_MAX, IntervalRun, _JointFrame, check_horizon,
-                     check_initial_state, check_seed, run_intervals)
+from .engine import TRACE_DRIFT_MAX, IntervalRun, ProcessConfig, _JointFrame, run_intervals
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
-from .models import JointSystem, check_beta, check_rate, thermal_populations, thermal_state
+from .models import JointSystem, check_rate, thermal_populations, thermal_state
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
                     from_real, gksl, gksl_matrix, hermitian_block, hermitian_part, marginal,
                     propagate_grid, to_real, well_conditioned_inverse)
@@ -419,6 +418,30 @@ class _LinearPropagator:
         return rho_a / np.trace(rho_a).real
 
 
+def _interval_request(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: float, seed: int,
+                      intervals, checkpoint_times, beta) -> tuple[ProcessConfig, np.ndarray]:
+    """The weak or fast run's checked ProcessConfig, with one beta, and the populations
+    of its reservoir input: all that the run checks, before any generator is built."""
+    if np.ndim(beta) != 0:
+        raise ConfigError(f"the weak and fast runs take one inverse temperature, got {beta!r}")
+    cfg = ProcessConfig(lam=lam, beta=beta, horizon=horizon, seed=seed, initial_state_a=rho_a0,
+                        checkpoint_times=checkpoint_times, intervals=intervals)
+    cfg.rho_a(sys.dim_a)
+    return cfg, diagonal_populations(rho_b0, sys.basis_b, "reservoir input")
+
+
+def _averaged_run(spec: GeneratorSpec, cfg: ProcessConfig, pops_b: np.ndarray,
+                  generator: np.ndarray) -> IntervalRun:
+    prop = _LinearPropagator(generator, zip(spec.frequencies, spec.v_ops))
+    run = run_intervals(prop, spec.sys, cfg, lambda k: (cfg.beta, pops_b))
+    run.meta.update(beta=cfg.beta, propagator_blocks=len(prop.blocks),
+                    largest_block=max(len(b) for b in prop.blocks),
+                    decomposed_blocks=int(prop.decomposed.sum()), real_blocks=prop.real_blocks,
+                    expm_blocks=len(prop.expm_blocks), trace_row_norm=prop.trace_row_norm,
+                    eig_cond_max=prop.eig_cond_max)
+    return run
+
+
 def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
                       seed: int = 0, intervals: np.ndarray | None = None,
                       checkpoint_times: np.ndarray | None = None, *, beta: float,
@@ -432,44 +455,24 @@ def weak_interval_run(spec: GeneratorSpec, rho_b0, rho_a0, horizon: float,
     reservoir-side definitions as the exact engine.  The reservoir input
     ``rho_b0`` must be diagonal in the energy basis of H_B (a
     PreconditionError otherwise); it is carried as its populations, and the
-    ledgers book its heat at the caller's ``beta``.
+    ledgers book its heat at the caller's one ``beta``.
     """
-    check_seed(seed)
-    check_beta(beta)
-    sys = spec.sys
-    rho_a0 = as_matrix(rho_a0)
-    check_initial_state(rho_a0, sys.dim_a)
-    pops_b = diagonal_populations(rho_b0, sys.basis_b, "reservoir input")
-    prop = _LinearPropagator(assemble_joint_weak_generator(spec) if generator is None
-                             else generator, zip(spec.frequencies, spec.v_ops))
-    if checkpoint_times is None:
-        check_horizon(horizon)      # before linspace, which would warn on an infinite one
-        checkpoint_times = np.linspace(0.0, horizon, 121)
-    run = run_intervals(prop, sys, rho_a0, lambda k: (beta, pops_b), horizon,
-                        checkpoint_times, spec.lam, seed, intervals)
-    run.meta.update(beta=beta, propagator_blocks=len(prop.blocks),
-                    largest_block=max(len(b) for b in prop.blocks),
-                    decomposed_blocks=int(prop.decomposed.sum()), real_blocks=prop.real_blocks,
-                    expm_blocks=len(prop.expm_blocks), trace_row_norm=prop.trace_row_norm,
-                    eig_cond_max=prop.eig_cond_max)
-    return run
+    cfg, pops_b = _interval_request(spec.sys, spec.lam, rho_b0, rho_a0, horizon, seed,
+                                    intervals, checkpoint_times, beta)
+    return _averaged_run(spec, cfg, pops_b, assemble_joint_weak_generator(spec)
+                         if generator is None else generator)
 
 
 def fast_interval_run(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: float,
                       seed: int = 0, intervals: np.ndarray | None = None,
                       checkpoint_times: np.ndarray | None = None, *,
                       beta: float) -> IntervalRun:
-    """Interval protocol driven by the fast-measurement generator instead; warns,
-    as ``fast_map`` does, when lam < 10 gamma."""
-    check_seed(seed)
-    check_horizon(horizon)          # before the warning and the dense generator
-    check_beta(beta)
-    check_initial_state(as_matrix(rho_a0), sys.dim_a)
-    spec = decompose(sys, lam)
+    """Interval protocol driven by the fast-measurement generator instead, checked
+    as ``weak_interval_run`` is; warns, as ``fast_map`` does, when lam < 10 gamma."""
+    cfg, pops_b = _interval_request(sys, lam, rho_b0, rho_a0, horizon, seed, intervals,
+                                    checkpoint_times, beta)
     _warn_outside_fast_regime(sys, lam)
-    return weak_interval_run(spec, rho_b0, rho_a0, horizon, seed=seed,
-                             intervals=intervals, checkpoint_times=checkpoint_times,
-                             beta=beta, generator=assemble_joint_fast_generator(sys, lam))
+    return _averaged_run(decompose(sys, lam), cfg, pops_b, assemble_joint_fast_generator(sys, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -209,17 +209,22 @@ class TestMain:
                          "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "weak", "fast"])
     @pytest.mark.parametrize("line", ["gamma = -1", "gamma = nan", "omega_a = nan",
                                       "beta = -1", "beta = abc", "beta = 1.0,abc",
                                       "n_max = 0", "checkpoints = -3", "horizon = inf"])
-    def test_bad_model_input_is_one_line_error(self, tmp_path, capsys, line):
+    def test_bad_model_input_is_one_line_error(self, tmp_path, capsys, mode, line):
+        # every mode is refused by the same checks; lambda = 0.5 (10 gamma) keeps the
+        # fast regime check from refusing first
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text(line + "\n")
-        code = cli.main(["simulate", "--config", str(cfgfile),
+        cfgfile.write_text(line + "\n" + ("lambda = 0.5\n" if mode == "fast" else ""))
+        code = cli.main(["simulate", "--mode", mode, "--config", str(cfgfile),
                          "--out", str(tmp_path / "out"), "--quiet"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if line in ("checkpoints = -3", "horizon = inf"):
+            assert line.split(" = ")[1] in err     # ProcessConfig states the value it got
 
     @pytest.mark.parametrize("mode", ["weak", "fast", "both"])
     def test_averaged_modes_reject_beta_schedule(self, tmp_path, capsys, mode):

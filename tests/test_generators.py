@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from qtherm.analytic import mean_b2_poisson
 from qtherm.engine import jump_averaged_generator
 from qtherm.errors import (ConfigError, DegenerateSteadyStateError, DimensionError, NumericError,
-                           PreconditionError)
+                           PreconditionError, SizeLimitError)
 from qtherm.generators import (
     AveragedIntervalMap,
     _LinearPropagator,
@@ -599,10 +599,11 @@ class TestLindbladPropagate:
             fast_interval_run(sys, 0.4, rho_b, rho_a, horizon=1.0, intervals=np.array([1.0]),
                               beta=1.0)
 
-    @pytest.mark.parametrize("beta", [math.nan, -1.0])
+    @pytest.mark.parametrize("beta", [math.nan, -1.0, [1.0, 2.0], np.array([1.0, 2.0]), []])
     @pytest.mark.parametrize("mode", ["weak", "fast"])
     def test_interval_protocol_rejects_bad_beta(self, mode, beta):
-        # as ProcessConfig does: the heat was booked as NaN, or at a negative temperature
+        # as ProcessConfig does: the heat was booked as NaN, or at a negative temperature;
+        # a sequence ended in a TypeError or ValueError inside the ledger
         sys = build_jcm(JcmParams(n_max=2))
         with pytest.raises(ConfigError, match="inverse temperature"):
             one_interval_run(mode, sys, thermal_state(sys.h_a, 1.0), beta=beta)
@@ -612,6 +613,37 @@ class TestLindbladPropagate:
         # a 4-level state of a 3-level A failed inside numpy, on a boolean index
         with pytest.raises(DimensionError, match="has shape \\(4, 4\\), but A has dimension 3"):
             one_interval_run(mode, build_jcm(JcmParams(n_max=2)), np.eye(4) / 4)
+
+    @pytest.mark.parametrize("bad,error", [
+        (dict(intervals=np.array([-1.0, 1.0])), ConfigError),
+        (dict(checkpoint_times=np.array([0.0, math.nan])), ConfigError),
+        (dict(intervals=np.ones(2 * 10 ** 5)), SizeLimitError),
+        (dict(rho_b0=COHERENT_B), PreconditionError),
+        (dict(rho_a0=np.eye(4) / 4), DimensionError),
+        (dict(beta=[1.0, 2.0]), ConfigError),
+    ])
+    @pytest.mark.parametrize("mode", ["weak", "fast"])
+    def test_interval_protocol_refuses_before_building_a_generator(self, monkeypatch, mode,
+                                                                     bad, error):
+        # the request is checked as a whole before the dense d^2 x d^2 generator is
+        # built; the schedule checks used to run only in the walk, after it
+        calls = []
+        monkeypatch.setattr("qtherm.generators.gksl_matrix",
+                            lambda *a, **k: calls.append(1) or gksl_matrix(*a, **k))
+        sys = build_jcm(JcmParams(n_max=2))
+        good = dict(rho_b0=thermal_state(sys.h_b, 1.0), rho_a0=thermal_state(sys.h_a, 1.0),
+                    horizon=2.0, intervals=np.array([1.0]), beta=1.0)
+
+        def run(**opts):
+            if mode == "weak":
+                return weak_interval_run(decompose(sys, 0.2), **opts)
+            return fast_interval_run(sys, 5.0, **opts)
+
+        with pytest.raises(error):
+            run(**good | bad)
+        assert calls == []
+        run(**good)
+        assert calls == [1]                 # the generator a good request builds is counted
 
     @pytest.mark.parametrize("mode", ["weak", "fast"])
     def test_interval_protocol_records_states_after_each_interval(self, mode):
