@@ -209,11 +209,12 @@ class TestMain:
                          "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
 
-    @pytest.mark.parametrize("mode", ["exact", "weak", "fast"])
-    @pytest.mark.parametrize("line", ["gamma = -1", "gamma = nan", "omega_a = nan",
-                                      "beta = -1", "beta = abc", "beta = 1.0,abc",
-                                      "n_max = 0", "checkpoints = -3", "horizon = inf"])
-    def test_bad_model_input_is_one_line_error(self, tmp_path, capsys, mode, line):
+    @pytest.mark.parametrize("line,mode", [
+        pytest.param(line, mode, id=line if mode == "exact" else f"{line}-{mode}")
+        for mode in ("exact", "weak", "fast")
+        for line in ("gamma = -1", "gamma = nan", "omega_a = nan", "beta = -1", "beta = abc",
+                     "beta = 1.0,abc", "n_max = 0", "checkpoints = -3", "horizon = inf")])
+    def test_bad_model_input_is_one_line_error(self, tmp_path, capsys, line, mode):
         # every mode is refused by the same checks; lambda = 0.5 (10 gamma) keeps the
         # fast regime check from refusing first
         cfgfile = tmp_path / "bad.cfg"
