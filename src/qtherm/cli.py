@@ -19,7 +19,7 @@ import numpy as np
 from . import verify as verify_mod
 from ._svg import line_chart
 from .engine import ProcessConfig, run_process
-from .errors import ConfigError, NumericError, QthermError
+from .errors import ConfigError, NumericError, QthermError, SizeLimitError
 from .generators import decompose, fast_interval_run, weak_interval_run, \
     assemble_reduced_generator, min_temp_predict, outside_fast_regime, steady_state
 from .analytic import amplitudes, mean_b2_poisson
@@ -28,6 +28,7 @@ from .models import TRUNCATION_LIMIT, JcmParams, build_jcm, check_rate, thermal_
 from .qcore import StateVector
 
 TWO_PI = 2 * math.pi
+MAX_ANALYTIC_ROWS = 10 ** 6      # jcm-analytic rows, n_levels x t_points: ~16 s, ~0.5 GB
 
 DEFAULTS = {
     # model (photon-decay state point: resonant cavity+qubit, full coupling)
@@ -275,6 +276,9 @@ def cmd_jcm_analytic(cfg: dict, out_dir: str, quiet: bool) -> int:
         raise ConfigError(f"t_max must be non-negative and finite, got {cfg['t_max']!r}")
     if min(cfg["t_points"], cfg["n_levels"]) < 0:
         raise ConfigError("t_points and n_levels must be non-negative")
+    if (rows := cfg["n_levels"] * cfg["t_points"]) > MAX_ANALYTIC_ROWS:
+        raise SizeLimitError(f"n_levels x t_points = {rows} rows, more than the limit of "
+                             f"{MAX_ANALYTIC_ROWS:.0e}")
     os.makedirs(out_dir, exist_ok=True)
     ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
     cols = {k: [] for k in ("n", "t", "re_a", "im_a", "re_b", "im_b",

@@ -33,6 +33,8 @@ BORN_TOL = 1e-10
 ABSORPTION_CHUNK = 20000         # absorption_rate_mc trials drawn and scored per batch
 STACK_BYTES = 2 ** 22            # joint matrices run_intervals evolves per propagator call
 MAX_INTERVALS = 10 ** 5          # expected intervals per walker: ~30 s, ~0.8 GB exact at n_max 14
+MAX_TRAJECTORIES = 10 ** 5       # trajectories per ensemble: ~0.2 GB of random streams alone
+MAX_CHECKPOINTS = 10 ** 5        # checkpoint times per run: ~0.4 GB of exact states at n_max 14
 TRACE_DRIFT_MAX = 1e-4           # largest |Tr rho_A - 1| of a density-matrix run (weak S_A floor)
 
 
@@ -52,9 +54,10 @@ class ProcessConfig:
     intervals: np.ndarray | None = None   # explicit interval schedule (density-matrix mode)
 
     def __post_init__(self):
-        """Refuse a bad request before any run allocates.  A schedule that expects
-        more than MAX_INTERVALS intervals per walker (lam * horizon, or the explicit
-        schedule's length) is a SizeLimitError, any other refusal a ConfigError."""
+        """Refuse a bad request before any run allocates.  More than MAX_TRAJECTORIES
+        trajectories, more than MAX_CHECKPOINTS checkpoint times, or a schedule that
+        expects more than MAX_INTERVALS intervals per walker (lam * horizon, or the
+        explicit schedule's length) is a SizeLimitError, any other refusal a ConfigError."""
         if self.mode not in ("trajectory", "density-matrix"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n_traj < 1:
@@ -63,6 +66,14 @@ class ProcessConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         if self.n_checkpoints < 0:
             raise ConfigError(f"n_checkpoints must be >= 0, got {self.n_checkpoints!r}")
+        if self.n_traj > MAX_TRAJECTORIES:
+            raise SizeLimitError(f"n_traj = {self.n_traj} is more than the limit of "
+                                 f"{MAX_TRAJECTORIES:.0e} trajectories")
+        times = self.checkpoint_times
+        n_cp = self.n_checkpoints if times is None else np.size(times)
+        if n_cp > MAX_CHECKPOINTS:
+            raise SizeLimitError(f"{n_cp} checkpoint times are more than the limit of "
+                                 f"{MAX_CHECKPOINTS:.0e}")
         if self.mode == "trajectory" and self.intervals is not None:
             raise ConfigError("an explicit interval schedule runs in density-matrix mode only")
         if np.size(self.beta) == 0:
@@ -75,7 +86,7 @@ class ProcessConfig:
         if count > MAX_INTERVALS:
             raise SizeLimitError(f"the schedule expects {count:.3g} intervals per walker, more "
                                  f"than the limit of {MAX_INTERVALS:.0e}")
-        grid = [] if self.checkpoint_times is None else self.grid()
+        grid = [] if times is None else self.grid()
         if not (np.isfinite(grid).all() and (np.diff(grid) >= 0).all()):
             raise ConfigError("checkpoint times must be finite and non-decreasing")
         if self.intervals is not None and not (np.asarray(self.intervals, dtype=float) >= 0).all():
@@ -197,11 +208,6 @@ def _draw_index(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, p.shape[-1] - 1)
 
 
-def _expect(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """<psi|op|psi> for each row psi of ``rows``."""
-    return ((rows @ op.T) * rows.conj()).sum(axis=1).real
-
-
 def _born(psi: np.ndarray, v_b: np.ndarray):
     """Amplitudes amp[i, :, m], row i's unnormalized state of A after outcome m
     of measuring B on joint state-vector rows ``psi``, and the probabilities p[i, m]."""
@@ -272,7 +278,8 @@ def _measure(frame: _JointFrame, v_b: np.ndarray, c0: np.ndarray, t: np.ndarray,
     amp, p_m = _born(psi_t, v_b)
     m = _draw_index(p_m, u)
     post = amp[np.arange(m.size), :, m]
-    return post / np.linalg.norm(post, axis=1)[:, None], _expect(psi_t, frame.hab), p_m, m
+    hab = ((psi_t @ frame.hab.T) * psi_t.conj()).sum(axis=1).real
+    return post / np.linalg.norm(post, axis=1)[:, None], hab, p_m, m
 
 
 def step_interval(state_a: StateVector, reservoir_in, sys: JointSystem, t: float,
@@ -512,17 +519,6 @@ def run_process(cfg: ProcessConfig, sys: JointSystem):
     return run_intervals(_JointFrame(sys), sys, cfg, reservoir)
 
 
-def _row_observable(op: np.ndarray, dim_b: int):
-    """f(psi, p) = <psi|op (x) 1|psi> for each joint state-vector row psi, p = |psi|^2:
-    a weighted sum of p when op is diagonal in the storage basis, the quadratic form
-    otherwise."""
-    if np.any(op - np.diag(np.diagonal(op))):
-        joint = np.kron(op, np.eye(dim_b))
-        return lambda psi, p: _expect(psi, joint)
-    w = np.kron(np.diagonal(op).real, np.ones(dim_b))
-    return lambda psi, p: p @ w
-
-
 def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSummary:
     """``_walk`` on a batch of n_traj pure-state trajectories, one row of psi_a each.
 
@@ -534,11 +530,13 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     exponential is paid per checkpoint; the phase is then exact to about
     eps |e| t in the absolute time t rather than eps |e| tau.  A checkpoint
     whose tau ``_walk`` clipped to the interval length is evolved by that
-    tau.  <H_A> and the top-level population are read per trajectory
-    (``_row_observable``), <H_B>, <H_AB> and rho_A off the joint sum over
-    trajectories of |psi><psi|.  Each trajectory draws from its own stream,
-    in the order: its initial eigenstate (mixed start only), then per
-    interval the length, the input level and the outcome.
+    tau.  A checkpoint's rows go to the product energy basis U = v_A (x) v_B,
+    where H_A (x) 1, A's top-level projector and 1 (x) H_B are diagonal: <H_A>,
+    the top-level population and <H_B> are fixed weights times |U^+ psi|^2, and
+    gamma <H_AB> and rho_A (rotated back from A's energy basis at the end) come
+    off the joint sum over trajectories of U^+|psi><psi|U.  Each trajectory
+    draws from its own stream, in the order: its initial eigenstate (mixed
+    start only), then per interval the length, the input level and the outcome.
     """
     n = cfg.n_traj
     rngs = [_traj_rng(cfg.seed, i) for i in range(n)]
@@ -553,14 +551,20 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
         psi_a, s_a0 = evecs.T[drawn], shannon_entropy(np.bincount(drawn) / n)
     frame = _JointFrame(sys)
     dims = (sys.dim_a, sys.dim_b)
+    v_a, e_a = sys.basis_a.eigenvectors, sys.basis_a.eigenvalues
     v_b, e_b = sys.basis_b.eigenvectors, sys.basis_b.eigenvalues
-    v_top = sys.basis_a.eigenvectors[:, np.argmax(sys.basis_a.eigenvalues)]
-    observables = (_row_observable(sys.h_a.mat, sys.dim_b),
-                   _row_observable(np.outer(v_top, v_top.conj()), sys.dim_b))
-    ha_now = _expect(psi_a, sys.h_a.mat)
+    u_ab = np.kron(v_a, v_b)
+    w_e, hab_e = u_ab.conj().T @ frame.w, u_ab.conj().T @ frame.hab @ u_ab
+    top, ones_b = np.arange(sys.dim_a) == np.argmax(e_a), np.ones(sys.dim_b)
+    weights = np.column_stack((np.kron(e_a, ones_b), np.kron(top, ones_b),
+                               np.kron(np.ones(sys.dim_a), e_b)))   # <H_A>, top level, <H_B>
+
+    def energy_a(rows):
+        return (np.abs(rows @ v_a.conj()) ** 2) @ e_a
+
+    ha_now = energy_a(psi_a)
     grid = cfg.grid()
     phase = frame.phases(grid)
-    hb_joint = np.kron(np.eye(sys.dim_a), sys.h_b.mat)      # 1 (x) H_B
     rho_sum = np.zeros((len(grid), sys.dim_a, sys.dim_a), complex)
     # <H_A>, <H_B>, gamma <H_AB>, and x - x_ref and its square for x = <H_A>, where
     # x_ref is the first value booked at the checkpoint: the spread is summed
@@ -580,7 +584,7 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
         psi_a[done], hab, p_m, _ = _measure(frame, v_b, c0[completes], t_k[completes],
                                             u[completes, 1])
         born_max = max(born_max, float(np.abs(p_m.sum(axis=1) - 1.0).max(initial=0.0)))
-        ha_start, ha_now[done] = ha_now[done], _expect(psi_a[done], sys.h_a.mat)
+        ha_start, ha_now[done] = ha_now[done], energy_a(psi_a[done])
         # the reservoir booked from its input level to the outcome-averaged
         # populations, A's energy conditioned on the sampled outcome (the
         # ensemble averages match density-matrix mode)
@@ -595,23 +599,22 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
             coef = phase[j] * c_ref[on]
             clipped = tau != grid[j] - t_start[on]
             coef[clipped] = frame.phases(tau[clipped]) * c0[on][clipped]
-            psi = coef @ frame.w.T
-            pop = np.abs(psi) ** 2
-            ha, top = (f(psi, pop) for f in observables)
-            joint = psi.T @ psi.conj()             # sum over trajectories of |psi><psi|
+            psi = coef @ w_e.T                      # the rows U^+ psi
+            ha, top, hb = ((np.abs(psi) ** 2) @ weights).T
+            joint = psi.T @ psi.conj()             # sum over trajectories of U^+|psi><psi|U
             rho_sum[j] += marginal(joint, dims, "A")
             if np.isnan(ha_ref[j]):
                 ha_ref[j] = ha[0]
             dev = ha - ha_ref[j]
-            obs_sum[:, j] += (ha.sum(), expect(hb_joint, joint),
-                              sys.gamma * expect(frame.hab, joint), dev.sum(), (dev * dev).sum())
+            obs_sum[:, j] += (ha.sum(), hb.sum(), sys.gamma * expect(hab_e, joint), dev.sum(),
+                              (dev * dev).sum())
             top_max, n_pairs = max(top_max, top.max()), n_pairs + ha.size
         return terms
 
     _, n_cp, sums = _walk(step, 2, rngs, cfg, grid)
     mean_ha, mean_hb, mean_hab, mean_dev, mean_dev2 = obs_sum[:, :n_cp] / n
     var = np.maximum(mean_dev2 - mean_dev ** 2, 0.0)
-    mean_rho = rho_sum[:n_cp] / n
+    mean_rho = v_a @ (rho_sum[:n_cp] / n) @ v_a.conj().T
     s_a = shannon_entropy(spectrum(hermitian_part(mean_rho)))
     series = _checkpoint_series(grid[:n_cp], mean_ha, mean_hb, mean_hab, s_a, s_a0,
                                 np.sqrt(var / max(n - 1, 1)), n, sums / n)

@@ -84,9 +84,7 @@ class JointSystem:
 
     @cached_property
     def total_h(self) -> Operator:
-        ia, ib = np.eye(self.dim_a), np.eye(self.dim_b)
-        h = np.kron(self.h_a.mat, ib) + np.kron(ia, self.h_b.mat) + self.gamma * self.h_ab.mat
-        return Operator(h, hermitian=True)
+        return Operator(self.uncoupled_h + self.gamma * self.h_ab.mat, hermitian=True)
 
     @cached_property
     def uncoupled_h(self) -> np.ndarray:

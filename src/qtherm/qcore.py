@@ -26,8 +26,9 @@ UNITARY_TOL = 1e-10
 COND_MAX = 1e10                  # 1-norm condition number ``well_conditioned_inverse`` refuses
 _SQRT_HALF = math.sqrt(0.5)
 
-# Largest d^2 x d^2 complex array that ``gksl_matrix`` builds; its caller holds a
-# few of them at once.  A joint space of 62 (n_max = 30) needs 0.22 GiB.
+# Largest d^2 x d^2 complex array that ``gksl_matrix`` builds; it holds two of them
+# at once, the result and one Kronecker product.  A joint space of 62 (n_max = 30)
+# needs 0.22 GiB per array.
 MAX_SUPEROP_BYTES = 2 ** 29
 
 
@@ -187,11 +188,14 @@ def gksl(parts: tuple, rho: np.ndarray) -> np.ndarray:
 
 def gksl_matrix(parts: tuple) -> np.ndarray:
     """Row-major matrix of ``gksl(parts, .)``, kron(L, 1) + kron(1, R^T) + sum_j kron(W_j, conj V_j)
-    added in that order, once ``check_superop_size`` has passed it."""
+    added in that order into the first, once ``check_superop_size`` has passed it.  R^T is
+    made contiguous, as kron of a transposed view comes out in its layout and is copied by
+    the final reshape: assembly holds one d^2 x d^2 temporary beside the result."""
     left, right, pairs = parts
     check_superop_size(len(left))
     eye = np.eye(len(left))
-    out = np.kron(left, eye) + np.kron(eye, right.T)
+    out = np.kron(left, eye)
+    out += np.kron(eye, np.ascontiguousarray(right.T))
     for w, v in pairs:
         out += np.kron(w, v.conj())
     return out

@@ -341,6 +341,55 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 3 and err.count("\n") == 1 and "joint dimension" in err, err
 
+    def test_oversized_trajectory_count_refused_before_any_stream(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # --traj 1e8 ended in a MemoryError traceback while drawing one random stream
+        # per trajectory
+        from qtherm import engine
+
+        monkeypatch.setattr(engine, "_traj_rng", lambda *a: pytest.fail("stream drawn"))
+        cfgfile = tmp_path / "many.cfg"
+        cfgfile.write_text("mode = trajectory\nn_max = 2\n")
+        code = cli.main(["simulate", "--config", str(cfgfile), "--traj", "100000000",
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1 and "n_traj = 100000000" in err, err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("mode,lines", [("exact", ""), ("exact", "mode = trajectory\n"),
+                                            ("weak", ""), ("fast", "lambda = 5\n")])
+    def test_oversized_checkpoint_count_refused_before_the_grid(self, tmp_path, capsys,
+                                                                monkeypatch, mode, lines):
+        # checkpoints = 1e8 ended in a MemoryError traceback in every mode: the
+        # exact states, the trajectory phase table, or the weak run's grid
+        monkeypatch.setattr(ProcessConfig, "grid", lambda self: pytest.fail("grid built"))
+        cfgfile = tmp_path / "dense.cfg"
+        cfgfile.write_text(lines + "n_max = 2\ncheckpoints = 100000000\n")
+        code = cli.main(["simulate", "--mode", mode, "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1, err
+        assert "100000000 checkpoint times" in err, err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_oversized_analytic_table_refused_before_any_row(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # n_levels = 1e8 with t_points = 2 wrote nothing within 20 s: 2e8 rows would
+        # take about an hour and tens of GB
+        monkeypatch.setattr(cli, "mean_b2_poisson", lambda *a: pytest.fail("row computed"))
+        monkeypatch.setattr(cli, "amplitudes", lambda *a: pytest.fail("row computed"))
+        cfgfile = tmp_path / "tall.cfg"
+        cfgfile.write_text("n_levels = 100000000\nt_points = 2\n")
+        code = cli.main(["jcm-analytic", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1 and "200000000 rows" in err, err
+        assert not list(tmp_path.rglob("*.csv"))
+        # the limit itself passes the guard
+        cfg = dict(cli.resolve_config(None, {}), n_levels=cli.MAX_ANALYTIC_ROWS, t_points=1)
+        with pytest.raises(pytest.fail.Exception, match="row computed"):
+            cli.cmd_jcm_analytic(cfg, str(tmp_path / "out"), quiet=True)
+
     def test_truncation_warning_states_its_margin(self, tmp_path, capsys):
         # the golden truncation-suspect density-matrix point, through the CLI
         cfgfile = tmp_path / "tight.cfg"

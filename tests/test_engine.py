@@ -6,7 +6,9 @@ import pytest
 
 from qtherm.analytic import amplitudes
 from qtherm.engine import (
+    MAX_CHECKPOINTS,
     MAX_INTERVALS,
+    MAX_TRAJECTORIES,
     ProcessConfig,
     _JointFrame,
     _traj_rng,
@@ -19,7 +21,7 @@ from qtherm.engine import (
 from qtherm.errors import (ConfigError, DegenerateSteadyStateError, DimensionError,
                            PreconditionError, SizeLimitError)
 from qtherm.generators import AveragedIntervalMap, decompose, weak_interval_run
-from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_state
+from qtherm.models import JcmParams, JointSystem, build_jcm, thermal_populations, thermal_state
 from qtherm.qcore import DensityMatrix, Operator, StateVector, marginal, shannon_entropy
 from qtherm.thermo import s_tot
 
@@ -156,6 +158,19 @@ class TestRunProcess:
                           intervals=np.ones(MAX_INTERVALS + 1))
         ProcessConfig(lam=1e-2, beta=1.0, horizon=1e9, intervals=np.full(400, 100.0))
 
+    def test_counts_above_their_limits_rejected(self):
+        # 1e8 trajectories or checkpoints ran out of memory in every mode: the random
+        # streams, the checkpoint grid and its states were allocated before any guard
+        base = dict(lam=0.01, beta=1.0, horizon=30.0, mode="trajectory")
+        with pytest.raises(SizeLimitError, match="n_traj = 100000000 "):
+            ProcessConfig(n_traj=10 ** 8, **base)
+        for mode in ("trajectory", "density-matrix"):
+            with pytest.raises(SizeLimitError, match="100000000 checkpoint times"):
+                ProcessConfig(**dict(base, mode=mode, n_checkpoints=10 ** 8))
+        with pytest.raises(SizeLimitError, match=f"{MAX_CHECKPOINTS + 1} checkpoint times"):
+            ProcessConfig(checkpoint_times=np.zeros(MAX_CHECKPOINTS + 1), **base)
+        ProcessConfig(n_traj=MAX_TRAJECTORIES, n_checkpoints=MAX_CHECKPOINTS, **base)
+
     @pytest.mark.parametrize("times", [[0.0, 6.0, 2.0, 4.0], [0.0, 2.0, math.nan, 6.0]])
     def test_unsorted_or_non_finite_grid_rejected(self, times):
         # a decreasing grid would report stale <H_A> at the out-of-order
@@ -275,23 +290,30 @@ class TestRunProcess:
         np.testing.assert_allclose(got, total / 3, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("rotated, lam, horizon",
-                             [(False, 0.2, 40.0), (True, 0.2, 40.0), (False, 2e-4, 2e5)])
+                             [(False, 0.2, 40.0), (True, 0.2, 40.0), ("AB", 0.2, 40.0),
+                              (False, 2e-4, 2e5)])
     def test_checkpoints_match_trajectories_stepped_by_hand(self, rotated, lam, horizon):
         # Each trajectory is stepped one interval at a time through step_interval,
         # and every checkpoint is evaluated from an explicit exp(-i e tau).  The
         # grid is non-uniform and holds trajectory 0's first measurement time, and
         # the next float after it, which the walk books to that interval with tau
         # clipped to the interval length.  The rotated H_A (and H_AB with it) is
-        # not diagonal in the storage basis, so neither is the top-level projector.
+        # not diagonal in the storage basis, so neither is the top-level projector;
+        # "AB" rotates B's basis too, so that neither is H_B.
         # The ensemble takes a pair's phase e (t - t_start) from e t and e t_start,
         # so it agrees with exp(-i e tau) to about eps |e| t in absolute time t.
         sys = build_jcm(JcmParams(n_max=4))
         if rotated:
             z = np.random.default_rng(5).normal(size=(2, sys.dim_a, sys.dim_a))
             u, _ = np.linalg.qr(z[0] + 1j * z[1])
-            uj = np.kron(u, np.eye(sys.dim_b))
+            u_b, h_b = np.eye(sys.dim_b), sys.h_b
+            if rotated == "AB":
+                z = np.random.default_rng(6).normal(size=(2, sys.dim_b, sys.dim_b))
+                u_b, _ = np.linalg.qr(z[0] + 1j * z[1])
+                h_b = Operator(u_b @ h_b.mat @ u_b.conj().T)
+            uj = np.kron(u, u_b)
             sys = JointSystem(sys.dim_a, sys.dim_b, Operator(u @ sys.h_a.mat @ u.conj().T),
-                              sys.h_b, Operator(uj @ sys.h_ab.mat @ uj.conj().T), sys.gamma)
+                              h_b, Operator(uj @ sys.h_ab.mat @ uj.conj().T), sys.gamma)
         betas, seed, n = [1.0, 0.5, 2.0], 3, 4
         rho0 = thermal_state(sys.h_a, 0.3).mat
         rng = _traj_rng(seed, 0)
@@ -317,7 +339,7 @@ class TestRunProcess:
             while j < len(grid):
                 t_k = sample_interval(rng, lam)
                 beta = betas[min(k, len(betas) - 1)]
-                pops = np.diag(thermal_state(sys.h_b, beta).mat).real
+                pops = thermal_populations(sys.basis_b.eigenvalues, beta)
                 level = int(np.searchsorted(np.cumsum(pops), rng.random() * pops.sum()))
                 end = min(t_cum + t_k, horizon)
                 joint0 = np.kron(psi.vec, v_b[:, level])

@@ -13,6 +13,7 @@ from qtherm.qcore import (
     StateVector,
     connected_blocks,
     expect,
+    gksl_matrix,
     marginal,
     populations,
     propagate_grid,
@@ -280,6 +281,30 @@ def test_trace_distance_basic():
     b = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     assert abs(trace_distance(a, b) - 1.0) < 1e-14
     assert trace_distance(a, a) < 1e-14
+
+
+def test_gksl_matrix_holds_one_temporary_beside_the_result():
+    # R = L^+ is a transposed view, as every caller passes it; kron of the view
+    # R^T used to come out in its layout and be copied by kron's reshape, so that
+    # with the sum assembly held three d^2 x d^2 arrays at once (peak 3.0x the result)
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    d = 20
+    left, w, v = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3))
+    parts = (left, left.conj().T, [(w, v), (v, w)])
+    tracemalloc.start()
+    try:
+        out = gksl_matrix(parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * out.nbytes, peak / out.nbytes
+    eye = np.eye(d)
+    want = np.kron(left, eye) + np.kron(eye, left.conj())
+    want += np.kron(w, v.conj())
+    want += np.kron(v, w.conj())
+    np.testing.assert_array_equal(out, want)
 
 
 @pytest.mark.parametrize("spacing", ["geomspace", "linspace"])
