@@ -1,9 +1,9 @@
 """Closed-form cavity-qubit solution and measurement-averaged rates.
 
-Everything here is plain scalar arithmetic (no linear algebra), so
-these functions can serve as an independent ground truth for the numerical
-engine.  Conventions: hbar = 1, qubit detuning Delta_c = omega_b - omega_a,
-Rabi frequency Omega_n = 2 gamma sqrt(n).
+Everything here is elementwise closed forms over a time grid (no linear
+algebra), so these functions can serve as an independent ground truth for
+the numerical engine.  Conventions: hbar = 1, qubit detuning
+Delta_c = omega_b - omega_a, Rabi frequency Omega_n = 2 gamma sqrt(n).
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import NumericError
 from .models import JcmParams, check_rate
@@ -28,11 +30,11 @@ class JcmAmplitudes:
     omega_n: float
     omega_n_prime: float
     delta_c: float
-    a_n: complex
-    b_n: complex
+    a_n: complex | np.ndarray
+    b_n: complex | np.ndarray
 
     @property
-    def transfer_probability(self) -> float:
+    def transfer_probability(self) -> float | np.ndarray:
         return abs(self.b_n) ** 2
 
 
@@ -58,20 +60,21 @@ class AtomFieldState:
         return sum(n * p for n, p in enumerate(self.p_n))
 
 
-def amplitudes(n: int, t: float, params: JcmParams) -> JcmAmplitudes:
-    """a_n(t), b_n(t) for the block spanned by |n-1, e> and |n, g>."""
+def amplitudes(n: int, t: float | np.ndarray, params: JcmParams) -> JcmAmplitudes:
+    """a_n(t), b_n(t) for the block spanned by |n-1, e> and |n, g>, elementwise
+    over a time or an array of times."""
     if n < 1:
         raise ValueError("the exchange block requires n >= 1")
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not np.all(np.isfinite(t) & np.greater_equal(t, 0)):
+        raise ValueError("time must be non-negative and finite")
     omega_n = 2.0 * params.gamma * math.sqrt(n)
     delta_c = params.detuning
     omega_p = math.hypot(omega_n, delta_c)
     if omega_p == 0.0:
-        return JcmAmplitudes(n, 0.0, 0.0, 0.0, 1.0 + 0j, 0j)
+        return JcmAmplitudes(n, 0.0, 0.0, 0.0, 0.0 * t + (1.0 + 0j), 0.0 * t + 0j)
     half = 0.5 * omega_p * t
-    a_n = math.cos(half) - 1j * (delta_c / omega_p) * math.sin(half)
-    b_n = -1j * (omega_n / omega_p) * math.sin(half)
+    a_n = np.cos(half) - 1j * (delta_c / omega_p) * np.sin(half)
+    b_n = -1j * (omega_n / omega_p) * np.sin(half)
     return JcmAmplitudes(n, omega_n, omega_p, delta_c, a_n, b_n)
 
 

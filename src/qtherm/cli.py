@@ -16,7 +16,6 @@ import sys as _sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from ._svg import line_chart
 from .engine import ProcessConfig, run_process
 from .errors import ConfigError, NumericError, QthermError, SizeLimitError
@@ -28,7 +27,8 @@ from .models import TRUNCATION_LIMIT, JcmParams, build_jcm, check_rate, thermal_
 from .qcore import StateVector
 
 TWO_PI = 2 * math.pi
-MAX_ANALYTIC_ROWS = 10 ** 6      # jcm-analytic rows, n_levels x t_points: ~16 s, ~0.5 GB
+MAX_ANALYTIC_ROWS = 10 ** 6      # jcm-analytic rows, n_levels x t_points: ~7 s, ~0.35 GB
+CSV_BLOCK_ROWS = 2 ** 14         # rows write_csv formats at a time, bounding the text held
 
 DEFAULTS = {
     # model (photon-decay state point: resonant cavity+qubit, full coupling)
@@ -122,21 +122,18 @@ def _float_list(text: str, what: str) -> list[float]:
         raise ConfigError(f"cannot parse {what}: {text!r}") from exc
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def write_csv(path: str, comments: list[str], columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    rows = len(next(iter(columns.values()))) if columns else 0
+    """Integer columns print as ints, any other (bool too) as repr(float(x))."""
+    cols = [np.asarray(c) for c in columns.values()]
+    cols = [c if c.dtype.kind in "iu" else c.astype(float, copy=False) for c in cols]
+    rows = max(map(len, cols), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
-        fh.write(",".join(names) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(columns[n][i]) for n in names) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for i in range(0, rows, CSV_BLOCK_ROWS):
+            text = [map(repr, c[i:i + CSV_BLOCK_ROWS].tolist()) for c in cols]
+            fh.writelines(",".join(row) + "\n" for row in zip(*text, strict=True))
 
 
 def _header(cfg: dict, command: str) -> list[str]:
@@ -258,7 +255,7 @@ def cmd_steady_scan(cfg: dict, out_dir: str, quiet: bool) -> int:
     for lam in lams if betas else []:
         sel = columns["lambda"] == lam
         curves.append((f"lam={lam:.4g}", columns["beta"][sel], columns["beta_eff"][sel]))
-        floor = -math.log(min_temp_predict(lam, omega)) / omega
+        floor = columns["beta_eff_min"][sel][0]
         curves.append((f"limit lam={lam:.4g}", np.array([min(betas), max(betas)]),
                        np.array([floor, floor])))
     svg_path = os.path.join(out_dir, "steady_scan.svg")
@@ -281,27 +278,20 @@ def cmd_jcm_analytic(cfg: dict, out_dir: str, quiet: bool) -> int:
                              f"{MAX_ANALYTIC_ROWS:.0e}")
     os.makedirs(out_dir, exist_ok=True)
     ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
-    cols = {k: [] for k in ("n", "t", "re_a", "im_a", "re_b", "im_b",
-                            "abs_b2", "mean_b2_poisson")}
-    for n in range(1, cfg["n_levels"] + 1):
-        avg = mean_b2_poisson(n, cfg["lambda"], params)
-        for t in ts:
-            amp = amplitudes(n, float(t), params)
-            cols["n"].append(n)
-            cols["t"].append(float(t))
-            cols["re_a"].append(amp.a_n.real)
-            cols["im_a"].append(amp.a_n.imag)
-            cols["re_b"].append(amp.b_n.real)
-            cols["im_b"].append(amp.b_n.imag)
-            cols["abs_b2"].append(amp.transfer_probability)
-            cols["mean_b2_poisson"].append(avg)
-    columns = {k: np.array(v) for k, v in cols.items()}
-    columns["n"] = columns["n"].astype(int)
+    levels = range(1, cfg["n_levels"] + 1)
+    amps = [amplitudes(n, ts, params) for n in levels]
+    shape = (len(levels), len(ts))                     # one row of times per level
+    a = np.reshape([amp.a_n for amp in amps], shape)
+    b = np.reshape([amp.b_n for amp in amps], shape)
+    b2 = np.reshape([amp.transfer_probability for amp in amps], shape)
+    avg = [mean_b2_poisson(n, cfg["lambda"], params) for n in levels]
+    columns = {"n": np.repeat(levels, len(ts)), "t": np.tile(ts, len(levels)),
+               "re_a": a.real.ravel(), "im_a": a.imag.ravel(), "re_b": b.real.ravel(),
+               "im_b": b.imag.ravel(), "abs_b2": b2.ravel(),
+               "mean_b2_poisson": np.repeat(avg, len(ts))}
     path = os.path.join(out_dir, "jcm_analytic.csv")
     write_csv(path, _header(cfg, "jcm-analytic"), columns)
-    curves = [(f"n={n}", ts,
-               np.array(cols["abs_b2"][(n - 1) * len(ts): n * len(ts)]))
-              for n in range(1, cfg["n_levels"] + 1)]
+    curves = [(f"n={n}", ts, row) for n, row in zip(levels, b2)]
     svg_path = os.path.join(out_dir, "jcm_analytic.svg")
     line_chart(svg_path, "Exchange probability |b_n(t)|^2", "t", "|b_n|^2", curves)
     _say(quiet, f"wrote {path}")
@@ -310,6 +300,8 @@ def cmd_jcm_analytic(cfg: dict, out_dir: str, quiet: bool) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod     # only this command compiles and loads it
+
     out_dir = args.out or "qtherm_out"
     os.makedirs(out_dir, exist_ok=True)
     results = verify_mod.run_all(n_traj=args.traj, quiet=args.quiet)

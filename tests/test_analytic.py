@@ -55,6 +55,23 @@ class TestAmplitudes:
                 a = amplitudes(n, float(t), p)
                 assert abs(abs(a.a_n) ** 2 + abs(a.b_n) ** 2 - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("gamma, dc", [(0.05, 0.0), (0.05, 0.5), (0.0, 0.0), (0.0, 0.5)])
+    def test_time_grid_matches_one_call_per_time(self, gamma, dc):
+        # (0, 0) takes the omega'_n = 0 branch
+        p = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + dc, gamma=gamma, n_max=8)
+        ts = np.linspace(0.0, 100.0, 23)
+        for n in (1, 2, 5):
+            grid = amplitudes(n, ts, p)
+            one = [amplitudes(n, float(t), p) for t in ts]
+            for got, want in ((grid.a_n, [a.a_n for a in one]), (grid.b_n, [a.b_n for a in one])):
+                assert got.shape == ts.shape
+                assert got.tobytes() == np.array(want, dtype=complex).tobytes()   # bit for bit
+
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan, np.array([0.0, 2.0, -1e-9])])
+    def test_time_outside_the_half_line_raises(self, t):
+        with pytest.raises(ValueError, match="time"):
+            amplitudes(1, t, RESONANT)
+
     def test_numeric_block_oracle(self):
         # 4x4 evolution of the one-excitation pair, independent of the engine
         p = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=1, rwa=True)

@@ -18,7 +18,7 @@ from qtherm.qcore import StateVector
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs in a fresh interpreter: prints the loaded scipy modules after the import
-# and again after every command but verify.
+# and again after every command but verify, none of which loads qtherm.verify.
 SCIPY_PROBE = """
 import sys
 from qtherm import cli
@@ -35,6 +35,7 @@ for args in (["simulate", "--mode", "both", "--config", out + "/small.cfg"],
              ["jcm-analytic", "--config", out + "/small.cfg"]):
     assert cli.main(args + ["--out", out + "/" + args[0], "--quiet"]) == 0, args
 print(scipy_modules())
+assert "qtherm.verify" not in sys.modules
 """
 
 
@@ -51,6 +52,43 @@ def read_csv(path):
                 rows.append(line.split(","))
     cols = {n: np.array([float(r[i]) for r in rows]) for i, n in enumerate(names)}
     return comments, cols
+
+
+def per_cell_csv(comments, columns):
+    """The CSV text of the per-cell rule write_csv keeps: integer elements as
+    str(int(x)), anything else as repr(float(x)), one cell at a time."""
+    def cell(x):
+        return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+    rows = len(next(iter(columns.values()))) if columns else 0
+    lines = [f"# {c}\n" for c in comments] + [",".join(columns) + "\n"]
+    lines += [",".join(cell(col[i]) for col in columns.values()) + "\n" for i in range(rows)]
+    return "".join(lines)
+
+
+class TestWriteCsv:
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 2.0, 0.1, 1 / 3, -7.25,
+              1e-310, 123456789.0]
+
+    @pytest.mark.parametrize("columns", [
+        {"n": np.arange(-3, 9), "flag": np.arange(12) % 3 == 0, "x": np.array(FLOATS)},
+        {"x": np.array([]), "n": np.array([], dtype=int)},
+        {},
+    ], ids=["int-bool-float", "zero-rows", "no-columns"])
+    @pytest.mark.parametrize("block", [1, 5, cli.CSV_BLOCK_ROWS])
+    def test_bytes_match_the_per_cell_rule(self, tmp_path, monkeypatch, columns, block):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        comments = ["qtherm test output", "key = value"]
+        cli.write_csv(str(tmp_path / "t.csv"), comments, columns)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(comments, columns).encode()
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("block", [2, cli.CSV_BLOCK_ROWS])
+    def test_columns_of_unequal_length_raise(self, tmp_path, monkeypatch, lengths, block):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        columns = {"a": np.zeros(lengths[0]), "b": np.zeros(lengths[1])}
+        with pytest.raises(ValueError):
+            cli.write_csv(str(tmp_path / "t.csv"), [], columns)
 
 
 class TestConfig:
@@ -136,6 +174,18 @@ class TestSteadyScan:
         # cold reservoir: plateau at the limiting value
         sel = (cols["lambda"] > 1.0) & (cols["beta"] == 8.0)
         assert abs(cols["beta_eff"][sel][0] - cols["beta_eff_min"][sel][0]) < 0.02
+
+    def test_degenerate_row(self, tmp_path):
+        # at gamma = 0 every level of A is stationary: the row is nan and flagged
+        cfgfile = tmp_path / "free.cfg"
+        cfgfile.write_text("gamma = 0\nscan_n_max = 2\nbeta_list = 1.0\nlambda_list = 0.5\n")
+        code = cli.main(["steady-scan", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 0
+        row = (tmp_path / "out" / "steady_scan.csv").read_text().splitlines()[-1].split(",")
+        assert row[:2] == ["1.0", "0.5"] and row[2:6] == ["nan"] * 4 and row[7] == "1", row
+        assert float(row[6]) > 0                        # the floor beta_eff_min
+        assert (tmp_path / "out" / "steady_scan.svg").stat().st_size > 0
 
     def test_empty_grid(self, tmp_path):
         cfg = cli.resolve_config(None, {})
