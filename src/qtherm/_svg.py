@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f"]
 
 W, H = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 20, 40, 56
+POINT_BLOCK = 2 ** 14            # points a polyline formats at a time, bounding the text held
 
 
 def _fmt(x: float) -> str:
@@ -34,17 +37,26 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return out
 
 
+def _write_points(fh, px: np.ndarray, py: np.ndarray) -> None:
+    """Write 'x,y x,y ...' at two decimals, formatting POINT_BLOCK points at a time."""
+    xy = np.column_stack((px, py))
+    for i in range(0, len(xy), POINT_BLOCK):
+        block = xy[i:i + POINT_BLOCK]
+        text = " ".join(["%.2f,%.2f"] * len(block)) % tuple(block.ravel().tolist())
+        fh.write(" " + text if i else text)
+
+
 def line_chart(path: str, title: str, xlabel: str, ylabel: str,
                series: Sequence[tuple[str, Sequence[float], Sequence[float]]]) -> None:
-    """Write a line chart with one polyline per named series."""
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-           if math.isfinite(x) and math.isfinite(y)]
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    """Write a line chart with one polyline per named series, of its finite points."""
+    curves = []
+    for label, xs, ys in series:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        curves.append((label, xs, ys) if keep.all() else (label, xs[keep], ys[keep]))
+    finite = [(xs, ys) for _, xs, ys in curves if xs.size] or [(np.array([0.0, 1.0]),) * 2]
+    x0, x1 = min(float(xs.min()) for xs, _ in finite), max(float(xs.max()) for xs, _ in finite)
+    y0, y1 = min(float(ys.min()) for _, ys in finite), max(float(ys.max()) for _, ys in finite)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -83,19 +95,18 @@ def line_chart(path: str, title: str, xlabel: str, ylabel: str,
                  f'font-family="sans-serif">{xlabel}</text>')
     lines.append(f'<text x="18" y="{H/2:.0f}" text-anchor="middle" font-size="13" '
                  f'font-family="sans-serif" transform="rotate(-90 18 {H/2:.0f})">{ylabel}</text>')
-    for i, (label, xs, ys) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
-                          if math.isfinite(x) and math.isfinite(y))
-        if coords:
-            lines.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                         f'stroke-width="1.5"/>')
-        ly = MARGIN_T + 16 + 16 * i
-        lines.append(f'<line x1="{W - MARGIN_R - 150}" y1="{ly - 4}" '
-                     f'x2="{W - MARGIN_R - 126}" y2="{ly - 4}" stroke="{color}" '
-                     f'stroke-width="2"/>')
-        lines.append(f'<text x="{W - MARGIN_R - 120}" y="{ly}" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
-    lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+        for i, (label, xs, ys) in enumerate(curves):
+            color = PALETTE[i % len(PALETTE)]
+            if xs.size:
+                fh.write('<polyline points="')
+                _write_points(fh, sx(xs), sy(ys))
+                fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+            ly = MARGIN_T + 16 + 16 * i
+            fh.write(f'<line x1="{W - MARGIN_R - 150}" y1="{ly - 4}" '
+                     f'x2="{W - MARGIN_R - 126}" y2="{ly - 4}" stroke="{color}" '
+                     f'stroke-width="2"/>\n')
+            fh.write(f'<text x="{W - MARGIN_R - 120}" y="{ly}" font-size="11" '
+                     f'font-family="sans-serif">{label}</text>\n')
+        fh.write("</svg>\n")

@@ -31,7 +31,7 @@ from .thermo import IntervalLedger, book_intervals
 
 BORN_TOL = 1e-10
 ABSORPTION_CHUNK = 20000         # absorption_rate_mc trials drawn and scored per batch
-STACK_BYTES = 2 ** 22            # joint matrices run_intervals evolves per propagator call
+STACK_BYTES = 2 ** 22            # joint matrices per propagator call; trajectory records held
 MAX_INTERVALS = 10 ** 5          # expected intervals per walker: ~30 s, ~0.8 GB exact at n_max 14
 MAX_TRAJECTORIES = 10 ** 5       # trajectories per ensemble: ~0.2 GB of random streams alone
 MAX_CHECKPOINTS = 10 ** 5        # checkpoint times per run: ~0.4 GB of exact states at n_max 14
@@ -335,13 +335,13 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], cfg: Process
     Step k takes each walker whose clock is before ``cfg.horizon`` through its
     interval k: walker i draws the length from ``rngs[i]`` (or takes
     ``cfg.intervals[k]``), then ``uniforms`` uniforms for the batch's own draws.
-    ``step(k, live, u, t_start, t_k, checkpoints, completes)`` evolves the
-    live walkers from their clocks ``t_start``, records the checkpoints
-    (j, on, tau) of ``grid`` as it iterates them (walkers ``on``, ``tau``
-    into their interval), measures the walkers whose interval ``completes``
-    by the horizon and returns their (Q, W, W_meas, beta Q) rows, booking
-    beta Q as -dS_B, which is defined at every beta.  The interval that
-    crosses the horizon books no ledger.
+    ``step(k, live, u, t_start, t_k, first, stop, completes)`` evolves the
+    live walkers from their clocks ``t_start``, records each walker's
+    checkpoints ``grid[first:stop]``, each at tau = clip(grid[j] - t_start,
+    0, t_k) into its interval, measures the walkers whose interval
+    ``completes`` by the horizon and returns their (Q, W, W_meas, beta Q)
+    rows, booking beta Q as -dS_B, which is defined at every beta.  The
+    interval that crosses the horizon books no ledger.
 
     Returns all measurement times in order, the number of checkpoints every
     walker reached, and there the running ledger sums over walkers, (4, n).
@@ -366,10 +366,7 @@ def _walk(step, uniforms: int, rngs: Sequence[np.random.Generator], cfg: Process
         completes = t_end <= horizon
         first = cp_next[live]
         stop = np.searchsorted(grid, np.where(completes, t_end, horizon) + 1e-12, side="right")
-        checkpoints = ((j, on, np.minimum(np.maximum(grid[j] - t_start[on], 0.0), t_k[on]))
-                       for j in range(first.min(), stop.max())
-                       if (on := (first <= j) & (j < stop)).any())
-        terms.append(np.reshape(step(k, live, u, t_start, t_k, checkpoints, completes), (-1, 4)))
+        terms.append(np.reshape(step(k, live, u, t_start, t_k, first, stop, completes), (-1, 4)))
         times.append(t_end[completes])
         cp_next[live] = stop
         clock[live] = t_end
@@ -420,17 +417,13 @@ def run_intervals(prop, sys: JointSystem, cfg: ProcessConfig,
     born_max = min_eig = drift_max = 0.0
     chunk = max(1, STACK_BYTES // (16 * sys.dim ** 2))
 
-    def step(k, live, u, t_start, t_k, checkpoints, completes):
+    def step(k, live, u, t_start, t_k, first, stop, completes):
         nonlocal rho_a, born_max, min_eig, drift_max
         beta_k, pops_b0 = reservoir(k)
         joint0 = np.kron(rho_a, (v_b * pops_b0) @ v_b.conj().T)
-        js, taus = [], []
-        for j, _, tau in checkpoints:
-            js.append(j)
-            taus.append(float(tau[0]))
-        if completes[0]:
-            taus.append(float(t_k[0]))                # the interval's end comes last
-        taus = np.array(taus)
+        js = range(first[0], stop[0])
+        tau = np.minimum(np.maximum(grid[first[0]:stop[0]] - t_start[0], 0.0), t_k[0])
+        taus = np.concatenate((tau, t_k[completes]))   # the interval's end comes last
         for lo in range(0, taus.size, chunk):
             joint = prop.apply(joint0, taus[lo:lo + chunk])
             rho = hermitian_part(marginal(joint, dims, "A"))
@@ -524,19 +517,25 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
 
     Interval k couples each live trajectory's psi_A to a reservoir level drawn
     from the thermal populations at beta_k, held as (n, d) coefficients c0 in
-    the coupled eigenframe.  At checkpoint j a trajectory's coefficients
-    c0 exp(-i e (grid[j] - t_start)) are a per-run phase table exp(-i e
-    grid[j]) times c0 exp(+i e t_start), taken once per interval, so no
-    exponential is paid per checkpoint; the phase is then exact to about
-    eps |e| t in the absolute time t rather than eps |e| tau.  A checkpoint
-    whose tau ``_walk`` clipped to the interval length is evolved by that
-    tau.  A checkpoint's rows go to the product energy basis U = v_A (x) v_B,
+    the coupled eigenframe.  The walk records, for each trajectory with
+    checkpoints in the interval, c_ref = c0 exp(+i e t_start) (c0 moved back to
+    t = 0), its checkpoint range, t_start and t_k, and c0 itself where ``_walk``
+    clipped a tau to the interval, to be evolved by that tau.  At checkpoint j
+    the coefficients c0 exp(-i e (grid[j] - t_start)) are then a per-run phase
+    table exp(-i e grid[j]) times c_ref, so no exponential is paid per
+    checkpoint; the phase is exact to about eps |e| t in the absolute time t
+    rather than eps |e| tau.  A checkpoint is read once, in one pass over the
+    rows that hold it in interval order, when the walk ends; records held past
+    STACK_BYTES are read into partial sums first and dropped.
+    A checkpoint's rows go to the product energy basis U = v_A (x) v_B,
     where H_A (x) 1, A's top-level projector and 1 (x) H_B are diagonal: <H_A>,
     the top-level population and <H_B> are fixed weights times |U^+ psi|^2, and
     gamma <H_AB> and rho_A (rotated back from A's energy basis at the end) come
     off the joint sum over trajectories of U^+|psi><psi|U.  Each trajectory
     draws from its own stream, in the order: its initial eigenstate (mixed
     start only), then per interval the length, the input level and the outcome.
+    ``meta`` counts the measurements made over all trajectories
+    (``intervals``) and the outcomes drawn for each level of B (``outcomes``).
     """
     n = cfg.n_traj
     rngs = [_traj_rng(cfg.seed, i) for i in range(n)]
@@ -571,34 +570,28 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
     # without the cancellation of E[x^2] - E[x]^2
     obs_sum = np.zeros((5, len(grid)))
     ha_ref = np.full(len(grid), np.nan)
+    outcomes = np.zeros(sys.dim_b, dtype=int)
     born_max = top_max = 0.0
-    n_pairs = 0
+    n_pairs = held_bytes = 0
+    held = []            # records not yet read: (c_ref, first, stop, t_start, t_k, clip, c0[clip])
 
-    def step(k, live, u, t_start, t_k, checkpoints, completes):
-        nonlocal born_max, top_max, n_pairs
-        beta = cfg.beta_for(k)
-        level = _draw_index(thermal_populations(e_b, beta), u[:, 0])
-        c0 = frame.to_frame((psi_a[live][:, :, None] * v_b.T[level][:, None, :])
-                            .reshape(live.size, -1))
-        done = live[completes]
-        psi_a[done], hab, p_m, _ = _measure(frame, v_b, c0[completes], t_k[completes],
-                                            u[completes, 1])
-        born_max = max(born_max, float(np.abs(p_m.sum(axis=1) - 1.0).max(initial=0.0)))
-        ha_start, ha_now[done] = ha_now[done], energy_a(psi_a[done])
-        # the reservoir booked from its input level to the outcome-averaged
-        # populations, A's energy conditioned on the sampled outcome (the
-        # ensemble averages match density-matrix mode)
-        _, ds_b, q, _, w, _ = book_intervals(np.eye(sys.dim_b)[level[completes]],
-                                             np.clip(p_m, 0.0, None), e_b, beta,
-                                             ha_now[done] - ha_start).T
-        terms = np.column_stack((q, w, -sys.gamma * hab, -ds_b))
-
-        # the checkpoints come last, so that the measurement's temporaries are freed first
-        c_ref = c0 * frame.phases(-t_start)         # the coefficients moved back to t = 0
-        for j, on, tau in checkpoints:
+    def read():
+        """Add every held row into the sums of each checkpoint it holds, and drop them."""
+        nonlocal top_max, n_pairs, held_bytes
+        c_ref, first, stop, t_start, t_k, clip, c0 = map(np.concatenate, zip(*held))
+        held.clear()
+        held_bytes = 0
+        slot = np.cumsum(clip) - 1               # where clip, row i's c0 is c0[slot[i]]
+        for j in range(first.min(), stop.max()):
+            on = np.flatnonzero((first <= j) & (j < stop))
+            if not on.size:
+                continue
             coef = phase[j] * c_ref[on]
-            clipped = tau != grid[j] - t_start[on]
-            coef[clipped] = frame.phases(tau[clipped]) * c0[on][clipped]
+            if clip[on].any():
+                x = grid[j] - t_start[on]
+                tau = np.clip(x, 0.0, t_k[on])
+                clipped = tau != x
+                coef[clipped] = frame.phases(tau[clipped]) * c0[slot[on[clipped]]]
             psi = coef @ w_e.T                      # the rows U^+ psi
             ha, top, hb = ((np.abs(psi) ** 2) @ weights).T
             joint = psi.T @ psi.conj()             # sum over trajectories of U^+|psi><psi|U
@@ -609,9 +602,43 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
             obs_sum[:, j] += (ha.sum(), hb.sum(), sys.gamma * expect(hab_e, joint), dev.sum(),
                               (dev * dev).sum())
             top_max, n_pairs = max(top_max, top.max()), n_pairs + ha.size
+
+    def step(k, live, u, t_start, t_k, first, stop, completes):
+        nonlocal born_max, held_bytes
+        beta = cfg.beta_for(k)
+        level = _draw_index(thermal_populations(e_b, beta), u[:, 0])
+        c0 = frame.to_frame((psi_a[live][:, :, None] * v_b.T[level][:, None, :])
+                            .reshape(live.size, -1))
+        done = live[completes]
+        psi_a[done], hab, p_m, m = _measure(frame, v_b, c0[completes], t_k[completes],
+                                            u[completes, 1])
+        outcomes[:] += np.bincount(m, minlength=sys.dim_b)
+        born_max = max(born_max, float(np.abs(p_m.sum(axis=1) - 1.0).max(initial=0.0)))
+        ha_start, ha_now[done] = ha_now[done], energy_a(psi_a[done])
+        # the reservoir booked from its input level to the outcome-averaged
+        # populations, A's energy conditioned on the sampled outcome (the
+        # ensemble averages match density-matrix mode)
+        _, ds_b, q, _, w, _ = book_intervals(np.eye(sys.dim_b)[level[completes]],
+                                             np.clip(p_m, 0.0, None), e_b, beta,
+                                             ha_now[done] - ha_start).T
+        terms = np.column_stack((q, w, -sys.gamma * hab, -ds_b))
+
+        # the record comes last, so that the measurement's temporaries are freed first;
+        # a tau is clipped only at the ends of a range, as grid is sorted
+        has = np.flatnonzero(stop > first)
+        if has.size:
+            t0, tk = t_start[has], t_k[has]
+            clip = (grid[first[has]] - t0 < 0.0) | (grid[stop[has] - 1] - t0 > tk)
+            held.append((c0[has] * frame.phases(-t0), first[has], stop[has], t0, tk, clip,
+                         c0[has[clip]]))
+            held_bytes += sum(a.nbytes for a in held[-1])
+            if held_bytes > STACK_BYTES:
+                read()
         return terms
 
-    _, n_cp, sums = _walk(step, 2, rngs, cfg, grid)
+    times, n_cp, sums = _walk(step, 2, rngs, cfg, grid)
+    if held:
+        read()
     mean_ha, mean_hb, mean_hab, mean_dev, mean_dev2 = obs_sum[:, :n_cp] / n
     var = np.maximum(mean_dev2 - mean_dev ** 2, 0.0)
     mean_rho = v_a @ (rho_sum[:n_cp] / n) @ v_a.conj().T
@@ -625,7 +652,8 @@ def _run_trajectory_ensemble(cfg: ProcessConfig, sys: JointSystem) -> EnsembleSu
         truncation_suspect=bool(top_max > TRUNCATION_LIMIT),
         born_max_deviation=born_max,
         meta={"lam": cfg.lam, "horizon": cfg.horizon, "seed": cfg.seed,
-              "top_fock_max": float(top_max), "checkpoint_pairs": n_pairs},
+              "top_fock_max": float(top_max), "checkpoint_pairs": n_pairs,
+              "intervals": int(times.size), "outcomes": outcomes.tolist()},
     )
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qtherm import cli
+from qtherm import _svg, cli
 from qtherm.engine import ProcessConfig, run_process
 from qtherm.errors import ConfigError
 from qtherm.models import TRUNCATION_LIMIT, JcmParams, build_jcm
@@ -66,6 +66,61 @@ def per_cell_csv(comments, columns):
     return "".join(lines)
 
 
+def per_point_svg(title, xlabel, ylabel, series):
+    """The SVG text of the rule line_chart keeps, one point at a time: the axes
+    span every finite (x, y) pair, and each series draws its finite pairs."""
+    from qtherm._svg import H, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, W, _fmt, _ticks
+
+    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
+           if math.isfinite(x) and math.isfinite(y)] or [(0.0, 0.0), (1.0, 1.0)]
+    x0, x1 = min(p[0] for p in pts), max(p[0] for p in pts)
+    y0, y1 = min(p[1] for p in pts), max(p[1] for p in pts)
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    y0, y1 = y0 - 0.04 * (y1 - y0), y1 + 0.04 * (y1 - y0)
+
+    def sx(x):
+        return MARGIN_L + (x - x0) / (x1 - x0) * (W - MARGIN_L - MARGIN_R)
+
+    def sy(y):
+        return H - MARGIN_B - (y - y0) / (y1 - y0) * (H - MARGIN_T - MARGIN_B)
+
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+             f'viewBox="0 0 {W} {H}">', f'<rect width="{W}" height="{H}" fill="white"/>',
+             f'<text x="{W/2:.0f}" y="22" text-anchor="middle" font-size="15" '
+             f'font-family="sans-serif">{title}</text>']
+    for t in _ticks(x0, x1):
+        lines += [f'<line x1="{sx(t):.2f}" y1="{MARGIN_T}" x2="{sx(t):.2f}" '
+                  f'y2="{H - MARGIN_B}" stroke="#dddddd" stroke-width="1"/>',
+                  f'<text x="{sx(t):.2f}" y="{H - MARGIN_B + 18}" text-anchor="middle" '
+                  f'font-size="11" font-family="sans-serif">{_fmt(t)}</text>']
+    for t in _ticks(y0, y1):
+        lines += [f'<line x1="{MARGIN_L}" y1="{sy(t):.2f}" x2="{W - MARGIN_R}" '
+                  f'y2="{sy(t):.2f}" stroke="#dddddd" stroke-width="1"/>',
+                  f'<text x="{MARGIN_L - 6}" y="{sy(t) + 4:.2f}" text-anchor="end" '
+                  f'font-size="11" font-family="sans-serif">{_fmt(t)}</text>']
+    lines += [f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{W - MARGIN_L - MARGIN_R}" '
+              f'height="{H - MARGIN_T - MARGIN_B}" fill="none" stroke="#333333"/>',
+              f'<text x="{W/2:.0f}" y="{H - 14}" text-anchor="middle" font-size="13" '
+              f'font-family="sans-serif">{xlabel}</text>',
+              f'<text x="18" y="{H/2:.0f}" text-anchor="middle" font-size="13" '
+              f'font-family="sans-serif" transform="rotate(-90 18 {H/2:.0f})">{ylabel}</text>']
+    for i, (label, xs, ys) in enumerate(series):
+        color, ly = PALETTE[i % len(PALETTE)], MARGIN_T + 16 + 16 * i
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
+                          if math.isfinite(x) and math.isfinite(y))
+        if coords:
+            lines.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                         f'stroke-width="1.5"/>')
+        lines += [f'<line x1="{W - MARGIN_R - 150}" y1="{ly - 4}" x2="{W - MARGIN_R - 126}" '
+                  f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>',
+                  f'<text x="{W - MARGIN_R - 120}" y="{ly}" font-size="11" '
+                  f'font-family="sans-serif">{label}</text>']
+    return "\n".join(lines + ["</svg>"]) + "\n"
+
+
 class TestWriteCsv:
     FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 2.0, 0.1, 1 / 3, -7.25,
               1e-310, 123456789.0]
@@ -89,6 +144,24 @@ class TestWriteCsv:
         columns = {"a": np.zeros(lengths[0]), "b": np.zeros(lengths[1])}
         with pytest.raises(ValueError):
             cli.write_csv(str(tmp_path / "t.csv"), [], columns)
+
+
+class TestLineChart:
+    t = np.linspace(-3.0, 40.0, 23)
+
+    @pytest.mark.parametrize("series", [
+        [("a", t, np.sin(t)), ("b", t, np.where(t > 10, np.nan, t ** 2)),
+         ("c", [0, 1, 2], [math.inf, 2, -math.inf]), ("d", t[:5], np.full(5, -0.0))],
+        [("flat", [1.0, 1.0], [2.0, 2.0])],
+        [("none", [math.nan, 1.0], [1.0, math.inf])],
+        [],
+    ], ids=["mixed", "flat", "no_finite_point", "no_series"])
+    @pytest.mark.parametrize("block", [1, 4, _svg.POINT_BLOCK])
+    def test_bytes_match_the_per_point_rule(self, tmp_path, monkeypatch, series, block):
+        monkeypatch.setattr(_svg, "POINT_BLOCK", block)
+        _svg.line_chart(str(tmp_path / "c.svg"), "title", "t", "y", series)
+        want = per_point_svg("title", "t", "y", series)
+        assert (tmp_path / "c.svg").read_bytes() == want.encode()
 
 
 class TestConfig:

@@ -372,6 +372,73 @@ class TestRunProcess:
         np.testing.assert_allclose(ens.meta["top_fock_max"], obs[:, :, 3].max(), rtol=1e-12,
                                    atol=1e-15)
 
+    def test_interval_and_outcome_counts_match_a_hand_count(self):
+        # meta counts the measurements made, the intervals that complete by the
+        # horizon, and the outcomes drawn for each level of B; each trajectory is
+        # stepped one interval at a time through step_interval and counted by hand
+        sys = build_jcm(JcmParams(n_max=4))
+        lam, beta, horizon, seed, n = 0.3, 0.2, 30.0, 4, 4
+        cfg = ProcessConfig(lam=lam, beta=beta, horizon=horizon, seed=seed, mode="trajectory",
+                            n_traj=n, initial_state_a=fock(1, sys.dim_a), n_checkpoints=7)
+        meta = run_process(cfg, sys).meta
+        pops = thermal_populations(sys.basis_b.eigenvalues, beta)
+        outcomes = np.zeros(sys.dim_b, dtype=int)
+        for i in range(n):
+            rng = _traj_rng(seed, i)
+            psi, t_cum = fock(1, sys.dim_a), 0.0
+            while t_cum < horizon:
+                t_k = sample_interval(rng, lam)
+                level = int(np.searchsorted(np.cumsum(pops), rng.random() * pops.sum()))
+                if t_cum + t_k > horizon:
+                    break
+                out = step_interval(psi, level, sys, t_k, rng)
+                outcomes[out.outcome.m] += 1
+                psi, t_cum = out.state_a, t_cum + t_k
+        assert sum(meta["outcomes"]) == meta["intervals"]
+        assert meta["outcomes"] == outcomes.tolist()
+        assert (outcomes > 0).sum() == 2 and outcomes.sum() > 4 * n
+
+    def test_repeated_and_boundary_checkpoint_times(self):
+        # checkpoints at t = 0, repeated inside the run and at the horizon: a time and
+        # its repeat are read from the same rows, so they read the same bit for bit.
+        # A time before t = 0 reads the state at t = 0, by a tau clipped to 0
+        sys = build_jcm(JcmParams(n_max=4))
+        n, horizon, rho0 = 5, 40.0, DensityMatrix(thermal_state(sys.h_a, 0.3).mat)
+        grid = np.array([-1.0, 0.0, 0.0, 7.5, 7.5, 21.0, horizon, horizon])
+        cfg = ProcessConfig(lam=0.2, beta=0.5, horizon=horizon, seed=8, mode="trajectory",
+                            n_traj=n, initial_state_a=rho0, checkpoint_times=grid)
+        ens = run_process(cfg, sys)
+        s = ens.series
+        np.testing.assert_array_equal(s.t, grid)
+        assert ens.meta["checkpoint_pairs"] == n * len(grid)
+        for j in (0, 1, 3, 6):
+            for got in (s.mean_ha, s.se_ha, s.mean_hab, ens.mean_rho_a):
+                np.testing.assert_array_equal(got[j + 1], got[j])
+
+    def test_record_budget_changes_nothing(self, monkeypatch):
+        # with the budget for held records cut below one record's bytes, every
+        # interval's records are read into partial sums as the interval ends: only
+        # the order of the sums over trajectories changes, and no outcome
+        from qtherm import engine
+
+        sys = build_jcm(JcmParams(n_max=4))
+        cfg = ProcessConfig(lam=0.3, beta=0.5, horizon=40.0, seed=6, mode="trajectory", n_traj=8,
+                            initial_state_a=DensityMatrix(thermal_state(sys.h_a, 0.3).mat),
+                            n_checkpoints=41)
+        whole = run_process(cfg, sys)
+        monkeypatch.setattr(engine, "STACK_BYTES", 1)
+        parts = run_process(cfg, sys)
+        for f in ("mean_ha", "mean_hb", "mean_hab", "s_a", "s_tot", "se_ha"):
+            want = getattr(whole.series, f)
+            np.testing.assert_allclose(getattr(parts.series, f), want, rtol=0,
+                                       atol=1e-13 * np.abs(want).max(), err_msg=f)
+        np.testing.assert_allclose(parts.mean_rho_a, whole.mean_rho_a, rtol=0,
+                                   atol=1e-13 * np.abs(whole.mean_rho_a).max())
+        for f in ("t", "q_cum", "w_cum", "wmeas_cum"):
+            np.testing.assert_array_equal(getattr(parts.series, f), getattr(whole.series, f))
+        assert parts.meta == whole.meta
+        assert parts.born_max_deviation == whole.born_max_deviation
+
     @pytest.mark.parametrize("beta", [math.inf, 0.2])
     def test_trajectory_spread_at_a_shared_start_is_rounding(self, beta):
         # every trajectory starts from one pure state of A.  At beta = inf each draws

@@ -22,9 +22,12 @@ The record holds:
   generator and the steady-state solve, and the exact ``simulate`` at
   ``lambda`` 1 and ``horizon`` 3000 (about 3,000 intervals at ``n_max`` 14,
   the size of perfbench's ``dm`` workload), which tracks the interval
-  booking of the density-matrix run, and ``jcm-analytic`` at ``n_levels``
+  booking of the density-matrix run, ``jcm-analytic`` at ``n_levels``
   5000 and ``t_points`` 200, the largest table ``MAX_ANALYTIC_ROWS`` (10^6
-  rows) admits, which tracks the CSV writer.  Max RSS is the child's
+  rows) admits, which tracks the CSV writer and the chart, and the
+  trajectory ``simulate`` at ``lambda`` 1 with 500 trajectories (about
+  150,000 trajectory intervals), which tracks the memory bound of the
+  ensemble's held checkpoint records.  Max RSS is the child's
   ``ru_maxrss`` from ``wait4``, what ``RUSAGE_CHILDREN`` reports for a single
   child.
 
@@ -54,6 +57,8 @@ CLI_RUNS = {
     "steady_scan_n_max_16": (["steady-scan"], "scan_n_max = 16\n"),
     "simulate_exact_3000_intervals": (["simulate"], "lambda = 1.0\nhorizon = 3000\n"),
     "jcm_analytic_max_rows": (["jcm-analytic"], "n_levels = 5000\nt_points = 200\n"),
+    "simulate_trajectory_many_intervals": (["simulate"],
+                                           "mode = trajectory\nlambda = 1.0\nn_traj = 500\n"),
 }
 
 
