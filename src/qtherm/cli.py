@@ -3,7 +3,9 @@
 Config files are flat ``key = value`` text ('#' comments); command-line flags
 override file values.  Every output embeds the fully resolved configuration
 and its SHA-256 so runs can be reproduced byte-for-byte.  Exit codes:
-0 ok, 1 usage, 2 verification failure, 3 numeric failure.
+0 ok, 1 usage, configuration or I/O error, 2 verification failure, 3 numeric
+failure.  A command makes its output directory only once its request passes
+its checks, so a refused request leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -179,7 +181,6 @@ def _series_columns(series) -> dict[str, np.ndarray]:
 
 def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") -> int:
     params, sys = _build_system(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     beta = _beta_value(cfg)
     if run_mode != "exact" and not np.isscalar(beta):
         raise ConfigError(f"--mode {run_mode} takes one beta, got the schedule {cfg['beta']}")
@@ -191,6 +192,7 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
         raise ConfigError(f"--mode fast is an expansion in gamma/lambda and needs "
                           f"lambda >= 10 gamma, got lambda = {cfg['lambda']!r}, "
                           f"gamma = {sys.gamma!r}")
+    os.makedirs(out_dir, exist_ok=True)
     header = _header(cfg, "simulate") + [f"run_mode = {run_mode}"]
     made = []
 
@@ -229,7 +231,6 @@ def cmd_simulate(cfg: dict, out_dir: str, quiet: bool, run_mode: str = "exact") 
 
 def cmd_steady_scan(cfg: dict, out_dir: str, quiet: bool) -> int:
     params, sys = _build_system(cfg, n_max_key="scan_n_max")
-    os.makedirs(out_dir, exist_ok=True)
     betas = _float_list(cfg["beta_list"], "beta_list")
     lams = _float_list(cfg["lambda_list"], "lambda_list")
     omega = cfg["omega_a"]
@@ -248,6 +249,7 @@ def cmd_steady_scan(cfg: dict, out_dir: str, quiet: bool) -> int:
             for k, v in zip(cols, row):
                 cols[k].append(v)
     columns = {k: np.array(v) for k, v in cols.items()}
+    os.makedirs(out_dir, exist_ok=True)       # every rate and beta has passed its check
     path = os.path.join(out_dir, "steady_scan.csv")
     write_csv(path, _header(cfg, "steady-scan"), columns)
 
@@ -279,11 +281,12 @@ def cmd_jcm_analytic(cfg: dict, out_dir: str, quiet: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
     ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
     levels = range(1, cfg["n_levels"] + 1)
-    amps = [amplitudes(n, ts, params) for n in levels]
-    shape = (len(levels), len(ts))                     # one row of times per level
-    a = np.reshape([amp.a_n for amp in amps], shape)
-    b = np.reshape([amp.b_n for amp in amps], shape)
-    b2 = np.reshape([amp.transfer_probability for amp in amps], shape)
+    a = np.empty((len(levels), len(ts)), dtype=complex)   # one row of times per level
+    b = np.empty_like(a)
+    for row, n in enumerate(levels):
+        amp = amplitudes(n, ts, params)
+        a[row], b[row] = amp.a_n, amp.b_n
+    b2 = np.abs(b) ** 2                                 # as JcmAmplitudes.transfer_probability
     avg = [mean_b2_poisson(n, cfg["lambda"], params) for n in levels]
     columns = {"n": np.repeat(levels, len(ts)), "t": np.tile(ts, len(levels)),
                "re_a": a.real.ravel(), "im_a": a.imag.ravel(), "re_b": b.real.ravel(),
@@ -303,8 +306,8 @@ def cmd_verify(args) -> int:
     from . import verify as verify_mod     # only this command compiles and loads it
 
     out_dir = args.out or "qtherm_out"
-    os.makedirs(out_dir, exist_ok=True)
     results = verify_mod.run_all(n_traj=args.traj, quiet=args.quiet)
+    os.makedirs(out_dir, exist_ok=True)
     verify_mod.write_reports(results, out_dir)
     ok = all(r.passed for r in results)
     _say(args.quiet, f"wrote {os.path.join(out_dir, 'verify_report.txt')}")
@@ -356,10 +359,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.config, {})
         if args.command == "steady-scan":
             return cmd_steady_scan(cfg, args.out, args.quiet)
-        if args.command == "jcm-analytic":
-            return cmd_jcm_analytic(cfg, args.out, args.quiet)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        return cmd_jcm_analytic(cfg, args.out, args.quiet)
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:   # I/O: the config or --out
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except (NumericError, np.linalg.LinAlgError) as exc:

@@ -22,7 +22,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, PreconditionError, SizeLimitError
+from .errors import (ConfigError, DimensionError, NumericError, PositivityError,
+                     PreconditionError, SizeLimitError)
 from .models import (JointSystem, TRUNCATION_LIMIT, check_beta, check_rate, thermal_populations,
                      thermal_state)
 from .qcore import (DensityMatrix, StateVector, as_matrix, expect, gksl_matrix, hermitian_part,
@@ -104,8 +105,9 @@ class ProcessConfig:
         return np.linspace(0.0, self.horizon, self.n_checkpoints)
 
     def rho_a(self, dim_a: int) -> np.ndarray:
-        """The initial state of A as a matrix.  A missing state is a ConfigError,
-        and one whose matrix is not dim_a x dim_a a DimensionError."""
+        """The initial state of A as a matrix.  A missing state, or a raw matrix that
+        fails DensityMatrix's checks (finite, Hermitian, unit trace, positive), is a
+        ConfigError, and one whose matrix is not dim_a x dim_a a DimensionError."""
         state = self.initial_state_a
         if state is None:
             raise ConfigError("initial_state_a is required")
@@ -113,7 +115,12 @@ class ProcessConfig:
         if rho_a.shape != (dim_a, dim_a):
             raise DimensionError(f"the initial state of A has shape {rho_a.shape}, but A has "
                                  f"dimension {dim_a}")
-        return rho_a
+        if isinstance(state, (StateVector, DensityMatrix)):
+            return rho_a
+        try:
+            return DensityMatrix(rho_a).mat
+        except (ValueError, PositivityError) as exc:
+            raise ConfigError(f"the initial state of A is not a density matrix: {exc}") from None
 
 
 @dataclass(frozen=True)

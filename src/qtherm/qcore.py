@@ -95,7 +95,7 @@ class DensityMatrix:
         _require_finite(m, "density matrix")
         if np.abs(m - m.conj().T).max() >= HERMITIAN_TOL:
             raise ValueError("density matrix not hermitian within 1e-12")
-        tr = np.trace(m).real
+        tr = float(np.trace(m).real)
         if abs(tr - 1.0) >= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond 1e-10")
         evals = np.linalg.eigvalsh(m)
@@ -338,8 +338,11 @@ def expect(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def populations(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Diagonal of rho, or one row per matrix of a stack, in the orthonormal columns of ``vecs``."""
-    return (vecs.conj() * (rho @ vecs)).sum(axis=-2).real
+    """Diagonal of rho, or one row per matrix of a stack, in the orthonormal columns of ``vecs``.
+    The product is taken in place, so a stack costs one temporary of its size."""
+    out = rho @ vecs
+    out *= vecs.conj()
+    return out.sum(axis=-2).real
 
 
 def diagonal_populations(rho, basis: Propagator, what: str) -> np.ndarray:

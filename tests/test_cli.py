@@ -600,3 +600,49 @@ class TestMain:
 
         monkeypatch.setattr(verify_mod, "run_all", tiny_run_all)
         assert cli.main(["verify", "--out", str(tmp_path), "--quiet"]) == 2
+
+
+class TestOutsideInput:
+    SMALL = "n_max = 2\nhorizon = 20\ncheckpoints = 5\nscan_n_max = 2\nbeta_list = 1.0\n" \
+            "n_levels = 2\nt_points = 5\n"
+
+    @pytest.mark.parametrize("argv,says", [
+        (["simulate", "--config", "missing.cfg"], "No such file"),
+        (["simulate", "--config", "folder.cfg"], "Is a directory"),
+        (["simulate", "--config", "utf16.cfg"], "can't decode"),
+        (["steady-scan", "--config", "missing.cfg"], "No such file"),
+        (["jcm-analytic", "--config", "folder.cfg"], "Is a directory"),
+        (["simulate", "--config", "small.cfg", "--out", "a_file"], "File exists"),
+        (["steady-scan", "--config", "small.cfg", "--out", "a_file"], "File exists"),
+        (["jcm-analytic", "--config", "small.cfg", "--out", "a_file"], "File exists"),
+        (["verify", "--out", "a_file"], "File exists"),
+        (["simulate", "--config", "small.cfg", "--seed", "-1"], "seed"),
+        (["simulate", "--config", "small.cfg", "--seed", "-1", "--mode", "weak"], "seed"),
+        (["simulate", "--config", "small.cfg", "--seed", "-1", "--traj", "0"], "n_traj"),
+        (["simulate", "--config", "slow.cfg", "--mode", "fast"], "10 gamma"),
+        (["steady-scan", "--config", "nan_rate.cfg"], "measurement rate"),
+        (["verify", "--traj", "0"], "trajectory count"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_refusal_is_one_line_and_leaves_no_output(self, tmp_path, monkeypatch, capsys,
+                                                      argv, says):
+        # a missing, directory or non-UTF-8 config and an --out naming a file ended in
+        # tracebacks; a refused request made its --out directory before its checks
+        from qtherm import verify as verify_mod
+
+        run_all = verify_mod.run_all              # checks --traj, and runs no check then
+        monkeypatch.setattr(verify_mod, "run_all", lambda n_traj=None, quiet=False:
+                            [] if n_traj is None else run_all(n_traj))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "small.cfg").write_text(self.SMALL)
+        (tmp_path / "slow.cfg").write_text(self.SMALL + "lambda = 0.4\n")
+        (tmp_path / "nan_rate.cfg").write_text(self.SMALL + "lambda_list = 1.0,nan\n")
+        (tmp_path / "utf16.cfg").write_bytes("gamma = 0.05  # γ\n".encode("utf-16"))
+        (tmp_path / "folder.cfg").mkdir()
+        (tmp_path / "a_file").write_text("")
+        before = sorted(os.listdir(tmp_path))
+        code = cli.main(argv + ([] if "--out" in argv else ["--out", "out"]) + ["--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert says in err and "Traceback" not in err, err
+        assert sorted(os.listdir(tmp_path)) == before

@@ -203,6 +203,42 @@ class TestRunProcess:
         with pytest.raises(DimensionError, match="has shape \\(4, 4\\), but A has dimension 3"):
             run_process(cfg, build_jcm(JcmParams(n_max=2)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [
+        np.array([[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]]), np.diag([1.0, 1.0, 0.0]),
+        np.diag([1.5, -0.5, 0.0]), np.diag([1.0, math.nan, 0.0]), np.diag([1.0, 0.0, math.inf])],
+        ids=["non_hermitian", "trace_2", "negative_eigenvalue", "nan", "inf"])
+    @pytest.mark.parametrize("mode", ["density-matrix", "trajectory", "weak"])
+    def test_raw_initial_state_must_be_a_state(self, monkeypatch, mode, rho):
+        # a raw matrix used to run unchecked: a non-Hermitian or trace-2 one to a
+        # plausible <H_A>, NaN into numpy's eigensolver or overflow errors
+        def built(*args, **kwargs):
+            pytest.fail("a propagator was built")
+
+        monkeypatch.setattr("qtherm.engine._JointFrame", built)
+        monkeypatch.setattr("qtherm.generators._LinearPropagator", built)
+        sys = build_jcm(JcmParams(n_max=2))
+        with pytest.raises(ConfigError, match="^the initial state of A is not a density "
+                                              "matrix: [^\\n]*$"):
+            if mode == "weak":
+                weak_interval_run(decompose(sys, 0.1), thermal_state(sys.h_b, 1.0), rho,
+                                  horizon=50.0, beta=1.0)
+            else:
+                run_process(ProcessConfig(lam=0.1, beta=1.0, horizon=50.0, mode=mode, n_traj=4,
+                                          initial_state_a=rho), sys)
+
+    @pytest.mark.parametrize("mode", ["density-matrix", "trajectory"])
+    def test_raw_initial_state_runs_as_its_density_matrix(self, mode):
+        sys = build_jcm(JcmParams(n_max=2))
+        rho = thermal_state(sys.h_a, 0.5).mat
+
+        def run(state):
+            return run_process(ProcessConfig(lam=0.1, beta=1.0, horizon=50.0, mode=mode,
+                                             n_traj=4, initial_state_a=state,
+                                             n_checkpoints=5), sys).series.mean_ha
+
+        np.testing.assert_array_equal(run(np.array(rho)), run(DensityMatrix(rho)))
+
     def test_trajectory_mode_rejects_interval_schedule(self):
         # the trajectory ensemble draws each trajectory's own intervals, so a
         # schedule would be ignored without a word

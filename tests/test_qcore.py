@@ -263,6 +263,18 @@ def test_expect_and_populations_of_a_matrix_and_a_stack():
                                np.array(per_matrix)[:, [3, 1]], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("d,n", [(15, 40), (8, 3), (30, 1)])
+def test_populations_keep_the_two_temporary_product_bit_for_bit(d, n):
+    # the in-place product swaps the operands of the two-temporary form; numpy's fused
+    # complex product can round the imaginary parts differently, but not the real parts
+    rng = np.random.default_rng(d)
+    stack = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    vecs = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for rho, v in ((stack, vecs), (stack[0], vecs), (stack, vecs[:, [2, 0]])):
+        want = (v.conj() * (rho @ v)).sum(axis=-2).real
+        assert populations(rho, v).tobytes() == want.tobytes()
+
+
 def test_resonant_exchange_transfers_excitation():
     # |n-1, e> evolves to |n, g> (up to phase) after half a Rabi cycle
     p = JcmParams(omega_a=2 * np.pi, omega_b=2 * np.pi, gamma=0.05, n_max=4, rwa=True)
