@@ -81,7 +81,7 @@ def decompose(sys: JointSystem, lam: float) -> GeneratorSpec:
     sector = np.sign(omega).astype(int) * cluster          # +-cluster; 0 is omega = 0
 
     floor = 1e-14 * max(np.abs(hab_eig).max(), 1.0)       # a sector this weak carries nothing
-    kept = [k for k in np.unique(sector).tolist() if np.abs(hab_eig[sector == k]).max() > floor]
+    kept = [k for k in sorted(set(sector.flat)) if np.abs(hab_eig[sector == k]).max() > floor]
     freqs = [np.sign(k) * reps[abs(k)] for k in kept]      # ascending k, ascending frequency
     v_ops = tuple(w0 @ np.where(sector == k, hab_eig, 0.0) @ w0.conj().T for k in kept)
 
@@ -373,8 +373,9 @@ class _LinearPropagator:
         which are non-decreasing (as ``run_intervals`` passes them)."""
         taus = np.asarray(taus, dtype=float)
         x = theta.reshape(-1)
-        out = np.zeros((x.size, taus.size), dtype=complex)
-        reached = np.unique(self._label[x != 0]).tolist()
+        out = np.zeros((taus.size, x.size), dtype=complex)
+        hits = np.bincount(self._label[x != 0], minlength=len(self.blocks))
+        reached = np.flatnonzero(hits).tolist()
         for k in reached:
             if self._parts[k] is None:
                 self._parts[k] = self._decompose(k)
@@ -396,11 +397,15 @@ class _LinearPropagator:
                     y = vr @ ((vr_inv @ y)[:, None] * np.exp(evals[:, None] * taus))
                 else:
                     y = propagate_grid(parts[0], y, 0.0, taus).T
-                out[idx] = y if herm is None else from_real(y.real, *herm)
+                out[:, idx] = (y if herm is None else from_real(y.real, *herm)).T
         if not np.isfinite(out).all():
             raise NumericError("the averaged propagator gave a non-finite state: its "
                                "exponentials overflow")
-        return hermitian_part(out.T.reshape(taus.size, self.dim, self.dim))
+        out = out.reshape(taus.size, self.dim, self.dim)
+        for m in out:                # hermitian_part's bits, as addition commutes
+            m += m.conj().T
+            m *= 0.5
+        return out
 
     def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
         """<H_AB> of each matrix of the stack ``joint`` at its time in ``taus``:

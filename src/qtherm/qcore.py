@@ -26,9 +26,8 @@ UNITARY_TOL = 1e-10
 COND_MAX = 1e10                  # 1-norm condition number ``well_conditioned_inverse`` refuses
 _SQRT_HALF = math.sqrt(0.5)
 
-# Largest d^2 x d^2 complex array that ``gksl_matrix`` builds; it holds two of them
-# at once, the result and one Kronecker product.  A joint space of 62 (n_max = 30)
-# needs 0.22 GiB per array.
+# Largest d^2 x d^2 complex array that ``gksl_matrix`` builds, its result; a joint
+# space of 62 (n_max = 30) needs 0.22 GiB.
 MAX_SUPEROP_BYTES = 2 ** 29
 
 
@@ -188,16 +187,18 @@ def gksl(parts: tuple, rho: np.ndarray) -> np.ndarray:
 
 def gksl_matrix(parts: tuple) -> np.ndarray:
     """Row-major matrix of ``gksl(parts, .)``, kron(L, 1) + kron(1, R^T) + sum_j kron(W_j, conj V_j)
-    added in that order into the first, once ``check_superop_size`` has passed it.  R^T is
-    made contiguous, as kron of a transposed view comes out in its layout and is copied by
-    the final reshape: assembly holds one d^2 x d^2 temporary beside the result."""
+    added in that order into the first, once ``check_superop_size`` has passed it.  Each later
+    term is added through the result's (d, d, d, d) view, a row of its first factor at a time in
+    kron's operand order (so to kron's bits): one d^3 temporary is held beside the result."""
     left, right, pairs = parts
-    check_superop_size(len(left))
-    eye = np.eye(len(left))
+    d = len(left)
+    check_superop_size(d)
+    eye = np.eye(d)
     out = np.kron(left, eye)
-    out += np.kron(eye, np.ascontiguousarray(right.T))
-    for w, v in pairs:
-        out += np.kron(w, v.conj())
+    rows = out.reshape(d, d, d, d)           # rows[i, k, j, l] = out[i d + k, j d + l]
+    for a, b in [(eye, right.T), *((w, v.conj()) for w, v in pairs)]:
+        for i in range(d):
+            rows[i] += a[i][None, :, None] * b[:, None, :]
     return out
 
 

@@ -38,6 +38,24 @@ print(scipy_modules())
 assert "qtherm.verify" not in sys.modules
 """
 
+# Runs in a fresh interpreter: numpy 2.4's np.unique without options imports numpy.ma
+# (for its np.ma.is_masked check, about 10 ms and 1.2 MB); no averaged run takes one
+NUMPY_MA_PROBE = """
+import sys
+import numpy as np
+from qtherm.generators import decompose, fast_interval_run, weak_interval_run
+from qtherm.models import JcmParams, build_jcm, thermal_state
+
+assert "numpy.ma" not in sys.modules
+sys_ = build_jcm(JcmParams(n_max=2))
+args = (thermal_state(sys_.h_b, 1.0), thermal_state(sys_.h_a, 1.0))
+opts = dict(horizon=1.0, intervals=np.array([1.0]), checkpoint_times=np.array([0.0, 1.0]),
+            beta=1.0)
+weak_interval_run(decompose(sys_, 0.2), *args, **opts)
+fast_interval_run(sys_, 5.0, *args, **opts)
+print("numpy.ma" in sys.modules)
+"""
+
 
 def read_csv(path):
     comments, names, rows = [], None, []
@@ -297,6 +315,13 @@ class TestScipyFreeStart:
         assert (tmp_path / "simulate" / "timeseries_weak.csv").exists()
         assert (tmp_path / "simulate" / "timeseries_fast.csv").exists()
         assert (tmp_path / "steady-scan" / "steady_scan.csv").exists()
+
+    def test_averaged_runs_load_no_numpy_ma(self):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        res = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True,
+                             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["False"], res.stdout
 
 
 class TestMain:

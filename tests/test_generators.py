@@ -33,8 +33,9 @@ from qtherm.generators import (
 )
 from qtherm.models import (JcmParams, JointSystem, build_jcm, destroy, thermal_populations,
                            thermal_state)
-from qtherm.qcore import (COND_MAX, Operator, _hermitian_rows, gksl, gksl_matrix, hermitian_part,
-                          marginal, populations, trace_distance, von_neumann_entropy)
+from qtherm.qcore import (COND_MAX, Operator, _hermitian_rows, from_real, gksl, gksl_matrix,
+                          hermitian_part, marginal, populations, propagate_grid, to_real,
+                          trace_distance, von_neumann_entropy)
 from qtherm.thermo import s_tot
 
 RESONANT = JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi, gamma=0.05, n_max=8, rwa=False)
@@ -892,6 +893,49 @@ class TestLinearPropagator:
                 np.testing.assert_allclose(prop.apply(rho, [t])[0], (want + want.conj().T) / 2,
                                            rtol=0, atol=1e-12 * np.abs(want).max())
             assert prop.decomposed.all() and prop.real_blocks == 0 and not prop.expm_blocks
+
+    @staticmethod
+    def _column_stack_apply(prop, theta, taus):
+        # the reference: each reached block scattered into a (d^2, taus) array, and
+        # hermitian_part of its transpose as a second stack; theta's blocks are decomposed
+        x = theta.reshape(-1)
+        out = np.zeros((x.size, len(taus)), dtype=complex)
+        label = np.empty(x.size, dtype=int)
+        for k, b in enumerate(prop.blocks):
+            label[b] = k
+        for k in sorted(set(label[x != 0].tolist())):
+            idx, herm, _, parts = prop._parts[k]
+            y = x[idx] if herm is None else to_real(x[idx], *herm)
+            if len(parts) == 3:
+                evals, vr, vr_inv = parts
+                y = vr @ ((vr_inv @ y)[:, None] * np.exp(evals[:, None] * taus))
+            else:
+                y = propagate_grid(parts[0], y, 0.0, taus).T
+            out[idx] = y if herm is None else from_real(y.real, *herm)
+        return hermitian_part(out.T.reshape(len(taus), prop.dim, prop.dim))
+
+    @pytest.mark.parametrize("complex_block", [False, True], ids=["weak", "complex"])
+    def test_apply_returns_one_hermitian_stack(self, complex_block):
+        # each matrix is made Hermitian in place, to the bits of hermitian_part of the
+        # column layout: (1 + 0.1i) G does not keep Hermiticity, so its blocks are complex
+        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                  gamma=0.1, n_max=3))
+        spec = decompose(sys, 0.2)
+        gen = assemble_joint_weak_generator(spec) * (1 + 0.1j if complex_block else 1)
+        prop = _LinearPropagator(gen, zip(spec.frequencies, spec.v_ops))
+        rng = np.random.default_rng(37)
+        taus = np.array([0.0, 0.5, 2.0, 2.0, 20.0])
+        for theta in (np.diag(rng.dirichlet(np.ones(sys.dim))).astype(complex),
+                      random_density(rng, sys.dim)):
+            got = prop.apply(theta, taus)
+            assert got.shape == (len(taus), sys.dim, sys.dim) and got.flags.c_contiguous
+            for m in got:
+                assert (m == m.conj().T).all()
+            np.testing.assert_array_equal(got, self._column_stack_apply(prop, theta, taus))
+        # the random state reached every block; under G the two that hold diagonal
+        # entries (one per ket/bra parity) take the real path
+        assert prop.decomposed.all() and len(prop.blocks) == 4
+        assert prop.real_blocks == (0 if complex_block else 2)
 
     def test_overflowing_exponentials_are_one_numeric_error(self):
         # G = 1000 grows every state by e^1000 at t = 1: no numpy warning, one line
