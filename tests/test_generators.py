@@ -731,15 +731,29 @@ class TestLinearPropagator:
         monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm_(a))
         np.testing.assert_allclose(prop.apply(theta, taus), singles, rtol=0, atol=1e-13)
         assert 1 <= len(calls) <= 3
+        # read takes the same walk; with A the whole space its states of A are apply's
+        np.testing.assert_allclose(prop.read(theta, taus)[0], singles, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
-    @pytest.mark.parametrize("kind", ["weak", "fast"])
+    @pytest.mark.parametrize("kind,rwa", [("weak", False), ("weak", True), ("fast", False),
+                                          ("fast", True), ("gksl", None)],
+                             ids=["weak-full", "weak-rwa", "fast-full", "fast-rwa", "gksl-qutrit"])
     def test_blockwise_apply_matches_dense_expm(self, kind, rwa):
-        sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
-                                  gamma=0.1, n_max=3, rwa=rwa))
-        lam = 0.2 if kind == "weak" else 5.0
-        gen = (assemble_joint_weak_generator(decompose(sys, lam)) if kind == "weak"
-               else assemble_joint_fast_generator(sys, lam))
+        if kind == "gksl":
+            # a random qutrit GKSL generator: one real block whose eigenvalues are
+            # mostly conjugate pairs, so its coefficients mostly turn
+            rng = np.random.default_rng(17)
+            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            jump = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            drift = -0.5 * jump.conj().T @ jump
+            gen = gksl_matrix((-1j * (m + m.conj().T) + drift, 1j * (m + m.conj().T) + drift,
+                               [(jump, jump)]))
+            dim, lam = 3, 1.0
+        else:
+            sys = build_jcm(JcmParams(omega_a=2 * math.pi, omega_b=2 * math.pi + 0.3,
+                                      gamma=0.1, n_max=3, rwa=rwa))
+            dim, lam = sys.dim, 0.2 if kind == "weak" else 5.0
+            gen = (assemble_joint_weak_generator(decompose(sys, lam)) if kind == "weak"
+                   else assemble_joint_fast_generator(sys, lam))
         prop = _LinearPropagator(gen, ())
         # the blocks partition the indices and G couples no two of them
         idx = np.concatenate(prop.blocks)
@@ -749,12 +763,14 @@ class TestLinearPropagator:
             label[b] = k
         rows, cols = np.nonzero(gen)
         assert (label[rows] == label[cols]).all()
-        assert len(prop.blocks) > 1
-        rho = random_density(np.random.default_rng(7), sys.dim)
+        assert len(prop.blocks) == 1 if kind == "gksl" else len(prop.blocks) > 1
+        rho = random_density(np.random.default_rng(7), dim)
         for t in (0.1 / lam, 1.0 / lam, 10.0 / lam):
-            want = (expm(t * gen) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
+            want = (expm(t * gen) @ rho.reshape(-1)).reshape(dim, dim)
             np.testing.assert_allclose(prop.apply(rho, [t])[0], want,
                                        atol=1e-12 * np.abs(want).max())
+        # a decomposed real block holds a conjugate pair (a turning pair of packed columns)
+        assert any(p[1] is not None and (p[3][3][1] != 0).any() for p in prop._parts)
         # rho has full support, so every block was decomposed, none by expm
         assert prop.decomposed.all() and not prop.expm_blocks
 
@@ -768,16 +784,23 @@ class TestLinearPropagator:
         spec = decompose(sys, lam)
         gen = (assemble_joint_weak_generator(spec) if kind == "weak"
                else assemble_joint_fast_generator(sys, lam))
-        prop = _LinearPropagator(gen, zip(spec.frequencies, spec.v_ops))
+        dims = (sys.dim_a, sys.dim_b)
+        prop = _LinearPropagator(gen, zip(spec.frequencies, spec.v_ops), dims)
         rho = random_density(np.random.default_rng(13), sys.dim)
         taus = np.array([0.0, 0.1, 1.0, 1.0, 10.0]) / lam
         got = prop.apply(rho, taus)
         assert got.shape == (len(taus), sys.dim, sys.dim)
         want = np.array([prop.apply(rho, [t])[0] for t in taus])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        # read takes the marginals of the same states from the block coordinates, each
+        # matrix exactly Hermitian
+        rho_a, rho_b, hab = prop.read(rho, taus)
+        for m, keep in ((rho_a, "A"), (rho_b, "B")):
+            np.testing.assert_allclose(m, marginal(got, dims, keep), rtol=0, atol=1e-13)
+            assert (m == m.conj().swapaxes(-1, -2)).all()
         # <H_AB> in the rotating frame of H_0: Tr(e^{i H_0 tau} H_AB e^{-i H_0 tau} joint)
         ev, vec = np.linalg.eigh(sys.uncoupled_h)
-        for h, t, joint in zip(prop.hab_expect(got, taus), taus, got):
+        for h, t, joint in zip(hab, taus, got):
             u = (vec * np.exp(1j * ev * t)) @ vec.conj().T
             assert abs(h - np.trace(u @ sys.h_ab.mat @ u.conj().T @ joint).real) < 1e-12
 
@@ -834,6 +857,31 @@ class TestLinearPropagator:
         # every reached block holds diagonal entries, so each is propagated in real form
         assert run.meta["real_blocks"] == decomposed
 
+    def test_weak_run_holds_less_than_one_checkpoint_stack(self):
+        # 241 checkpoints are read from the block coordinates a few times per call, and
+        # only each interval's end is built as a joint matrix, so above its generator a
+        # weak run at n_max 8 holds less than one complex (241, d, d) stack of joint
+        # states (0.81 of it here; 1.45 when every interval expanded such a stack)
+        import tracemalloc
+
+        sys = build_jcm(JcmParams(n_max=8))
+        spec = decompose(sys, 1e-2)
+        gen = assemble_joint_weak_generator(spec)
+        rho_a = np.zeros((sys.dim_a, sys.dim_a))
+        rho_a[1, 1] = 1.0
+        rho_b = thermal_state(sys.h_b, 1.0)
+        grid = np.linspace(0.0, 300.0, 241)
+        np.random.default_rng(0)          # numpy.random is loaded outside the count
+        tracemalloc.start()
+        try:
+            run = weak_interval_run(spec, rho_b, rho_a, horizon=300.0, seed=3,
+                                    checkpoint_times=grid, beta=1.0, generator=gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.checkpoint_times) == 241 and len(run.ledgers) > 1
+        assert peak < 241 * 16 * sys.dim ** 2, peak
+
     @pytest.mark.parametrize("rwa", [False, True], ids=["full", "rwa"])
     @pytest.mark.parametrize("kind", ["weak", "fast"])
     def test_hermitian_blocks_propagate_in_real_form(self, kind, rwa):
@@ -886,31 +934,47 @@ class TestLinearPropagator:
                                   gamma=0.1, n_max=3))
         gen = assemble_joint_weak_generator(decompose(sys, 0.2))
         rho = random_density(np.random.default_rng(31), sys.dim)
+        dims = (sys.dim_a, sys.dim_b)
         for bad in (gen * (1 + 0.1j), gen - 0.05 * np.eye(len(gen))):
-            prop = _LinearPropagator(bad, ())
+            prop = _LinearPropagator(bad, (), dims)
             for t in (0.5, 5.0):
                 want = (expm(t * bad) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
-                np.testing.assert_allclose(prop.apply(rho, [t])[0], (want + want.conj().T) / 2,
+                got = prop.apply(rho, [t])
+                np.testing.assert_allclose(got[0], (want + want.conj().T) / 2,
                                            rtol=0, atol=1e-12 * np.abs(want).max())
+                # read's states of A and B are the Hermitian parts of the marginals
+                for m, keep in zip(prop.read(rho, [t]), "AB"):
+                    np.testing.assert_allclose(m, marginal(got, dims, keep), rtol=0,
+                                               atol=1e-12 * np.abs(want).max())
             assert prop.decomposed.all() and prop.real_blocks == 0 and not prop.expm_blocks
 
     @staticmethod
     def _column_stack_apply(prop, theta, taus):
-        # the reference: each reached block scattered into a (d^2, taus) array, and
-        # hermitian_part of its transpose as a second stack; theta's blocks are decomposed
+        # the reference: each reached block's coefficients in its basis, a packed real pair's
+        # turned by b tau and scaled by e^{a tau}, a complex block's scaled by exp(evals tau),
+        # scattered into a (d^2, taus) array, and hermitian_part of its transpose as a second
+        # stack; theta's blocks are decomposed
         x = theta.reshape(-1)
         out = np.zeros((x.size, len(taus)), dtype=complex)
         label = np.empty(x.size, dtype=int)
         for k, b in enumerate(prop.blocks):
             label[b] = k
         for k in sorted(set(label[x != 0].tolist())):
-            idx, herm, _, parts = prop._parts[k]
+            idx, herm, _, evolution, _ = prop._parts[k]
             y = x[idx] if herm is None else to_real(x[idx], *herm)
-            if len(parts) == 3:
-                evals, vr, vr_inv = parts
-                y = vr @ ((vr_inv @ y)[:, None] * np.exp(evals[:, None] * taus))
+            if len(evolution) == 4:
+                evals, basis, basis_inv, turn = evolution
+                c = basis_inv @ y
+                if turn is None:
+                    c = c[:, None] * np.exp(evals[:, None] * taus)
+                else:
+                    partner, sign = turn
+                    bt = np.multiply.outer(np.abs(evals.imag), taus)
+                    c = ((np.cos(bt) * c[:, None] + np.sin(bt) * (sign * c[partner])[:, None])
+                         * np.exp(np.multiply.outer(evals.real, taus)))
+                y = basis @ c
             else:
-                y = propagate_grid(parts[0], y, 0.0, taus).T
+                y = propagate_grid(evolution[0], y, 0.0, taus).T
             out[idx] = y if herm is None else from_real(y.real, *herm)
         return hermitian_part(out.T.reshape(len(taus), prop.dim, prop.dim))
 

@@ -15,7 +15,10 @@ The record holds:
 - the Tier-1 wall time and pytest's summary line;
 - the wall time and max RSS of CLI runs, each a fresh process: the default
   trajectory ``simulate`` (5000 trajectories x 241 checkpoints),
-  ``simulate --mode weak`` at ``n_max`` 20 and 30, the exact
+  ``simulate --mode weak`` at the default ``n_max`` 14 and at 20 and 30,
+  ``simulate --mode fast`` at ``lambda`` 5 (inside the fast expansion's
+  range, lam >= 10 gamma), which with the weak runs tracks the averaged
+  propagator's eigenbases and checkpoint read, the exact
   ``simulate`` at ``n_max`` 100, which tracks the memory of the exact
   run's checkpoint states, ``steady-scan`` at ``scan_n_max`` 16 (the
   size of perfbench's ``scan`` workload), which tracks the reduced
@@ -51,6 +54,8 @@ ROOT = os.getcwd()
 REPEATS = 3
 CLI_RUNS = {
     "simulate_trajectory_default": (["simulate"], "mode = trajectory\n"),
+    "simulate_weak_default": (["simulate", "--mode", "weak"], ""),
+    "simulate_fast_lambda_5": (["simulate", "--mode", "fast"], "lambda = 5\n"),
     "simulate_weak_n_max_20": (["simulate", "--mode", "weak"], "n_max = 20\n"),
     "simulate_weak_n_max_30": (["simulate", "--mode", "weak"], "n_max = 30\n"),
     "simulate_exact_n_max_100": (["simulate"], "n_max = 100\n"),
