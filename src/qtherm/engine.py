@@ -233,13 +233,12 @@ class _JointFrame:
 
     positivity_floor = -1e-8         # eigenvalue floor of the ledger's entropies
     checkpoint_floor = -1e-8         # ... and of S_A at the checkpoints
-    read_bytes = STACK_BYTES         # joint matrices built per ``read``
+    stack_bytes = STACK_BYTES        # joint matrices per ``apply`` call
 
     def __init__(self, sys: JointSystem):
         prop = sys.propagator
         self.e, self.w = prop.eigenvalues, prop.eigenvectors
         self.hab = sys.h_ab.mat
-        self.dims = (sys.dim_a, sys.dim_b)
 
     def weighted(self, joint: np.ndarray, k: np.ndarray) -> np.ndarray:
         """w ((w^+ joint w) * k) w^+: the eigenframe elements of ``joint`` (a matrix or
@@ -255,10 +254,6 @@ class _JointFrame:
     def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
         """<H_AB> of each matrix of the stack ``joint``."""
         return expect(self.hab, joint)
-
-    def read(self, joint0: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_reduced`` of ``apply``'s stack."""
-        return _reduced(self, self.apply(joint0, taus), taus, self.dims)
 
     def check_positivity(self, joint: np.ndarray) -> float:
         return 0.0
@@ -277,13 +272,6 @@ class _JointFrame:
     def evolve_rows(self, c: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Lab-frame state vectors of coefficient rows ``c``, row i evolved for tau[i]."""
         return (self.phases(tau) * c) @ self.w.T
-
-
-def _reduced(prop, joint: np.ndarray, taus, dims: tuple[int, int]) -> tuple:
-    """The Hermitian states of A, the states of B and <H_AB> (gamma excluded, by
-    ``prop.hab_expect``) of a stack of joint states at the times ``taus``."""
-    return (hermitian_part(marginal(joint, dims, "A")), marginal(joint, dims, "B"),
-            prop.hab_expect(joint, taus))
 
 
 def _measure(frame: _JointFrame, v_b: np.ndarray, c0: np.ndarray, t: np.ndarray,
@@ -408,13 +396,12 @@ def run_intervals(prop, sys: JointSystem, cfg: ProcessConfig,
     (beta_k, populations of B in ``sys.basis_b``) and evolves the product
     with ``prop`` for the next scheduled time: ``cfg.intervals`` if given, else
     exponential draws at rate ``cfg.lam`` from ``cfg.seed``.  ``prop`` supplies
-    read(joint0, taus) -> the Hermitian states of A and of B and <H_AB> (gamma
-    excluded) of the joint state at the times ``taus``, which ``_reduced``
-    takes from apply(joint0, taus) -> the stack of joint states at those times
-    and hab_expect(stack, taus) -> their <H_AB>, check_positivity(joint) ->
-    lowest eigenvalue checked, next_state(rho_A), the bytes ``read_bytes``
-    that bound a read, and the S_A eigenvalue floors ``positivity_floor``
-    (``s_a_series``) and ``checkpoint_floor``.
+    apply(joint0, taus) -> the stack of joint states at the times ``taus``,
+    hab_expect(stack, taus) -> their <H_AB> (gamma excluded), the bytes
+    ``stack_bytes`` that bound one stack,
+    check_positivity(joint) -> lowest eigenvalue checked, next_state(rho_A),
+    and the S_A eigenvalue floors ``positivity_floor`` (``s_a_series``) and
+    ``checkpoint_floor``.
 
     Before any re-normalization, max |Tr rho_A - 1| over the checkpoints and
     the interval ends is ``meta["trace_drift_max"]``; a drift above
@@ -425,11 +412,10 @@ def run_intervals(prop, sys: JointSystem, cfg: ProcessConfig,
     interval ends, and dS_A, once the walk is done, as the step of
     ``s_a_series`` across it.
 
-    Each interval's checkpoints are read as one vector of times, in calls of
-    at most ``prop.read_bytes`` // (16 d^2) times: the exact propagator
-    builds a joint matrix per time, at most STACK_BYTES of them, so a small
-    joint space takes one call per interval and a large one a call per time.
-    The interval's end is the one joint matrix ``apply`` builds for it.
+    Each interval's checkpoints are evolved as one vector of times, in calls
+    of at most ``prop.stack_bytes`` of joint matrices, so a small joint space
+    takes one call per interval and a large one a call per time; its end is
+    one more call, of one time.
     """
     grid, rho_a = cfg.grid(), cfg.rho_a(sys.dim_a)
     dims = (sys.dim_a, sys.dim_b)
@@ -439,16 +425,20 @@ def run_intervals(prop, sys: JointSystem, cfg: ProcessConfig,
     rows: list[dict] = []                          # each interval's ledger but dS_A
     snapshots = [rho_a]
     born_max = min_eig = drift_max = 0.0
-    chunk = max(1, prop.read_bytes // (16 * sys.dim ** 2))
+    chunk = max(1, prop.stack_bytes // (16 * sys.dim ** 2))
 
-    def drift_checked(rho, rho_b, hab):
+    def reduced(joint, taus):
+        # the Hermitian states of A, the states of B and <H_AB> of a stack of joint
+        # states, the trace of A checked; a stack passed straight from ``apply`` is
+        # dropped on return, so no two stacks are held at once
         nonlocal drift_max
-        drift = float(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0))
+        rho = hermitian_part(marginal(joint, dims, "A"))
+        drift = float(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max())
         if not drift <= TRACE_DRIFT_MAX:
             raise NumericError(f"the trace of the state of A drifted from 1 by {drift:.2e}, "
                                f"more than {TRACE_DRIFT_MAX:g}")
         drift_max = max(drift_max, drift)
-        return rho, rho_b, hab
+        return rho, marginal(joint, dims, "B"), prop.hab_expect(joint, taus)
 
     def step(k, live, u, t_start, t_k, first, stop, completes):
         nonlocal rho_a, born_max, min_eig
@@ -456,18 +446,19 @@ def run_intervals(prop, sys: JointSystem, cfg: ProcessConfig,
         joint0 = np.kron(rho_a, (v_b * pops_b0) @ v_b.conj().T)
         tau = np.minimum(np.maximum(grid[first[0]:stop[0]] - t_start[0], 0.0), t_k[0])
         for lo in range(0, tau.size, chunk):
-            rho, rho_b, hab = drift_checked(*prop.read(joint0, tau[lo:lo + chunk]))
+            taus = tau[lo:lo + chunk]
+            rho, rho_b, hab = reduced(prop.apply(joint0, taus), taus)
             cp = slice(first[0] + lo, first[0] + lo + len(rho))
             cp_rho[cp] = rho
             cp_obs[:, cp] = (expect(sys.h_a.mat, rho), expect(sys.h_b.mat, rho_b), sys.gamma * hab)
         if not completes[0]:
             return ()
 
-        # the interval's end: the one joint matrix an interval builds
-        joint = prop.apply(joint0, t_k)
-        rho, rho_b, hab = drift_checked(*_reduced(prop, joint, t_k, dims))
+        joint = prop.apply(joint0, t_k)                # the interval's end, one matrix
+        rho, rho_b, hab = reduced(joint, t_k)
         min_eig = min(min_eig, prop.check_positivity(joint[0]))
-        rho_a_end, pops_b = rho[0], populations(rho_b[0], v_b)
+        # a copy: a view would keep a second array header in every snapshot
+        rho_a_end, pops_b = rho[0].copy(), populations(rho_b[0], v_b)
         born_max = max(born_max, abs(pops_b.sum() - 1.0))
         dh_a = float(expect(sys.h_a.mat, rho_a_end - rho_a))
         dh_b, ds_b, q, w_therm, w, r = book_intervals(

@@ -26,9 +26,8 @@ from .engine import TRACE_DRIFT_MAX, IntervalRun, ProcessConfig, _JointFrame, ru
 from .errors import ConfigError, DegenerateSteadyStateError, NumericError, PreconditionError
 from .models import JointSystem, check_rate, thermal_populations, thermal_state
 from .qcore import (Operator, DensityMatrix, as_matrix, connected_blocks, diagonal_populations,
-                    from_real, gksl, gksl_matrix, hermitian_block, hermitian_matrices,
-                    hermitian_part, marginal, marginal_readout, propagate_grid, to_real,
-                    trace_readout, well_conditioned_inverse)
+                    from_real, gksl, gksl_matrix, hermitian_block, hermitian_part, marginal,
+                    propagate_grid, to_real, well_conditioned_inverse)
 
 
 @dataclass(frozen=True)
@@ -291,11 +290,11 @@ class _LinearPropagator:
     The connected components of G's nonzero pattern are ``blocks`` of indices
     that G never couples to each other (for the averaged generators, ket/bra
     parity or excitation-number sectors), so exp(t G) is block-diagonal in
-    them.  A block is eigendecomposed the first time ``apply`` or ``read``
-    gets a state with weight in it (``decomposed``); a zero block gives an
-    exactly zero result.  Each interval starts from rho_A (x) rho_B with B
-    dephased, so from a parity-symmetric start (a Fock state) the ket/bra
-    cross-parity blocks never get weight.
+    them.  A block is eigendecomposed the first time ``apply`` gets a state
+    with weight in it (``decomposed``); a zero block gives an exactly zero
+    result.  Each interval starts from rho_A (x) rho_B with B dephased, so
+    from a parity-symmetric start (a Fock state) the ket/bra cross-parity
+    blocks never get weight.
 
     A block that ``qcore.hermitian_block`` writes in real form (each
     diagonal-holding block of a GKSL generator) is propagated in real
@@ -324,11 +323,7 @@ class _LinearPropagator:
     As the interval walk's propagator it evolves the joint state in the
     rotating frame of the uncoupled Hamiltonian, where <H_AB> at time tau is
     the phase-weighted sum over the frequency ``sectors`` (omega, V_omega).
-    ``read`` takes the states of A and B of the ``dims`` = (dA, dB) split and
-    <H_AB> straight from each block's coefficients, through the linear maps
-    of ``qcore.marginal_readout`` and ``trace_readout`` composed with its
-    basis, so no joint matrix is built; ``apply`` builds the joint matrices (the
-    interval walk, one per interval, at its end).
+    A stack it builds holds at most ``stack_bytes`` of joint matrices.
     The averaged generators are of GKSL form with a positive coefficient
     matrix, but that matrix is nearly singular at small lam, so in floating
     point (or for a generator the caller supplies) positivity, and in a
@@ -339,16 +334,13 @@ class _LinearPropagator:
 
     positivity_floor = -1e-5         # joint eigenvalues and the ledger's entropies
     checkpoint_floor = -1e-4         # S_A at the checkpoints
-    # a read holds about one joint matrix's bytes per time, in its coefficients, read-outs
-    # and states of A: 2^18 bytes of them per call (18 times at n_max 14)
-    read_bytes = 2 ** 18
+    stack_bytes = 2 ** 18            # joint matrices per ``apply`` call: 18 at n_max 14
 
-    def __init__(self, gen: np.ndarray, sectors, dims: tuple[int, int] | None = None):
+    def __init__(self, gen: np.ndarray, sectors):
         sectors = tuple(sectors)
         self.dim = int(round(math.sqrt(gen.shape[0])))
-        self.dims = (self.dim, 1) if dims is None else tuple(dims)
         self.frequencies = np.array([w for w, _ in sectors], dtype=float)
-        # rows vec(V_omega^T), so that Tr(joint V_omega) is one product with them
+        # rows vec(V_omega^T), so that Tr(joint V_omega) over a stack is one matrix product
         self._v_t = np.array([v.T for _, v in sectors], dtype=complex).reshape(
             len(sectors), self.dim ** 2)
         self.blocks = connected_blocks(gen != 0)
@@ -357,8 +349,8 @@ class _LinearPropagator:
         for k, b in enumerate(self.blocks):
             self._label[b] = k
         # per block: ``qcore.hermitian_block``'s (indices, (n_d, n_o) or None, 1-norm of the
-        # zeroed trace row), the evolution (evals, basis, basis^-1, (partner, sign) of a packed
-        # real basis or None) or (block of G,), and the read-out rows
+        # zeroed trace row) and (evals, basis, basis^-1, (partner, sign) of a packed real
+        # basis or None) or (block of G,)
         self._parts = [None] * len(self.blocks)
         self.expm_blocks = []        # (indices, decomposed form) for the ill-conditioned ones
         self.trace_row_norm = 0.0    # largest sum of the zeroed trace rows a state reached
@@ -394,25 +386,14 @@ class _LinearPropagator:
         basis_inv, cond = well_conditioned_inverse(basis)
         if basis_inv is None:
             self.expm_blocks.append((idx, g))
-            evolution, basis = (g,), np.eye(len(idx))
-        else:
-            self.eig_cond_max = max(self.eig_cond_max, cond)
-            evolution = (evals, basis, basis_inv, turn)
-        readout = np.concatenate([marginal_readout(idx, herm, basis, self.dims, "A"),
-                                  marginal_readout(idx, herm, basis, self.dims, "B"),
-                                  trace_readout(idx, herm, basis, self._v_t)])
-        return idx, herm, row, evolution, readout
+            return idx, herm, row, (g,)
+        self.eig_cond_max = max(self.eig_cond_max, cond)
+        return idx, herm, row, (evals, basis, basis_inv, turn)
 
     @staticmethod
-    def _coefficients(parts: tuple, x: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        # the block's coordinates of exp(tau G) x in its basis, one column per time
-        idx, herm, _, evolution, _ = parts
-        y = x[idx] if herm is None else to_real(x[idx], *herm)
-        if len(evolution) == 1:
-            c = propagate_grid(evolution[0], y, 0.0, taus).T
-            return c if herm is None else c.real
-        evals, _, basis_inv, turn = evolution
-        c = basis_inv @ y
+    def _coefficients(evolution: tuple, c: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        # a decomposed block's coefficients c in its basis, evolved: one column per time
+        evals, _, _, turn = evolution
         if turn is None:
             return c[:, None] * np.exp(evals[:, None] * taus)
         partner, sign = turn
@@ -422,9 +403,12 @@ class _LinearPropagator:
         out *= np.exp(np.multiply.outer(evals.real, taus))
         return out
 
-    def _evolved(self, theta: np.ndarray, taus: np.ndarray) -> list:
-        # (parts, coefficients) of each block theta has weight in, decomposed when first reached
+    def apply(self, theta: np.ndarray, taus) -> np.ndarray:
+        """The stack of exp(tau G) theta, Hermitian d x d, one per time in ``taus``,
+        which are non-decreasing (as ``run_intervals`` passes them)."""
+        taus = np.asarray(taus, dtype=float)
         x = theta.reshape(-1)
+        out = np.zeros((taus.size, x.size), dtype=complex)
         hits = np.bincount(self._label[x != 0], minlength=len(self.blocks))
         reached = np.flatnonzero(hits).tolist()
         for k in reached:
@@ -438,56 +422,31 @@ class _LinearPropagator:
             raise NumericError(f"the generator keeps the trace only to {row:.2e} per unit time, "
                                f"up to {row * taus.max():.2e} over tau = {taus.max():.3g}, "
                                f"more than {TRACE_DRIFT_MAX:g}")
-        return [(self._parts[k], self._coefficients(self._parts[k], x, taus)) for k in reached]
-
-    @staticmethod
-    def _check_finite(out: np.ndarray) -> None:
+        # an overflowing exponential is reported once, as the non-finite result below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in reached:
+                idx, herm, _, evolution = self._parts[k]
+                y = x[idx] if herm is None else to_real(x[idx], *herm)
+                if len(evolution) == 4:
+                    basis, basis_inv = evolution[1:3]
+                    y = basis @ self._coefficients(evolution, basis_inv @ y, taus)
+                else:
+                    y = propagate_grid(evolution[0], y, 0.0, taus).T
+                out[:, idx] = (y if herm is None else from_real(y.real, *herm)).T
         if not np.isfinite(out).all():
             raise NumericError("the averaged propagator gave a non-finite state: its "
                                "exponentials overflow")
-
-    def apply(self, theta: np.ndarray, taus) -> np.ndarray:
-        """The stack of exp(tau G) theta, Hermitian d x d, one per time in ``taus``,
-        which are non-decreasing (as ``run_intervals`` passes them)."""
-        taus = np.asarray(taus, dtype=float)
-        out = np.zeros((taus.size, self.dim ** 2), dtype=complex)
-        # an overflowing exponential is reported once, as the non-finite result below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (idx, herm, _, evolution, _), c in self._evolved(theta, taus):
-                y = c if len(evolution) == 1 else evolution[1] @ c
-                out[:, idx] = (y if herm is None else from_real(y, *herm)).T
-        self._check_finite(out)
         out = out.reshape(taus.size, self.dim, self.dim)
         for m in out:                # hermitian_part's bits, as addition commutes
             m += m.conj().T
             m *= 0.5
         return out
 
-    def read(self, theta: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The states of A and of B and <H_AB> of exp(tau G) theta at each time in ``taus``:
-        the Hermitian parts of its marginals and sum over sectors of exp(i omega tau)
-        Tr(joint V_omega), each the real part of the blocks' read-out rows times their
-        coefficients."""
-        taus = np.asarray(taus, dtype=float)
-        (da, db), n_s = self.dims, len(self.frequencies)
-        s0 = da * da + db * db
-        r = np.zeros((s0 + 2 * n_s, taus.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for parts, c in self._evolved(theta, taus):
-                r += (parts[4] @ c).real
-        self._check_finite(r)
-        traces = (r[s0:s0 + n_s] + 1j * r[s0 + n_s:]).T
-        return (hermitian_matrices(r[:da * da], da), hermitian_matrices(r[da * da:s0], db),
-                self._phase_sum(traces, taus))
-
-    def _phase_sum(self, traces: np.ndarray, taus) -> np.ndarray:
-        # <H_AB> from Tr(joint V_omega), one row of sectors per time
-        return (np.exp(1j * np.multiply.outer(taus, self.frequencies)) * traces).sum(axis=1).real
-
     def hab_expect(self, joint: np.ndarray, taus) -> np.ndarray:
         """<H_AB> of each matrix of the stack ``joint`` at its time in ``taus``:
         sum over sectors of exp(i omega tau) Tr(joint V_omega)."""
-        return self._phase_sum(joint.reshape(len(joint), -1) @ self._v_t.T, taus)
+        traces = joint.reshape(len(joint), -1) @ self._v_t.T
+        return (np.exp(1j * np.multiply.outer(taus, self.frequencies)) * traces).sum(axis=1).real
 
     def check_positivity(self, joint: np.ndarray) -> float:
         ev_min = float(np.linalg.eigvalsh(joint).min())
@@ -513,8 +472,7 @@ def _interval_request(sys: JointSystem, lam: float, rho_b0, rho_a0, horizon: flo
 
 def _averaged_run(spec: GeneratorSpec, cfg: ProcessConfig, pops_b: np.ndarray,
                   generator: np.ndarray) -> IntervalRun:
-    prop = _LinearPropagator(generator, zip(spec.frequencies, spec.v_ops),
-                             (spec.sys.dim_a, spec.sys.dim_b))
+    prop = _LinearPropagator(generator, zip(spec.frequencies, spec.v_ops))
     run = run_intervals(prop, spec.sys, cfg, lambda k: (cfg.beta, pops_b))
     run.meta.update(beta=cfg.beta, propagator_blocks=len(prop.blocks),
                     largest_block=max(len(b) for b in prop.blocks),

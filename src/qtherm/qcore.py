@@ -10,7 +10,6 @@ test.  With hbar = k_B = 1, energies are angular frequencies, entropies nats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -234,31 +233,21 @@ def hermitian_block(gen: np.ndarray, idx: np.ndarray, dim: int) -> tuple:
     are, g is real on ``to_real``'s coordinates with row 0, the trace row, set to an exact
     zero; herm is (n_d, n_o) and row that row's 1-norm.  Else g is the complex block.
     """
-    if (ordered := hermitian_order(idx, dim)) is None:
-        return idx, None, gen[np.ix_(idx, idx)], 0.0
-    idx, herm = ordered
-    n_d = herm[0]
-    g = gen[np.ix_(idx, idx)]
-    h = _hermitian_rows(_hermitian_rows(g, *herm).T, *herm, sign=-1j).T   # U g U^+
-    tol = 1e-10 * np.abs(h).max()
-    row = np.abs(h.real[:n_d].sum(axis=0))
-    if not (np.abs(h.imag).max() <= tol and row.max() <= tol):
-        return idx, None, g, 0.0
-    h = _traceless(_traceless(h.real, n_d).T, n_d).T                   # H h H
-    h[0] = 0.0
-    return idx, herm, h, float(row.sum())
-
-
-def hermitian_order(idx: np.ndarray, dim: int) -> tuple[np.ndarray, tuple[int, int]] | None:
-    """Entries ``idx`` of a row-major dim x dim matrix reordered (diagonal, upper, lower
-    triangle), the lower triangle mirroring the upper, with (n_d, n_o); None unless they
-    hold diagonal entries and are closed under (i, j) -> (j, i)."""
     i, j = np.divmod(idx, dim)
     diag, upper = idx[i == j], idx[i < j]
     lower = (j * dim + i)[i < j]          # the mirror images of the upper triangle
     if not (diag.size and diag.size + 2 * upper.size == idx.size and np.isin(lower, idx).all()):
-        return None
-    return np.concatenate([diag, upper, lower]), (diag.size, upper.size)
+        return idx, None, gen[np.ix_(idx, idx)], 0.0
+    idx, herm = np.concatenate([diag, upper, lower]), (diag.size, upper.size)
+    g = gen[np.ix_(idx, idx)]
+    h = _hermitian_rows(_hermitian_rows(g, *herm).T, *herm, sign=-1j).T   # U g U^+
+    tol = 1e-10 * np.abs(h).max()
+    row = np.abs(h.real[:diag.size].sum(axis=0))
+    if not (np.abs(h.imag).max() <= tol and row.max() <= tol):
+        return idx, None, g, 0.0
+    h = _traceless(_traceless(h.real, diag.size).T, diag.size).T       # H h H
+    h[0] = 0.0
+    return idx, herm, h, float(row.sum())
 
 
 def to_real(x: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
@@ -271,73 +260,6 @@ def from_real(z: np.ndarray, n_d: int, n_o: int) -> np.ndarray:
     """The exactly Hermitian entries of real coordinates z: ``to_real`` inverted."""
     upper = (z[n_d:n_d + n_o] + 1j * z[n_d + n_o:]) * _SQRT_HALF
     return np.concatenate([_traceless(z[:n_d], n_d), upper, upper.conj()])
-
-
-@functools.lru_cache(maxsize=8)
-def _matrix_order(n: int) -> tuple[np.ndarray, tuple[int, int]]:
-    # ``hermitian_order`` of a whole n x n matrix, as the read-outs ask for it on every call
-    order, herm = hermitian_order(np.arange(n * n), n)
-    order.setflags(write=False)              # one array, handed to every caller
-    return order, herm
-
-
-def hermitian_matrices(z: np.ndarray, n: int) -> np.ndarray:
-    """The stack of n x n Hermitian matrices, one per column of z, with diagonal z[:n] and
-    upper triangle z[n:n + n_o] + i z[n + n_o:] (row-major, n_o = n(n - 1)/2)."""
-    order, (_, n_o) = _matrix_order(n)
-    upper = z[n:n + n_o].T + 1j * z[n + n_o:].T
-    out = np.empty((z.shape[1], n * n), dtype=complex)
-    out[:, order[:n]] = z[:n].T
-    out[:, order[n:n + n_o]] = upper
-    out[:, order[n + n_o:]] = upper.conj()
-    return out.reshape(-1, n, n)
-
-
-def marginal_readout(idx: np.ndarray, herm: tuple[int, int] | None, basis: np.ndarray,
-                     dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Rows q, one per coordinate of ``hermitian_matrices`` of the ``keep`` marginal ("A" or
-    "B") of a row-major (dA dB) x (dA dB) matrix, such that Re(q @ c) are those coordinates
-    of the Hermitian part of that marginal when the matrix's entries ``idx`` are
-    ``from_real(basis @ c, *herm)`` (a ``hermitian_block`` with ``herm``; c and q real) or
-    ``basis @ c`` (herm None), and its other entries are 0.
-
-    A real block's coordinates are a diagonal entry (once reflected back by ``_traceless``)
-    or sqrt2 Re / sqrt2 Im of an upper one; each feeds one coordinate of the marginal or
-    none, so its rows are sums of rows of ``basis``, and a coordinate no entry feeds is 0."""
-    da, db = dims
-    n = da if keep == "A" else db
-    i, j = np.divmod(idx, da * db)
-    (ai, bi), (aj, bj) = np.divmod(i, db), np.divmod(j, db)
-    kept, pos = (bi == bj, ai * da + aj) if keep == "A" else (ai == aj, bi * db + bj)
-    order, (_, n_o) = _matrix_order(n)
-    rank = np.argsort(order)[pos]         # each entry's place in the marginal's order
-    if herm is None:
-        out = np.zeros((n * n, basis.shape[1]), dtype=basis.dtype)
-        np.add.at(out, rank[kept], basis[kept])
-        upper, lower = out[n:n + n_o], out[n + n_o:]
-        return np.concatenate([out[:n], 0.5 * (upper + lower), -0.5j * (upper - lower)])
-    n_d, n_ob = herm                      # the block's diagonal and upper entries come first
-    rank = np.concatenate([rank[:n_d + n_ob], rank[n_d:n_d + n_ob] + n_o])
-    kept = np.concatenate([kept[:n_d + n_ob], kept[n_d:n_d + n_ob]])
-    rows = basis[kept]                    # every diagonal entry is kept
-    rows[:n_d] = _traceless(rows[:n_d], n_d)
-    rows[n_d:] *= _SQRT_HALF
-    out = np.zeros((n * n, basis.shape[1]))
-    np.add.at(out, rank[kept], rows)
-    return out
-
-
-def trace_readout(idx: np.ndarray, herm: tuple[int, int] | None, basis: np.ndarray,
-                  ops_t: np.ndarray) -> np.ndarray:
-    """Rows q with Re(q @ c) = Re Tr(x V), then Im Tr(x V), for each row vec(V^T) of ``ops_t``,
-    with the entries of x as in ``marginal_readout`` (q real for a real block)."""
-    v = ops_t[:, idx]
-    if herm is None:
-        t = v @ basis
-        return np.concatenate([t, -1j * t])
-    # sum_p x_p v_p = (H v_d) z_d + (v_u + v_l)/sqrt2 z_re + i (v_u - v_l)/sqrt2 z_im
-    v = _traceless(_hermitian_rows(v.T, *herm, sign=-1j), herm[0]).T
-    return np.concatenate([v.real @ basis, v.imag @ basis])
 
 
 def well_conditioned_inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:

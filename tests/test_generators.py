@@ -731,8 +731,6 @@ class TestLinearPropagator:
         monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm_(a))
         np.testing.assert_allclose(prop.apply(theta, taus), singles, rtol=0, atol=1e-13)
         assert 1 <= len(calls) <= 3
-        # read takes the same walk; with A the whole space its states of A are apply's
-        np.testing.assert_allclose(prop.read(theta, taus)[0], singles, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kind,rwa", [("weak", False), ("weak", True), ("fast", False),
                                           ("fast", True), ("gksl", None)],
@@ -784,23 +782,16 @@ class TestLinearPropagator:
         spec = decompose(sys, lam)
         gen = (assemble_joint_weak_generator(spec) if kind == "weak"
                else assemble_joint_fast_generator(sys, lam))
-        dims = (sys.dim_a, sys.dim_b)
-        prop = _LinearPropagator(gen, zip(spec.frequencies, spec.v_ops), dims)
+        prop = _LinearPropagator(gen, zip(spec.frequencies, spec.v_ops))
         rho = random_density(np.random.default_rng(13), sys.dim)
         taus = np.array([0.0, 0.1, 1.0, 1.0, 10.0]) / lam
         got = prop.apply(rho, taus)
         assert got.shape == (len(taus), sys.dim, sys.dim)
         want = np.array([prop.apply(rho, [t])[0] for t in taus])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-        # read takes the marginals of the same states from the block coordinates, each
-        # matrix exactly Hermitian
-        rho_a, rho_b, hab = prop.read(rho, taus)
-        for m, keep in ((rho_a, "A"), (rho_b, "B")):
-            np.testing.assert_allclose(m, marginal(got, dims, keep), rtol=0, atol=1e-13)
-            assert (m == m.conj().swapaxes(-1, -2)).all()
         # <H_AB> in the rotating frame of H_0: Tr(e^{i H_0 tau} H_AB e^{-i H_0 tau} joint)
         ev, vec = np.linalg.eigh(sys.uncoupled_h)
-        for h, t, joint in zip(hab, taus, got):
+        for h, t, joint in zip(prop.hab_expect(got, taus), taus, got):
             u = (vec * np.exp(1j * ev * t)) @ vec.conj().T
             assert abs(h - np.trace(u @ sys.h_ab.mat @ u.conj().T @ joint).real) < 1e-12
 
@@ -858,10 +849,11 @@ class TestLinearPropagator:
         assert run.meta["real_blocks"] == decomposed
 
     def test_weak_run_holds_less_than_one_checkpoint_stack(self):
-        # 241 checkpoints are read from the block coordinates a few times per call, and
-        # only each interval's end is built as a joint matrix, so above its generator a
-        # weak run at n_max 8 holds less than one complex (241, d, d) stack of joint
-        # states (0.81 of it here; 1.45 when every interval expanded such a stack)
+        # 241 checkpoints are evolved 50 joint matrices a call (stack_bytes), and no
+        # stack is held beside the next, so above its generator a weak run at n_max 8
+        # holds less than one complex (241, d, d) stack of joint states (0.88 of it
+        # here, the first block's decomposition 0.70; 1.45 when every interval
+        # expanded such a stack)
         import tracemalloc
 
         sys = build_jcm(JcmParams(n_max=8))
@@ -934,18 +926,12 @@ class TestLinearPropagator:
                                   gamma=0.1, n_max=3))
         gen = assemble_joint_weak_generator(decompose(sys, 0.2))
         rho = random_density(np.random.default_rng(31), sys.dim)
-        dims = (sys.dim_a, sys.dim_b)
         for bad in (gen * (1 + 0.1j), gen - 0.05 * np.eye(len(gen))):
-            prop = _LinearPropagator(bad, (), dims)
+            prop = _LinearPropagator(bad, ())
             for t in (0.5, 5.0):
                 want = (expm(t * bad) @ rho.reshape(-1)).reshape(sys.dim, sys.dim)
-                got = prop.apply(rho, [t])
-                np.testing.assert_allclose(got[0], (want + want.conj().T) / 2,
+                np.testing.assert_allclose(prop.apply(rho, [t])[0], (want + want.conj().T) / 2,
                                            rtol=0, atol=1e-12 * np.abs(want).max())
-                # read's states of A and B are the Hermitian parts of the marginals
-                for m, keep in zip(prop.read(rho, [t]), "AB"):
-                    np.testing.assert_allclose(m, marginal(got, dims, keep), rtol=0,
-                                               atol=1e-12 * np.abs(want).max())
             assert prop.decomposed.all() and prop.real_blocks == 0 and not prop.expm_blocks
 
     @staticmethod
@@ -960,7 +946,7 @@ class TestLinearPropagator:
         for k, b in enumerate(prop.blocks):
             label[b] = k
         for k in sorted(set(label[x != 0].tolist())):
-            idx, herm, _, evolution, _ = prop._parts[k]
+            idx, herm, _, evolution = prop._parts[k]
             y = x[idx] if herm is None else to_real(x[idx], *herm)
             if len(evolution) == 4:
                 evals, basis, basis_inv, turn = evolution

@@ -18,7 +18,7 @@ The record holds:
   ``simulate --mode weak`` at the default ``n_max`` 14 and at 20 and 30,
   ``simulate --mode fast`` at ``lambda`` 5 (inside the fast expansion's
   range, lam >= 10 gamma), which with the weak runs tracks the averaged
-  propagator's eigenbases and checkpoint read, the exact
+  propagator's eigenbases and checkpoint stacks, the exact
   ``simulate`` at ``n_max`` 100, which tracks the memory of the exact
   run's checkpoint states, ``steady-scan`` at ``scan_n_max`` 16 (the
   size of perfbench's ``scan`` workload), which tracks the reduced
